@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

@@ -1,6 +1,7 @@
 """Exact chromatic numbers of disjointness graphs.
 
-The workhorse is a DSATUR-ordered branch and bound over bit-row adjacency,
+The workhorse is a DSATUR-ordered branch and bound over big-int vertex masks
+(per-color forbidden sets and saturation levels) on an explicit stack,
 seeded with a greedy clique (precolored: sound symmetry breaking) and a
 greedy upper bound. On top of it sit a canonical enumerator of all optimal
 colorings, verification sweeps over double-chain and convex grids, and a
@@ -16,19 +17,12 @@ from time import perf_counter
 from typing import Iterator
 
 from .coloring import Coloring, verify_coloring
-from .disjointness import DisjointnessGraph, build_graph
+from .disjointness import DisjointnessGraph, _bits, build_graph
 from .formulas import double_chain_chi, f_of
 from .geometry import Point, PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 
 EXACT = "exact"
 INDETERMINATE = "indeterminate"
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -120,12 +114,10 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     members = sorted(best_members)
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            assert g.adjacent(members[a], members[b])
+            if not g.adjacent(members[a], members[b]):
+                raise RuntimeError(f"greedy clique members {members[a]} and {members[b]} "
+                                   f"are not adjacent")
     return len(members), frozenset(members)
-
-
-class _Budget(Exception):
-    pass
 
 
 def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None,
@@ -138,6 +130,12 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     precolored with distinct colors up front. The search is deterministic for
     a fixed graph. When a node or time budget runs out the result is
     INDETERMINATE and carries the best proven bounds, never a guessed value.
+
+    The state is a handful of vertex masks: `forb[c]` holds the neighbors of
+    the vertices colored c, `unc` the uncolored vertices, and `lev[s]` the
+    uncolored vertices whose neighbors carry exactly s colors. The search runs
+    on an explicit stack, so its depth is not bounded by Python's recursion
+    limit.
     """
     t0 = perf_counter()
     lower, clique = clique_lower(g)
@@ -151,70 +149,84 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
         v_count = g.n_vertices
         adj = g.adj
         colors = [-1] * v_count
-        seen = [0] * v_count
+        forb = [0] * best_k
+        unc = (1 << v_count) - 1
+        used = len(clique)
         for c, v in enumerate(sorted(clique)):
             colors[v] = c
-            bit = 1 << c
-            for u in _bits(adj[v]):
-                seen[u] |= bit
+            forb[c] = adj[v]
+            unc ^= 1 << v
+        # a vertex's saturation never exceeds `used`, which stays below best_k
+        lev = [0] * (best_k + 1)
+        for v in _bits(unc):
+            lev[sum(forb[c] >> v & 1 for c in range(used))] |= 1 << v
         deadline = None if max_ms is None else t0 + max_ms / 1000.0
+        # frames [pick, level, used, next color, undo]; undo holds the masks
+        # (forb[next color - 1], unc, lev) from before the frame's last color
+        stack: list[list] = []
 
-        def assign(v: int, c: int) -> list[int]:
-            colors[v] = c
-            bit = 1 << c
-            touched = []
-            for u in _bits(adj[v]):
-                if colors[u] < 0 and not seen[u] & bit:
-                    seen[u] |= bit
-                    touched.append(u)
-            return touched
-
-        def unassign(v: int, c: int, touched: list[int]) -> None:
-            colors[v] = -1
-            bit = 1 << c
-            for u in touched:
-                seen[u] ^= bit
-
-        def search(used: int) -> None:
-            nonlocal best_k, best_colors, nodes
+        while True:
+            # enter a node
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                raise _Budget
+                aborted = True
+                break
             if deadline is not None and nodes & 0xFF == 0 and perf_counter() > deadline:
-                raise _Budget
-            if used >= best_k:
-                return
-            pick = -1
-            pick_sat = -1
-            for v in range(v_count):
-                if colors[v] < 0:
-                    s = seen[v].bit_count()
-                    if s > pick_sat:
-                        pick, pick_sat = v, s
-            if pick < 0:
+                aborted = True
+                break
+            if unc:
+                level = used
+                while not lev[level]:
+                    level -= 1
+                top = lev[level]
+                stack.append([(top & -top).bit_length() - 1, level, used, 0, None])
+            else:
                 best_k = used
                 best_colors = colors[:]
-                return
-            feasible = ~seen[pick] & ((1 << used) - 1)
-            for c in _bits(feasible):
-                if used >= best_k:
-                    return  # a deeper completion improved the incumbent
-                touched = assign(pick, c)
-                search(used)
-                unassign(pick, c, touched)
-            if used + 1 < best_k:
-                touched = assign(pick, used)
-                search(used + 1)
-                unassign(pick, used, touched)
-
-        try:
-            search(len(clique))
-        except _Budget:
-            aborted = True
+            # give the deepest open frame its next color, dropping finished frames
+            while stack:
+                frame = stack[-1]
+                pick, level, used, c, undo = frame
+                if undo is not None:  # take back the frame's last color, c - 1
+                    forb[c - 1], unc, lev = undo
+                pbit = 1 << pick
+                while c < used and forb[c] & pbit:
+                    c += 1
+                if c < used:
+                    if used >= best_k:
+                        stack.pop()  # a deeper completion improved the incumbent
+                        continue
+                elif c > used or used + 1 >= best_k:
+                    stack.pop()
+                    continue
+                row = adj[pick]
+                old = forb[c]
+                frame[3] = c + 1
+                frame[4] = (old, unc, lev)
+                forb[c] = old | row
+                unc ^= pbit
+                rise = row & unc & ~old  # uncolored neighbors that gain color c
+                lev = lev[:]
+                lev[level] ^= pbit
+                s = level
+                while rise:
+                    moved = lev[s] & rise
+                    if moved:
+                        lev[s] ^= moved
+                        lev[s + 1] |= moved
+                        rise ^= moved
+                    s -= 1
+                colors[pick] = c
+                if c == used:
+                    used += 1
+                break
+            else:
+                break
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring.from_vertex_colors(g.n_points, best_colors)
-    assert verify_coloring(g, witness).proper
+    if not verify_coloring(g, witness).proper:
+        raise RuntimeError("solver witness is not a proper coloring")
     if aborted:
         return ChiResult(INDETERMINATE, None, lower, best_k, witness, nodes, ms)
     return ChiResult(EXACT, best_k, best_k, best_k, witness, nodes, ms)
@@ -234,37 +246,46 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
     v_count = g.n_vertices
     adj = g.adj
     colors = [-1] * v_count
-    forb = [0] * v_count
-
-    def rec(v: int, used: int) -> Iterator[Coloring]:
+    forb = [0] * v_count  # colors already taken by earlier neighbors, per vertex
+    found = False
+    # the frame at depth v colors vertex v: [used, next color, bit, touched],
+    # where the later neighbors in `touched` gained `bit` from its current color
+    stack: list[list] = []
+    v = used = 0
+    while True:
         if chi - used > v_count - v:
-            return  # not enough vertices left to open the remaining classes
-        if v == v_count:
+            pass  # not enough vertices left to open the remaining classes
+        elif v == v_count:
             if used == chi:
+                found = True
                 yield Coloring.from_vertex_colors(g.n_points, colors)
-            return
-        mask = forb[v]
-        later = adj[v] >> (v + 1)
-        for c in range(min(used + 1, chi)):
-            if mask >> c & 1:
-                continue
-            colors[v] = c
-            bit = 1 << c
-            touched = []
-            for off in _bits(later):
-                u = v + 1 + off
-                if not forb[u] & bit:
-                    forb[u] |= bit
-                    touched.append(u)
-            yield from rec(v + 1, used + (1 if c == used else 0))
+        else:
+            stack.append([used, 0, 0, ()])
+        while stack:
+            v = len(stack) - 1
+            frame = stack[-1]
+            used, c, bit, touched = frame
             for u in touched:
                 forb[u] ^= bit
-        colors[v] = -1
-
-    found = False
-    for coloring in rec(0, 0):
-        found = True
-        yield coloring
+            mask = forb[v]
+            limit = min(used + 1, chi)
+            while c < limit and mask >> c & 1:
+                c += 1
+            if c == limit:
+                stack.pop()
+                continue
+            bit = 1 << c
+            touched = [u for u in _bits(adj[v] >> (v + 1) << (v + 1)) if not forb[u] & bit]
+            for u in touched:
+                forb[u] |= bit
+            frame[1:] = c + 1, bit, touched
+            colors[v] = c
+            v += 1
+            if c == used:
+                used += 1
+            break
+        else:
+            break
     if not found:
         raise ValueError(
             f"no proper coloring with {chi} colors exists; {chi} is below the chromatic number")

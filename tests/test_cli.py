@@ -115,6 +115,21 @@ class TestChiAndVerify:
         assert data["lower_bound"] <= data["upper_bound"]
 
 
+    def test_non_integer_coordinate_is_usage_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.json"
+        col = tmp_path / "col.json"
+        run(capsys, "gen", "--n", "4", "--out", str(pts))
+        run(capsys, "color", "--k", "1", "--l", "3", "--out", str(col))
+        data = json.loads(pts.read_text())
+        data["points"][1][0] = 1.5
+        pts.write_text(json.dumps(data))
+        for argv in (["chi", "--points", str(pts)], ["graph", "--points", str(pts)],
+                     ["verify", "--points", str(pts), "--coloring", str(col)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and "1.5" in err
+
 class TestColor:
     def test_construct_and_verify(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"

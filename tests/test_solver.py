@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +145,63 @@ class TestExactChi:
         res = chromatic_number_exact(g, max_ms=0.0)
         assert not res.is_exact
 
+    def test_pinned_nodes_and_witnesses(self):
+        # recorded from the recursive per-vertex-saturation solver; the mask
+        # solver must branch identically, node for node
+        pins = json.loads(Path(__file__).with_name("solver_pins.json").read_text())
+        assert len(pins) == 26
+        for pin in pins:
+            ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
+            res = chromatic_number_exact(build_graph(ps))
+            assert (res.nodes, res.chi, res.witness.vertex_colors()) == \
+                (pin["nodes"], pin["chi"], pin["witness"]), pin
+
+    def test_search_deeper_than_recursion_limit(self):
+        g = build_graph(gen_convex(14))  # 91 vertices, 84 of them left to the search
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            res = chromatic_number_exact(g, max_nodes=2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.status == "indeterminate"
+        assert res.nodes == 2001
+        assert res.lower_bound <= res.upper_bound
+        assert verify_coloring(g, res.witness).proper
+
+    def test_checks_survive_python_O(self):
+        script = """
+import dchain.solver as solver
+from dchain import Coloring, DisjointnessGraph, build_graph, gen_convex
+assert False, "asserts must be stripped for this check to mean anything"
+g = build_graph(gen_convex(6))
+solver.dsatur_upper = lambda g: Coloring.from_vertex_colors(g.n_points, [0] * g.n_vertices)
+try:
+    solver.chromatic_number_exact(g)
+except RuntimeError as exc:
+    print("witness:", exc)
+
+class Lying(DisjointnessGraph):
+    def adjacent(self, u, v):
+        return False
+
+try:
+    solver.clique_lower(Lying(g.n_points, g.adj))
+except RuntimeError as exc:
+    print("clique:", exc)
+"""
+        src = Path(solver_mod.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "witness: solver witness is not a proper coloring" in proc.stdout
+        assert "clique: greedy clique members" in proc.stdout
+
 
 class TestEnumerateOptimal:
     def test_yields_at_least_one_for_convex4(self):
@@ -179,6 +241,18 @@ class TestEnumerateOptimal:
             canonical.add(tuple(out))
         enumerated = {tuple(c.vertex_colors()) for c in enumerate_optimal_colorings(g, 2)}
         assert enumerated == canonical
+
+    def test_convex6_stream_order(self):
+        # the full ordered stream emitted by the recursive enumerator
+        expected = [
+            "000001120111222", "000001120121222", "000102210212111", "000102210222111",
+            "001220000112112", "001220000112122", "001220002112112", "001220002112122",
+            "001220100112112", "001220100112122", "001220102112112", "001220102112122",
+            "010001120111222", "010001120121222", "010201120111222", "010201120121222",
+        ]
+        g = build_graph(gen_convex(6))
+        stream = ["".join(map(str, c.vertex_colors())) for c in enumerate_optimal_colorings(g, 3)]
+        assert stream == expected
 
     def test_raises_below_chromatic_number(self):
         g = build_graph(gen_convex(4))
