@@ -2,7 +2,8 @@
 tables, exact solves, constructive colorings, verification, and sweeps.
 
 Exit codes: 0 success or confirmed property, 1 property violation or
-counterexample found, 2 usage error, 3 indeterminate (budget exhausted).
+counterexample found, 2 usage error, 3 indeterminate (a solve's budget or the
+conjecture scan's rejection-sampling attempts ran out).
 All diagnostics go to stderr; machine-readable results go to --out or stdout.
 """
 
@@ -192,7 +193,7 @@ def _cmd_conjecture(args) -> int:
         return EXIT_VIOLATION
     if report.exhausted:
         _note("rejection sampling ran out of attempts before finishing the scan")
-        return EXIT_USAGE
+        return EXIT_INDETERMINATE
     _note(f"no counterexample in {report.trials} random sets: "
           f"min chi {report.min_chi} >= f({report.n}) = {report.f_value}")
     return EXIT_OK

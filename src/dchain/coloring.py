@@ -11,7 +11,7 @@ from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .disjointness import DisjointnessGraph, SegmentId, all_segments, build_graph
+from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
 from .geometry import PointSet, delete_points, gen_double_chain
 
 STAR = "star"
@@ -83,7 +83,12 @@ def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
         raise ValueError(
             f"coloring covers {c.n_points} points but the graph has {g.n_points}")
     vc = c.vertex_colors()
-    bad = tuple((u, v) for u, v in g.edges() if vc[u] == vc[v])
+    cls = [0] * c.color_count
+    for u, col in enumerate(vc):
+        cls[col] |= 1 << u
+    # u ascending, then v ascending: the lexicographic order of g.edges()
+    bad = tuple((u, v) for u, col in enumerate(vc)
+                for v in _bits(g.adj[u] & (cls[col] >> (u + 1) << (u + 1))))
     return VerifyReport(not bad, bad)
 
 

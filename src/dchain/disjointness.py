@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .geometry import Orientation, PointSet, is_general_position, orientation, segments_disjoint
+from .geometry import Orientation, PointSet, is_general_position, orientation
 
 
 class SegmentId(NamedTuple):
@@ -96,20 +96,65 @@ class DisjointnessGraph:
 
 
 def build_graph(ps: PointSet) -> DisjointnessGraph:
-    """Disjointness graph of ps; vertex numbering is segment rank order."""
-    if ps.n < 2:
+    """Disjointness graph of ps; vertex numbering is segment rank order.
+
+    In general position two closed segments meet only by sharing an endpoint
+    or by crossing properly: an endpoint on the other segment would make
+    three points collinear. So the collinear-touching branch of
+    `segments_disjoint` cannot fire here, and each row is "no shared
+    endpoint and no proper crossing", computed from side masks:
+    `left[a][b]` has bit p set iff point p lies strictly left of the directed
+    line a -> b. Segments (i, j) and (k, l) cross iff k, l lie on opposite
+    sides of line ij and i, j on opposite sides of line kl; the second half
+    is l in `left[k][i] ^ left[k][j]`. The partners l > k of point k have
+    the consecutive ranks base[k] + (l - k - 1), so one shift per k turns
+    the point mask into a segment mask. O(n^3) cross products and O(n^3)
+    big-int operations in all.
+    """
+    n = ps.n
+    if n < 2:
         raise ValueError("a disjointness graph needs at least two points")
     if not is_general_position(ps):
         raise ValueError("point set is not in general position")
-    segs = all_segments(ps.n)
-    v = len(segs)
-    rows = [0] * v
-    for a in range(v):
-        for b in range(a + 1, v):
-            if segments_disjoint(segs[a], segs[b], ps):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return DisjointnessGraph(ps.n, tuple(rows))
+    xs = [p.x for p in ps.points]
+    ys = [p.y for p in ps.points]
+    everyone = (1 << n) - 1
+    left = [[0] * n for _ in range(n)]
+    for a in range(n):
+        ax, ay = xs[a], ys[a]
+        for b in range(a + 1, n):
+            dx, dy = xs[b] - ax, ys[b] - ay
+            # p is left of a -> b iff dx * (y_p - ay) - dy * (x_p - ax) > 0
+            c0 = dx * ay - dy * ax
+            m = 0
+            for p in range(n):
+                if dx * ys[p] - dy * xs[p] > c0:
+                    m |= 1 << p
+            left[a][b] = m
+            # no third point lies on the line, so the rest is strictly right
+            left[b][a] = everyone & ~m & ~(1 << a | 1 << b)
+    base = [k * (2 * n - k - 1) // 2 for k in range(n)]  # rank of segment (k, k + 1)
+    inc = [0] * n  # ranks of the segments incident to each point
+    for r, (a, b) in enumerate(all_segments(n)):
+        inc[a] |= 1 << r
+        inc[b] |= 1 << r
+    full = (1 << comb(n, 2)) - 1
+    rows = []
+    for i in range(n):
+        left_i = left[i]
+        for j in range(i + 1, n):
+            lij, rij = left_i[j], left[j][i]
+            cross = 0
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                lk = left[k]
+                far = rij if lij >> k & 1 else lij
+                hit = (far & (lk[i] ^ lk[j])) >> (k + 1)
+                if hit:
+                    cross |= hit << base[k]
+            rows.append(full & ~(inc[i] | inc[j] | cross))
+    return DisjointnessGraph(n, tuple(rows))
 
 
 def convex_hull_edges(ps: PointSet) -> list[SegmentId]:

@@ -19,8 +19,8 @@ def g_of(n: int) -> int:
     """Largest positive integer i with C(i, 2) <= n."""
     _check_positive(n)
     g = (1 + isqrt(8 * n + 1)) // 2
-    # bracketing check of the isqrt algebra
-    assert comb(g, 2) <= n < comb(g + 1, 2), (n, g)
+    if not comb(g, 2) <= n < comb(g + 1, 2):  # bracketing check of the isqrt algebra
+        raise RuntimeError(f"g({n}) = {g} fails C(g, 2) <= n < C(g + 1, 2)")
     return g
 
 
@@ -36,7 +36,8 @@ def f_of(n: int) -> int:
     _check_positive(n)
     direct = n - (isqrt(8 * n + 1) - 1) // 2
     via_g = n - g_of(n) + 1
-    assert direct == via_g, (n, direct, via_g)
+    if direct != via_g:
+        raise RuntimeError(f"f({n}) = {direct} disagrees with n - g(n) + 1 = {via_g}")
     return direct
 
 

@@ -136,7 +136,17 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     uncolored vertices whose neighbors carry exactly s colors. The search runs
     on an explicit stack, so its depth is not bounded by Python's recursion
     limit.
+
+    `max_nodes` must be a positive int and `max_ms` a finite number >= 0;
+    anything else (NaN included, which no clock reading exceeds) raises
+    ValueError rather than running without the budget.
     """
+    if max_nodes is not None and (not isinstance(max_nodes, int) or isinstance(max_nodes, bool)
+                                  or max_nodes < 1):
+        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
+    if max_ms is not None and (not isinstance(max_ms, (int, float)) or isinstance(max_ms, bool)
+                               or not 0 <= max_ms < float("inf")):
+        raise ValueError(f"max_ms must be a finite number >= 0, got {max_ms!r}")
     t0 = perf_counter()
     lower, clique = clique_lower(g)
     greedy = dsatur_upper(g)

@@ -1,6 +1,6 @@
-"""Independent oracles used by the tests: a brute-force chromatic search and
-a Fraction-based segment intersection test. Both deliberately avoid the code
-paths they are used to check."""
+"""Independent oracles used by the tests: a brute-force chromatic search, a
+Fraction-based segment intersection test and an edge-scan coloring check.
+All deliberately avoid the code paths they are used to check."""
 
 from __future__ import annotations
 
@@ -91,3 +91,13 @@ def pairwise_disjoint_matrix(ps: PointSet, predicate) -> list[list[bool]]:
             if predicate(segs[a], segs[b], ps):
                 mat[a][b] = mat[b][a] = True
     return mat
+
+
+def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tuple[int, int], ...]]:
+    """(proper, violations) by scanning every vertex pair of the adjacency
+    matrix; violations are the same-colored adjacent pairs (u, v), u < v, in
+    lexicographic order. Uses neither color-class masks nor g.edges()."""
+    v_count = g.n_vertices
+    bad = tuple((u, v) for u in range(v_count) for v in range(u + 1, v_count)
+                if g.adj[u] >> v & 1 and vertex_colors[u] == vertex_colors[v])
+    return not bad, bad

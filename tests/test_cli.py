@@ -114,6 +114,13 @@ class TestChiAndVerify:
         assert data["status"] == "indeterminate"
         assert data["lower_bound"] <= data["upper_bound"]
 
+    def test_invalid_budget_is_usage_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.json"
+        save_points(gen_double_chain(2, 3), pts)
+        for budget in ("nan", "-5", "inf"):
+            code, out, err = run(capsys, "chi", "--points", str(pts), "--budget-ms", budget)
+            assert code == 2, budget
+            assert out == "" and "max_ms" in err
 
     def test_non_integer_coordinate_is_usage_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
@@ -173,6 +180,20 @@ class TestConjecture:
         report = json.loads(report_path.read_text())
         assert report["min_chi"] >= report["f"] == f_of(4)
         assert report["counterexamples"] == []
+
+    def test_exhausted_sampling_exits_3(self, tmp_path, capsys, monkeypatch):
+        import dchain.solver
+
+        monkeypatch.setattr(dchain.solver, "sample_general_position",
+                            lambda rng, n, box, max_attempts: (None, max_attempts))
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "conjecture", "--n", "4", "--trials", "3",
+                           "--seed", "5", "--out", str(report_path))
+        assert code == 3
+        report = json.loads(report_path.read_text())
+        assert report["exhausted"] is True
+        assert report["counterexamples"] == []
+        assert "ran out of attempts" in err
 
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "conjecture", "--n", "4")

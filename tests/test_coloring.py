@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dchain import (
@@ -12,17 +14,20 @@ from dchain import (
     coloring_from_json,
     coloring_to_json,
     construct_double_chain_coloring,
+    chromatic_number_exact,
     dsatur_upper,
     double_chain_chi,
     gen_convex,
     gen_double_chain,
     load_coloring,
     remove_star_apices,
+    sample_general_position,
     save_coloring,
     thrackle_edge_bound_ok,
     verify_coloring,
     verify_report_to_json,
 )
+from helpers import oracle_verify
 
 
 def flat_coloring(n_points, pairs_to_colors):
@@ -86,6 +91,29 @@ class TestVerifyColoring:
         g = build_graph(gen_convex(5))
         c = Coloring.from_vertex_colors(5, list(range(10)))
         assert verify_coloring(g, c).proper
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_edge_scan_oracle(self, n):
+        rng = random.Random(n)
+        graphs = [build_graph(gen_convex(n))]
+        if n >= 3:
+            graphs.append(build_graph(sample_general_position(rng, n, box=50)[0]))
+        improper = 0
+        for g in graphs:
+            v = g.n_vertices
+            colorings = [chromatic_number_exact(g).witness.vertex_colors()]
+            for _ in range(40):
+                # few colors for most draws, so most colorings are improper
+                t = rng.choice((1, 2, 3, max(1, v // 2), v))
+                raw = [rng.randrange(t) for _ in range(v)]
+                relabel = {c: new for new, c in enumerate(dict.fromkeys(raw))}
+                colorings.append([relabel[c] for c in raw])
+            for vc in colorings:
+                report = verify_coloring(g, Coloring.from_vertex_colors(n, vc))
+                assert (report.proper, report.violations) == oracle_verify(g, vc), vc
+                improper += not report.proper
+        if n >= 4:
+            assert improper > len(graphs) * 41 // 2
 
     def test_rejects_mismatched_point_count(self):
         g = build_graph(gen_convex(4))

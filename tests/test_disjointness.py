@@ -1,4 +1,8 @@
+import hashlib
+import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from dchain import (
     segment_rank,
     segments_disjoint,
 )
-from helpers import pairwise_disjoint_matrix
+from helpers import oracle_disjoint, pairwise_disjoint_matrix
 
 
 class TestSegmentId:
@@ -82,6 +86,41 @@ class TestBuildGraph:
         for u in range(g.n_vertices):
             for v in range(g.n_vertices):
                 assert g.adjacent(u, v) == mat[u][v]
+
+    def test_adjacency_matches_pins(self):
+        # sha256 of the hex rows, recorded from the pairwise segments_disjoint build
+        pins = json.loads(Path(__file__).with_name("build_pins.json").read_text())
+        assert len(pins) == 101
+        for pin in pins:
+            ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
+            g = build_graph(ps)
+            digest = hashlib.sha256(",".join(format(r, "x") for r in g.adj).encode("ascii"))
+            assert (g.edge_count, digest.hexdigest()) == (pin["edges"], pin["sha256"]), pin
+
+    def test_small_box_sets_match_rational_oracle(self):
+        # coordinates in [0, 20]^2 make near-collinear triples and collinear
+        # sets common; the latter must be refused, the former built exactly
+        rng = random.Random(20170)
+        built = refused = 0
+        for _ in range(400):
+            n = rng.randint(3, 9)
+            coords = list({(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(n)})
+            if len(coords) < 3:
+                continue
+            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            collinear = any((b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+                            for a, b, c in itertools.combinations(coords, 3))
+            if collinear:
+                with pytest.raises(ValueError):
+                    build_graph(ps)
+                refused += 1
+                continue
+            g = build_graph(ps)
+            mat = pairwise_disjoint_matrix(ps, lambda a, b, p: oracle_disjoint(p, a, b))
+            assert [[g.adjacent(u, v) for v in range(g.n_vertices)]
+                    for u in range(g.n_vertices)] == mat, coords
+            built += 1
+        assert built >= 250 and refused >= 50, (built, refused)
 
     def test_graph_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):

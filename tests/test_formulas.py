@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dchain.formulas as formulas_mod
 from dchain import FormulaResult, double_chain_chi, f_of, f_step, formula_table, g_of
 
 positive_n = st.integers(1, 10 ** 7)
@@ -107,3 +112,28 @@ class TestFormulaTable:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             formula_table(3, n_min=5)
+
+
+def test_cross_checks_survive_python_O():
+    script = """
+import math
+import dchain.formulas as formulas
+assert False, "asserts must be stripped for this check to mean anything"
+formulas.isqrt = lambda x: math.isqrt(x) + 2
+try:
+    formulas.g_of(10)
+except RuntimeError as exc:
+    print("g:", exc)
+formulas.isqrt = math.isqrt
+formulas.g_of = lambda n: 1
+try:
+    formulas.f_of(10)
+except RuntimeError as exc:
+    print("f:", exc)
+"""
+    src = Path(formulas_mod.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "g: g(10) = 6 fails C(g, 2) <= n < C(g + 1, 2)" in proc.stdout
+    assert "f: f(10) = 6 disagrees with n - g(n) + 1 = 10" in proc.stdout

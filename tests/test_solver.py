@@ -145,6 +145,16 @@ class TestExactChi:
         res = chromatic_number_exact(g, max_ms=0.0)
         assert not res.is_exact
 
+    @pytest.mark.parametrize("budget", [
+        {"max_ms": float("nan")}, {"max_ms": -1.0}, {"max_ms": float("inf")},
+        {"max_ms": float("-inf")}, {"max_ms": "5"}, {"max_ms": True},
+        {"max_nodes": 0}, {"max_nodes": -3}, {"max_nodes": 1.5}, {"max_nodes": True},
+        {"max_nodes": "10"},
+    ])
+    def test_invalid_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            chromatic_number_exact(build_graph(gen_convex(5)), **budget)
+
     def test_pinned_nodes_and_witnesses(self):
         # recorded from the recursive per-vertex-saturation solver; the mask
         # solver must branch identically, node for node
