@@ -227,9 +227,16 @@ def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
     """
     kind = fmt.strip().lower()
     if kind == "dimacs":
-        lines = [f"p edge {g.n_vertices} {g.edge_count}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-        return ("\n".join(lines) + "\n").encode("ascii")
+        # one bytes object per adjacency row, none per edge, so the transient
+        # peak stays near twice the output size
+        ids = [b"%d" % (v + 1) for v in range(g.n_vertices)]
+        out = bytearray(b"p edge %d %d\n" % (g.n_vertices, g.edge_count))
+        for u, row in enumerate(g.adj):
+            above = row >> (u + 1)
+            if above:
+                head = b"e " + ids[u] + b" "
+                out += head + (b"\n" + head).join([ids[u + 1 + v] for v in _bits(above)]) + b"\n"
+        return bytes(out)
     if kind == "json":
         return (json.dumps(graph_to_json(g)) + "\n").encode("ascii")
     raise ValueError(f"unknown graph format {fmt!r}; expected 'dimacs' or 'json'")

@@ -292,6 +292,12 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     above every line through two L points, (e) the whole set is in general
     position. Above/below are strict: collinear counts as failure, and a
     vertical chain line fails outright since no point is strictly below it.
+
+    When (a) holds, (c) is checked against the k - 1 consecutive cup chords
+    only, and likewise (d) when (b) holds; when (a)-(d) all hold, (e) follows
+    without a collinearity search. So a valid C_{k,l} costs O(k*l). Either
+    shortcut is exact (same pass/fail as checking every chord and triple);
+    a failure witness is then a consecutive chord and a point beyond it.
     """
     if ps.partition is None:
         raise ValueError("validate_double_chain requires a partitioned point set")
@@ -310,31 +316,52 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
                 return ConditionCheck(name, False, (a, b, c))
         return ConditionCheck(name, True)
 
+    # Why consecutive chords suffice on a convex chain. Let (a) hold and let
+    # the consecutive cup chords be non-vertical; as U is lex-sorted, x then
+    # increases strictly along it and the strict left turns make the
+    # consecutive slopes s_0 < s_1 < ... increase strictly. For a < b the
+    # slope of chord ab is a weighted mean of s_a .. s_{b-1}, and the chord
+    # line passes through u_a and u_b. So it lies on or above line
+    # (a, a+1) for x >= x_a, and on or above line (b-1, b) for x <= x_b.
+    # Every x is >= x_a or <= x_b, so a point strictly below every
+    # consecutive chord line is strictly below every chord line. The cap is
+    # the mirror image. Equal x values are adjacent in lex order, so the
+    # vertical test on consecutive pairs still finds every equal-x pair.
     def separated(chain_idx: list[int], others: list[int], name: str,
-                  below: bool) -> ConditionCheck:
-        for u in range(len(chain_idx)):
-            for v in range(u + 1, len(chain_idx)):
-                a, b = chain_idx[u], chain_idx[v]
-                if xs[a] == xs[b]:
-                    return ConditionCheck(name, False, (a, b, others[0]))
-                ax, ay = xs[a], ys[a]
-                dx = xs[b] - ax
-                dy = ys[b] - ay
-                for p in others:
-                    d = dx * (ys[p] - ay) - dy * (xs[p] - ax)
-                    if (d >= 0) if below else (d <= 0):
-                        return ConditionCheck(name, False, (a, b, p))
+                  below: bool, convex: bool) -> ConditionCheck:
+        m = len(chain_idx)
+        if convex:
+            pairs = [(u, u + 1) for u in range(m - 1)]
+        else:
+            pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        for u, v in pairs:
+            a, b = chain_idx[u], chain_idx[v]
+            if xs[a] == xs[b]:
+                return ConditionCheck(name, False, (a, b, others[0]))
+            ax, ay = xs[a], ys[a]
+            dx = xs[b] - ax
+            dy = ys[b] - ay
+            for p in others:
+                d = dx * (ys[p] - ay) - dy * (xs[p] - ax)
+                if (d >= 0) if below else (d <= 0):
+                    return ConditionCheck(name, False, (a, b, p))
         return ConditionCheck(name, True)
 
-    collinear = find_collinear_triple(ps)
-    checks = (
-        chain(up, CONDITION_NAMES[0], up_open=True),
-        chain(low, CONDITION_NAMES[1], up_open=False),
-        separated(up, low, CONDITION_NAMES[2], below=True),
-        separated(low, up, CONDITION_NAMES[3], below=False),
-        ConditionCheck(CONDITION_NAMES[4], collinear is None, collinear),
-    )
-    return DoubleChainReport(checks)
+    cup = chain(up, CONDITION_NAMES[0], up_open=True)
+    cap = chain(low, CONDITION_NAMES[1], up_open=False)
+    above = separated(up, low, CONDITION_NAMES[2], below=True, convex=cup.passed)
+    beneath = separated(low, up, CONDITION_NAMES[3], below=False, convex=cap.passed)
+    # Why (a)-(d) imply (e). By the argument above x increases strictly
+    # along each chain and its slopes increase (cup) or decrease (cap)
+    # strictly, so no three points of one chain are collinear. A triple
+    # that mixes the chains has two points on one chain, and (c) or (d)
+    # puts the third strictly off their line. Otherwise search for a witness.
+    if cup.passed and cap.passed and above.passed and beneath.passed:
+        collinear = None
+    else:
+        collinear = find_collinear_triple(ps)
+    general = ConditionCheck(CONDITION_NAMES[4], collinear is None, collinear)
+    return DoubleChainReport((cup, cap, above, beneath, general))
 
 
 def delete_points(ps: PointSet, remove: Iterable[int]) -> tuple[PointSet, dict[int, int]]:

@@ -1,10 +1,12 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
-Fraction-based segment intersection test and an edge-scan coloring check.
-All deliberately avoid the code paths they are used to check."""
+Fraction-based segment intersection test, an edge-scan coloring check and an
+all-chords, all-triples double-chain check. All deliberately avoid the code
+paths they are used to check."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from dchain import DisjointnessGraph, PointSet, all_segments
 
@@ -101,3 +103,60 @@ def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tupl
     bad = tuple((u, v) for u in range(v_count) for v in range(u + 1, v_count)
                 if g.adj[u] >> v & 1 and vertex_colors[u] == vertex_colors[v])
     return not bad, bad
+
+
+def _turn(pts, a: int, b: int, c: int) -> int:
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _strictly_beyond(pts, a: int, b: int, p: int, below: bool) -> bool:
+    """p strictly below (or above) the line through a and b; never for a
+    vertical line, which has no below or above."""
+    if pts[a][0] == pts[b][0]:
+        return False
+    if pts[a][0] > pts[b][0]:
+        a, b = b, a
+    d = _turn(pts, a, b, p)
+    return d < 0 if below else d > 0
+
+
+def oracle_violates(ps: PointSet, name: str, witness) -> bool:
+    """True iff the index triple really violates the named double-chain
+    condition, judged from the definition alone."""
+    pts = [(p.x, p.y) for p in ps.points]
+    up, low = set(ps.partition.upper), set(ps.partition.lower)
+    if len(witness) != 3 or len(set(witness)) != 3 or not all(0 <= i < ps.n for i in witness):
+        return False
+    if name in ("upper_is_cup", "lower_is_cap"):
+        side, sign = (up, 1) if name == "upper_is_cup" else (low, -1)
+        a, b, c = sorted(witness, key=lambda i: pts[i])
+        return set(witness) <= side and sign * _turn(pts, a, b, c) <= 0
+    if name in ("lower_below_upper_lines", "upper_above_lower_lines"):
+        below = name == "lower_below_upper_lines"
+        chain, others = (up, low) if below else (low, up)
+        a, b, p = witness
+        return a in chain and b in chain and p in others \
+            and not _strictly_beyond(pts, a, b, p, below)
+    if name == "general_position":
+        return _turn(pts, *witness) == 0
+    raise ValueError(f"unknown condition {name!r}")
+
+
+def oracle_validate_double_chain(ps: PointSet) -> tuple[bool, bool, bool, bool, bool]:
+    """Pass/fail of the five double-chain conditions, in the package's
+    order, by checking every triple and every chord against every point:
+    (a) every lex-ordered triple of U turns strictly left, (b) every one of
+    L strictly right, (c) every L point strictly below every U chord line,
+    (d) every U point strictly above every L chord line, (e) no collinear
+    triple. O(n^3); uses nothing from dchain.geometry beyond the point set."""
+    pts = [(p.x, p.y) for p in ps.points]
+    up = sorted(ps.partition.upper, key=lambda i: pts[i])
+    low = sorted(ps.partition.lower, key=lambda i: pts[i])
+    return (
+        all(_turn(pts, a, b, c) > 0 for a, b, c in combinations(up, 3)),
+        all(_turn(pts, a, b, c) < 0 for a, b, c in combinations(low, 3)),
+        all(_strictly_beyond(pts, a, b, p, True) for a, b in combinations(up, 2) for p in low),
+        all(_strictly_beyond(pts, a, b, p, False) for a, b in combinations(low, 2) for p in up),
+        all(_turn(pts, a, b, c) != 0 for a, b, c in combinations(range(ps.n), 3)),
+    )

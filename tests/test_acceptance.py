@@ -36,7 +36,12 @@ from dchain import (
     validate_double_chain,
     verify_coloring,
 )
-from helpers import oracle_disjoint, naive_chromatic, pairwise_disjoint_matrix
+from helpers import (
+    naive_chromatic,
+    oracle_disjoint,
+    oracle_validate_double_chain,
+    pairwise_disjoint_matrix,
+)
 
 import dchain.solver as solver_mod
 import random
@@ -191,10 +196,15 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
     # full definition validation over the whole grid
     for l in range(1, 51):
         for k in range(1, l + 1):
-            rep = validate_double_chain(gen_double_chain(k, l))
+            ps = gen_double_chain(k, l)
+            rep = validate_double_chain(ps)
             if not rep.ok:
                 report(8, "double-chain geometry", False,
                        f"validation failed at ({k},{l}): {[c.name for c in rep.failed()]}")
+            # the all-chords, all-triples oracle agrees on the smaller chains
+            if l <= 20 and oracle_validate_double_chain(ps) != (True,) * 5:
+                report(8, "double-chain geometry", False,
+                       f"oracle rejects ({k},{l}): {oracle_validate_double_chain(ps)}")
 
     # hull edges of either chain cross nothing; cross-chain segments meet
     # chain segments only at endpoints
@@ -241,7 +251,8 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
                     report(8, "double-chain geometry", False,
                            f"deletion {remove} of ({k},{l}) broke the configuration")
     report(8, "double-chain geometry: definition, crossing-freedom, deletions", True,
-           "grid k<=l<=50 validated; structural checks k+l<=10; deletions k+l<=9")
+           "grid k<=l<=50 validated, k<=l<=20 also by the oracle; structural checks k+l<=10; "
+           "deletions k+l<=9")
 
 
 def test_criterion_9_solver_and_adjacency_agree_with_oracles():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,29 @@ class TestExports:
     def test_dimacs_two_points(self):
         g = build_graph(PointSet((Point(0, 0), Point(1, 2))))
         assert export_graph(g, "dimacs") == b"p edge 1 0\n"
+
+    def test_dimacs_bytes_pinned(self):
+        # sha256 of the DIMACS bytes as written by the per-edge f-string
+        # export, for convex 2..24 and every (k, l) with k <= l <= 12
+        pins = json.loads(Path(__file__).with_name("export_pins.json").read_text())
+        assert len(pins) == 101
+        for pin in pins:
+            ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
+            data = export_graph(build_graph(ps), "dimacs")
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (pin["bytes"], pin["sha256"]), pin
+
+    def test_dimacs_export_peak_memory_is_linear_in_output(self):
+        # one object per row, not per edge: the per-edge strings of a
+        # line-list export peak above 9x the output on this graph
+        g = build_graph(gen_double_chain(12, 12))
+        tracemalloc.start()
+        try:
+            data = export_graph(g, "dimacs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 244503
+        assert peak < 3 * len(data), peak
 
     def test_dimacs_deterministic(self):
         g = build_graph(gen_double_chain(2, 4))

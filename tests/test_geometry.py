@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +25,8 @@ from dchain import (
     segments_disjoint,
     validate_double_chain,
 )
-from helpers import oracle_disjoint
+from dchain.geometry import CONDITION_NAMES
+from helpers import oracle_disjoint, oracle_validate_double_chain, oracle_violates
 
 coord = st.integers(-1000, 1000)
 
@@ -205,6 +209,62 @@ class TestValidateDoubleChain:
         assert not report.ok
         gp = next(c for c in report.checks if c.name == "general_position")
         assert not gp.passed and gp.witness == (2, 3, 4)
+
+
+def small_box_chain(rng: random.Random) -> PointSet | None:
+    """A partitioned set of at most 10 points with tiny coordinates: either a
+    canonical chain with a few coordinates nudged, or U and L drawn from
+    overlapping boxes. Equal x values, vertical chords and collinear triples
+    are common. None when two points coincide."""
+    k, l = rng.randint(1, 5), rng.randint(1, 5)
+    if rng.random() < 0.5:
+        base = gen_double_chain(min(k, l), max(k, l))
+        pts = [Point(p.x + rng.randint(-2, 2) * (rng.random() < 0.4),
+                     p.y + rng.randint(-3, 3) * (rng.random() < 0.4)) for p in base.points]
+        up, low = base.partition.upper, base.partition.lower
+    else:
+        pts = [Point(rng.randint(0, 6), rng.randint(4, 9)) for _ in range(k)] \
+            + [Point(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(l)]
+        up, low = tuple(range(k)), tuple(range(k, len(pts)))
+    if len(set(pts)) != len(pts):
+        return None
+    order = list(range(len(pts)))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+    return PointSet(tuple(pts[o] for o in order),
+                    Partition(tuple(new[i] for i in up), tuple(new[i] for i in low)))
+
+
+class TestValidatorAgainstOracle:
+    def test_small_box_sets_match_all_chords_oracle(self):
+        # pass/fail of every condition equals the all-chords, all-triples
+        # oracle, and every failure witness is a real violation
+        rng = random.Random(4711)
+        seen = Counter()
+        for _ in range(4000):
+            ps = small_box_chain(rng)
+            if ps is None:
+                continue
+            report = validate_double_chain(ps)
+            got = tuple(c.passed for c in report.checks)
+            assert got == oracle_validate_double_chain(ps), ps
+            for c in report.checks:
+                seen[c.name, c.passed] += 1
+                if not c.passed:
+                    assert oracle_violates(ps, c.name, c.witness), (ps, c)
+            seen["valid"] += report.ok
+            for label, side, convex in (("cup", ps.partition.upper, got[0]),
+                                        ("cap", ps.partition.lower, got[1])):
+                xs = [ps.points[i].x for i in side]
+                seen[f"{label} with equal x"] += convex and len(set(xs)) < len(xs)
+            seen["cup, points above a chord"] += got[0] and not got[2]
+            seen["cap, points below a chord"] += got[1] and not got[3]
+        # both outcomes of every condition, and both sides of each shortcut
+        for name in CONDITION_NAMES:
+            assert seen[name, True] >= 100 and seen[name, False] >= 100, (name, seen)
+        for case in ("valid", "cup with equal x", "cap with equal x",
+                     "cup, points above a chord", "cap, points below a chord"):
+            assert seen[case] >= 50, (case, seen)
 
 
 class TestHullCrossingFreedom:
