@@ -25,7 +25,13 @@ from .coloring import (
 )
 from .disjointness import build_graph, export_graph
 from .formulas import double_chain_chi, formula_table
-from .geometry import gen_convex, gen_double_chain, load_points, pointset_to_json
+from .geometry import (
+    DoubleChainSearchError,
+    gen_convex,
+    gen_double_chain,
+    load_points,
+    pointset_to_json,
+)
 from .solver import (
     chromatic_number_exact,
     conjecture_scan,
@@ -271,7 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    # RecursionError: JSON input nested deeper than the decoder can follow
+    except (ValueError, TypeError, OSError, KeyError, RecursionError,
+            DoubleChainSearchError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

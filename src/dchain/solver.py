@@ -42,29 +42,55 @@ class ChiResult:
         return self.status == EXACT
 
 
+def _dsatur_colors(adj: tuple[int, ...]) -> list[int]:
+    """Greedy DSATUR colors in vertex-rank order, on the search's masks.
+
+    `forb[c]` holds the neighbors of the vertices colored c, `unc` the
+    uncolored vertices and `lev[s]` the uncolored vertices whose neighbors
+    carry exactly s colors. The pick is the lowest vertex of the highest
+    non-empty level (maximum saturation, ties to the smallest id) and takes
+    the first color whose `forb` lacks it. A vertex's saturation never
+    exceeds the number of colors opened, so `lev` grows with `forb`.
+    """
+    colors = [-1] * len(adj)
+    forb: list[int] = []
+    unc = (1 << len(adj)) - 1
+    lev = [unc]
+    level = 0
+    while unc:
+        while not lev[level]:
+            level -= 1
+        top = lev[level]
+        pbit = top & -top
+        pick = pbit.bit_length() - 1
+        c = 0
+        while c < len(forb) and forb[c] & pbit:
+            c += 1
+        if c == len(forb):
+            forb.append(0)
+            lev.append(0)
+        row = adj[pick]
+        rise = row & unc & ~forb[c]  # uncolored neighbors that gain color c
+        forb[c] |= row
+        unc ^= pbit
+        lev[level] ^= pbit
+        s = level
+        while rise:
+            moved = lev[s] & rise
+            if moved:
+                lev[s] ^= moved
+                lev[s + 1] |= moved
+                rise ^= moved
+            s -= 1
+        colors[pick] = c
+        # nothing uncolored sits above `level`, so a neighbor rose to level + 1 at most
+        level += 1
+    return colors
+
+
 def dsatur_upper(g: DisjointnessGraph) -> Coloring:
     """Greedy proper coloring by saturation degree, ties to the smallest vertex id."""
-    v_count = g.n_vertices
-    adj = g.adj
-    colors = [-1] * v_count
-    seen = [0] * v_count  # bit mask of colors on colored neighbors
-    for _ in range(v_count):
-        pick = -1
-        pick_sat = -1
-        for v in range(v_count):
-            if colors[v] < 0:
-                s = seen[v].bit_count()
-                if s > pick_sat:
-                    pick, pick_sat = v, s
-        mask = seen[pick]
-        c = 0
-        while mask >> c & 1:
-            c += 1
-        colors[pick] = c
-        for u in _bits(adj[pick]):
-            if colors[u] < 0:
-                seen[u] |= 1 << c
-    return Coloring.from_vertex_colors(g.n_points, colors)
+    return Coloring.from_vertex_colors(g.n_points, _dsatur_colors(g.adj))
 
 
 def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
@@ -79,7 +105,11 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
         while cand:
             best = -1
             best_deg = -1
-            for v in _bits(cand):
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 d = (adj[v] & cand).bit_count()
                 if d > best_deg:
                     best, best_deg = v, d
@@ -149,9 +179,8 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
         raise ValueError(f"max_ms must be a finite number >= 0, got {max_ms!r}")
     t0 = perf_counter()
     lower, clique = clique_lower(g)
-    greedy = dsatur_upper(g)
-    best_colors = greedy.vertex_colors()
-    best_k = greedy.color_count
+    best_colors = _dsatur_colors(g.adj)
+    best_k = max(best_colors, default=-1) + 1
     nodes = 0
     aborted = False
 
@@ -166,10 +195,19 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
             colors[v] = c
             forb[c] = adj[v]
             unc ^= 1 << v
-        # a vertex's saturation never exceeds `used`, which stays below best_k
+        # a vertex's saturation never exceeds `used`, which stays below best_k;
+        # lift the uncolored neighbors of each clique color by one level
         lev = [0] * (best_k + 1)
-        for v in _bits(unc):
-            lev[sum(forb[c] >> v & 1 for c in range(used))] |= 1 << v
+        lev[0] = unc
+        for c in range(used):
+            rise = forb[c] & unc
+            s = c
+            while rise:
+                moved = lev[s] & rise
+                lev[s] ^= moved
+                lev[s + 1] |= moved
+                rise ^= moved
+                s -= 1
         deadline = None if max_ms is None else t0 + max_ms / 1000.0
         # frames [pick, level, used, next color, undo]; undo holds the masks
         # (forb[next color - 1], unc, lev) from before the frame's last color

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
-Fraction-based segment intersection test, an edge-scan coloring check and an
-all-chords, all-triples double-chain check. All deliberately avoid the code
-paths they are used to check."""
+quadratic greedy DSATUR, a Fraction-based segment intersection test, an
+edge-scan coloring check and an all-chords, all-triples double-chain check.
+All deliberately avoid the code paths they are used to check."""
 
 from __future__ import annotations
 
@@ -47,6 +47,30 @@ def naive_chromatic(g: DisjointnessGraph) -> int:
         if exists(t):
             return t
     raise AssertionError("unreachable: every graph is V-colorable")
+
+
+def oracle_dsatur(g: DisjointnessGraph) -> list[int]:
+    """Greedy DSATUR colors in vertex-rank order by plain scans of the
+    adjacency rows: each step picks the uncolored vertex whose colored
+    neighbors show the most distinct colors (ties to the smallest id) and
+    gives it the smallest color none of them has. O(V) per step."""
+    v_count = g.n_vertices
+    adj = g.adj
+    colors = [-1] * v_count
+    seen = [set() for _ in range(v_count)]  # colors on colored neighbors
+    for _ in range(v_count):
+        pick = -1
+        for v in range(v_count):
+            if colors[v] < 0 and (pick < 0 or len(seen[v]) > len(seen[pick])):
+                pick = v
+        c = 0
+        while c in seen[pick]:
+            c += 1
+        colors[pick] = c
+        for u in range(v_count):
+            if adj[pick] >> u & 1:
+                seen[u].add(c)
+    return colors
 
 
 def _cross2(ax: int, ay: int, bx: int, by: int) -> int:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 
@@ -137,6 +138,20 @@ class TestChiAndVerify:
             assert out == ""
             assert err.startswith("error: ") and "1.5" in err
 
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys):
+        # the decoder gives up with RecursionError, which must not read as exit 1
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        pts = tmp_path / "pts.json"
+        run(capsys, "gen", "--n", "4", "--out", str(pts))
+        for argv in (["chi", "--points", str(deep)], ["graph", "--points", str(deep)],
+                     ["verify", "--points", str(pts), "--coloring", str(deep)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and "recursion" in err
+
+
 class TestColor:
     def test_construct_and_verify(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
@@ -198,6 +213,23 @@ class TestConjecture:
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "conjecture", "--n", "4")
         assert code == 2
+
+
+def test_double_chain_search_error_is_usage_error(capsys, monkeypatch):
+    # a zero step cap makes the real generator give up at once
+    import dchain.cli
+    import dchain.coloring
+    import dchain.solver
+
+    capped = functools.partial(gen_double_chain, max_offset_steps=0)
+    for module in (dchain.cli, dchain.coloring, dchain.solver):
+        monkeypatch.setattr(module, "gen_double_chain", capped)
+    for argv in (["gen", "--k", "2", "--l", "3"], ["color", "--k", "2", "--l", "3"],
+                 ["sweep", "--max-sum", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: no valid cup offset"), err
 
 
 class TestUsage:

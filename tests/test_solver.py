@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -30,7 +31,7 @@ from dchain import (
     singleton_class_check,
     verify_coloring,
 )
-from helpers import naive_chromatic
+from helpers import naive_chromatic, oracle_dsatur
 
 import dchain.solver as solver_mod
 
@@ -65,6 +66,33 @@ class TestDsatur:
         c = dsatur_upper(g)
         assert verify_coloring(g, c).proper
         assert 2 <= c.color_count <= 3
+
+    def test_matches_quadratic_oracle(self):
+        rng = random.Random(1979)
+        graphs = []
+        while len(graphs) < 300:
+            ps, _ = sample_general_position(rng, rng.randint(2, 9), box=rng.choice([50, 10_000]))
+            if ps is not None:
+                graphs.append(build_graph(ps))
+        graphs += [build_graph(gen_double_chain(k, l)) for l in range(1, 13) for k in range(1, l + 1)]
+        graphs += [build_graph(gen_convex(n)) for n in range(2, 25)]
+        for g in graphs:
+            assert dsatur_upper(g).vertex_colors() == oracle_dsatur(g), g.n_points
+
+
+def test_presolve_matches_pins():
+    # sha256 of (DSATUR colors, clique members), recorded from the
+    # vertex-scan DSATUR and the generator-driven clique growth
+    pins = json.loads(Path(__file__).with_name("presolve_pins.json").read_text())
+    assert len(pins) == 101
+    for pin in pins:
+        ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
+        g = build_graph(ps)
+        colors = dsatur_upper(g).vertex_colors()
+        size, members = clique_lower(g)
+        text = ",".join(map(str, colors)) + ";" + ",".join(map(str, sorted(members)))
+        assert (max(colors) + 1, size, hashlib.sha256(text.encode("ascii")).hexdigest()) \
+            == (pin["colors"], pin["clique"], pin["sha256"]), pin
 
 
 class TestCliqueLower:
@@ -190,7 +218,7 @@ import dchain.solver as solver
 from dchain import Coloring, DisjointnessGraph, build_graph, gen_convex
 assert False, "asserts must be stripped for this check to mean anything"
 g = build_graph(gen_convex(6))
-solver.dsatur_upper = lambda g: Coloring.from_vertex_colors(g.n_points, [0] * g.n_vertices)
+solver._dsatur_colors = lambda adj: [0] * len(adj)  # the incumbent of the exact solve
 try:
     solver.chromatic_number_exact(g)
 except RuntimeError as exc:
