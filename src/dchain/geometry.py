@@ -16,6 +16,8 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .formulas import _check_positive
+
 
 class Orientation(Enum):
     """Turn direction of an ordered point triple (p, q, r)."""
@@ -203,11 +205,6 @@ def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
 def is_general_position(ps: PointSet) -> bool:
     """True iff no three points are collinear (vacuously true for n <= 2)."""
     return find_collinear_triple(ps) is None
-
-
-def _check_positive(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def gen_convex(n: int) -> PointSet:

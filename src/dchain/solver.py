@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .coloring import Coloring, verify_coloring
 from .disjointness import DisjointnessGraph, _bits, build_graph
-from .formulas import double_chain_chi, f_of
+from .formulas import _check_positive, double_chain_chi, f_of
 from .geometry import Point, PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 
 EXACT = "exact"
@@ -117,13 +117,36 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
             cand &= adj[best]
         return members
 
+    # Ceiling: when no row joins two segments that share an endpoint, the
+    # members of a clique have pairwise distinct endpoints, so no clique has
+    # more than n_points // 2 of them. Every build_graph output passes this
+    # check; graphs built by hand or read from JSON need not. best_members is
+    # only ever replaced by a strictly larger clique, and a one-out/two-in
+    # move would need one above the ceiling, so stopping at the ceiling
+    # returns exactly the clique of the full loop. The rows are symmetric, so
+    # testing each segment against the lower-ranked segments through its
+    # endpoints covers every pair: one pass, O(V) big-int operations.
+    n = g.n_points
+    inc = [0] * n  # ranks seen so far of the segments through each point
+    clash = 0
+    r = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            clash |= adj[r] & (inc[a] | inc[b])
+            inc[a] |= 1 << r
+            inc[b] |= 1 << r
+            r += 1
+    ceiling = v_count + 1 if clash else n // 2
+
     best_members: list[int] = []
     for seed in sorted(range(v_count), key=lambda v: (-adj[v].bit_count(), v)):
         grown = grow(seed)
         if len(grown) > len(best_members):
             best_members = grown
+            if len(best_members) >= ceiling:
+                break
 
-    improved = True
+    improved = len(best_members) < ceiling
     while improved:
         improved = False
         for drop in sorted(best_members):
@@ -399,6 +422,8 @@ class ConvexRow:
 
 def convex_sweep(n_min: int, n_max: int) -> list[ConvexRow]:
     """Exact chi of the canonical convex n-point set against f(n), for a range."""
+    _check_positive(n_min, "n_min")
+    _check_positive(n_max, "n_max")
     if n_min < 2 or n_min > n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}, {n_max}")
     rows = []
@@ -411,7 +436,12 @@ def convex_sweep(n_min: int, n_max: int) -> list[ConvexRow]:
 def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
                             max_attempts: int = 1_000) -> tuple[PointSet | None, int]:
     """Rejection-sample n distinct integer points uniform in [0, box]^2 until
-    they are in general position; returns (point set or None, attempts used)."""
+    they are in general position; returns (point set or None, attempts used).
+    n, box and max_attempts must be positive ints; anything else raises
+    ValueError."""
+    _check_positive(n, "n")
+    _check_positive(box, "box")
+    _check_positive(max_attempts, "max_attempts")
     for attempt in range(1, max_attempts + 1):
         coords = [(rng.randint(0, box), rng.randint(0, box)) for _ in range(n)]
         if len(set(coords)) != n:

@@ -13,6 +13,7 @@ from dchain import (
     DisjointnessGraph,
     Point,
     PointSet,
+    all_segments,
     build_graph,
     chromatic_number_exact,
     classify_coloring,
@@ -51,6 +52,19 @@ def random_configs(n, count, seed):
     return out
 
 
+def built_graphs(seed):
+    """300 seeded random 2..9-point sets, every chain k <= l <= 12, convex 2..24."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < 300:
+        ps, _ = sample_general_position(rng, rng.randint(2, 9), box=rng.choice([50, 10_000]))
+        if ps is not None:
+            graphs.append(build_graph(ps))
+    graphs += [build_graph(gen_double_chain(k, l)) for l in range(1, 13) for k in range(1, l + 1)]
+    graphs += [build_graph(gen_convex(n)) for n in range(2, 25)]
+    return graphs
+
+
 class TestDsatur:
     def test_edgeless_uses_one_color(self):
         g = build_graph(gen_convex(3))  # three segments, all pairwise incident
@@ -68,15 +82,7 @@ class TestDsatur:
         assert 2 <= c.color_count <= 3
 
     def test_matches_quadratic_oracle(self):
-        rng = random.Random(1979)
-        graphs = []
-        while len(graphs) < 300:
-            ps, _ = sample_general_position(rng, rng.randint(2, 9), box=rng.choice([50, 10_000]))
-            if ps is not None:
-                graphs.append(build_graph(ps))
-        graphs += [build_graph(gen_double_chain(k, l)) for l in range(1, 13) for k in range(1, l + 1)]
-        graphs += [build_graph(gen_convex(n)) for n in range(2, 25)]
-        for g in graphs:
+        for g in built_graphs(1979):
             assert dsatur_upper(g).vertex_colors() == oracle_dsatur(g), g.n_points
 
 
@@ -115,6 +121,35 @@ class TestCliqueLower:
     def test_complete_graph_full_clique(self):
         size, _ = clique_lower(complete_graph(6, 4))
         assert size == 6
+
+    @pytest.mark.parametrize("n_points, edges, triangle", [
+        # vertex 0 has the top degree (tied with 3, lower id) and its neighbors
+        # 1, 2, 3 are pairwise non-adjacent, so its seed grows to {0, 1}
+        (4, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (4, 5)], {3, 4, 5}),
+        # seed 3 grows to {2, 3}; every joined pair of segments that share an
+        # endpoint shares the smaller endpoint of the higher-ranked segment
+        (4, [(0, 1), (0, 5), (1, 5), (2, 3), (3, 4), (3, 5)], {0, 1, 5}),
+        # seed 7 grows to {0, 7}; every joined pair of segments that share an
+        # endpoint shares the larger endpoint of the higher-ranked segment
+        (5, [(0, 7), (1, 6), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (6, 8)], {2, 6, 8}),
+    ])
+    def test_ceiling_needs_endpoint_check(self, n_points, edges, triangle):
+        # the ceiling n_points // 2 would be 2, but these rows join segments
+        # that share endpoints and a later seed finds a triangle
+        rows = [0] * (n_points * (n_points - 1) // 2)
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        size, members = clique_lower(DisjointnessGraph(n_points, tuple(rows)))
+        assert (size, members) == (3, frozenset(triangle))
+
+    def test_ceiling_holds_on_built_graphs(self):
+        for g in built_graphs(2017):
+            size, members = clique_lower(g)
+            segs = all_segments(g.n_points)
+            ends = [p for v in members for p in segs[v]]
+            assert size == len(members) <= g.n_points // 2, g.n_points
+            assert len(set(ends)) == len(ends), g.n_points
 
 
 class TestExactChi:
@@ -324,6 +359,11 @@ class TestSweeps:
         assert [(r.n, r.chi) for r in rows] == [(4, 2), (5, 3), (6, 3), (7, 4)]
         assert all(r.match for r in rows)
 
+    @pytest.mark.parametrize("bounds", [(2, 3.5), (2.0, 4), ("2", 4), (True, 4), (1, 4), (5, 4)])
+    def test_convex_range_rejects_bad_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            convex_sweep(*bounds)
+
 
 class TestConjectureScan:
     def test_small_scan_holds(self, tmp_path):
@@ -356,6 +396,13 @@ class TestConjectureScan:
         assert ps is not None and attempts >= 1
         assert all(0 <= p.x <= 50 and 0 <= p.y <= 50 for p in ps.points)
         assert is_general_position(ps)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": -1}, {"n": 0}, {"n": True}, {"n": 4.0}, {"n": 4, "box": 0}, {"n": 4, "box": 50.0},
+        {"n": 4, "max_attempts": 0}, {"n": 4, "max_attempts": True}])
+    def test_sampler_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            sample_general_position(random.Random(0), **kwargs)
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
