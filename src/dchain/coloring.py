@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
 from .geometry import PointSet, delete_points, gen_double_chain
@@ -18,9 +18,22 @@ STAR = "star"
 THRACKLE = "thrackle"
 
 
+def _check_colors(colors: Collection[int], color_count: int) -> None:
+    """Every color a non-negative int (bool excluded) and together exactly 0..color_count-1."""
+    for col in colors:
+        if not isinstance(col, int) or isinstance(col, bool) or col < 0:
+            raise ValueError(f"color ids must be non-negative ints, got {col!r}")
+    if set(colors) != set(range(color_count)):
+        raise ValueError(f"color ids must be exactly 0..{color_count - 1}")
+
+
 @dataclass(frozen=True)
 class Coloring:
-    """Total assignment of color ids 0..color_count-1 to every segment of a point set."""
+    """Total assignment of color ids 0..color_count-1 to every segment of a point set.
+
+    `assignment` is keyed by `SegmentId` in rank order, so its values are the
+    vertex colors of the disjointness graph.
+    """
 
     n_points: int
     assignment: Mapping[SegmentId, int]
@@ -32,31 +45,39 @@ class Coloring:
             sid = seg if isinstance(seg, SegmentId) else SegmentId.of(*seg)
             if sid.j >= self.n_points:
                 raise ValueError(f"segment {sid} out of range for {self.n_points} points")
-            if not isinstance(col, int) or isinstance(col, bool) or col < 0:
-                raise ValueError(f"color ids must be non-negative ints, got {col!r}")
             if sid in normalized:
                 raise ValueError(f"segment {sid} assigned twice")
             normalized[sid] = col
-        object.__setattr__(self, "assignment", normalized)
         expected = comb(self.n_points, 2)
         if len(normalized) != expected:
             raise ValueError(
                 f"coloring must cover all {expected} segments of {self.n_points} points, "
                 f"got {len(normalized)}")
-        if set(normalized.values()) != set(range(self.color_count)):
-            raise ValueError(f"color ids must be exactly 0..{self.color_count - 1}")
+        # the keys are distinct segments of n_points points, as many as there
+        # are segments: exactly all_segments(n_points)
+        ranked = {s: normalized[s] for s in all_segments(self.n_points)}
+        _check_colors(ranked.values(), self.color_count)
+        object.__setattr__(self, "assignment", ranked)
 
     @classmethod
     def from_vertex_colors(cls, n_points: int, vertex_colors: Iterable[int]) -> "Coloring":
         segs = all_segments(n_points)
+        expected = comb(n_points, 2)  # raises ValueError for a negative n_points
         colors = list(vertex_colors)
-        if len(colors) != len(segs):
-            raise ValueError(f"expected {len(segs)} vertex colors, got {len(colors)}")
-        count = max(colors) + 1 if colors else 0
-        return cls(n_points, dict(zip(segs, colors)), count)
+        if len(colors) != expected:
+            raise ValueError(f"expected {expected} vertex colors, got {len(colors)}")
+        count = len(set(colors))
+        _check_colors(colors, count)
+        # the keys are all_segments itself, already valid and in rank order,
+        # so only the colors need checking: skip __post_init__
+        c = object.__new__(cls)
+        object.__setattr__(c, "n_points", n_points)
+        object.__setattr__(c, "assignment", dict(zip(segs, colors)))
+        object.__setattr__(c, "color_count", count)
+        return c
 
     def vertex_colors(self) -> list[int]:
-        return [self.assignment[s] for s in all_segments(self.n_points)]
+        return list(self.assignment.values())
 
     def classes(self) -> dict[int, frozenset[SegmentId]]:
         out: dict[int, set[SegmentId]] = {c: set() for c in range(self.color_count)}
@@ -245,7 +266,7 @@ def coloring_to_json(c: Coloring) -> dict:
     """{"n_points":, "colors": [[i, j, color], ...]} sorted by segment rank."""
     return {
         "n_points": c.n_points,
-        "colors": [[s.i, s.j, c.assignment[s]] for s in all_segments(c.n_points)],
+        "colors": [[s.i, s.j, col] for s, col in c.assignment.items()],
     }
 
 

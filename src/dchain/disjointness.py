@@ -67,9 +67,13 @@ class DisjointnessGraph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"vertex {u} has a self-loop")
-            for w in _bits(row >> (u + 1) << (u + 1)):
+            above = row >> (u + 1) << (u + 1)
+            while above:
+                low = above & -above
+                w = low.bit_length() - 1
                 if not self.adj[w] >> u & 1:
                     raise ValueError(f"adjacency is not symmetric at ({u}, {w})")
+                above ^= low
 
     @property
     def n_vertices(self) -> int:
@@ -109,35 +113,45 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
     is l in `left[k][i] ^ left[k][j]`. The partners l > k of point k have
     the consecutive ranks base[k] + (l - k - 1), so one shift per k turns
     the point mask into a segment mask. O(n^3) cross products and O(n^3)
-    big-int operations in all.
+    big-int operations in all. The same cross products decide general
+    position, so a set with three collinear points raises ValueError.
     """
     n = ps.n
     if n < 2:
         raise ValueError("a disjointness graph needs at least two points")
-    if not is_general_position(ps):
-        raise ValueError("point set is not in general position")
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
     everyone = (1 << n) - 1
     left = [[0] * n for _ in range(n)]
+    inc = [0] * n  # ranks of the segments incident to each point
+    r = 0  # rank of segment (a, b): the pairs a < b come in rank order
     for a in range(n):
         ax, ay = xs[a], ys[a]
         for b in range(a + 1, n):
             dx, dy = xs[b] - ax, ys[b] - ay
-            # p is left of a -> b iff dx * (y_p - ay) - dy * (x_p - ax) > 0
+            # p is left of a -> b iff dx * (y_p - ay) - dy * (x_p - ax) > 0,
+            # and on the line iff it is 0
             c0 = dx * ay - dy * ax
-            m = 0
+            m = on = 0
             for p in range(n):
-                if dx * ys[p] - dy * xs[p] > c0:
+                t = dx * ys[p] - dy * xs[p]
+                if t > c0:
                     m |= 1 << p
+                elif t == c0:
+                    on |= 1 << p
+            # General position, decided here: any three points include a pair
+            # a < b, and the third is collinear with them iff it lies on the
+            # line a -> b. So the set is in general position iff no line
+            # through a pair holds a point other than its own two.
+            if on != 1 << a | 1 << b:
+                raise ValueError("point set is not in general position")
             left[a][b] = m
-            # no third point lies on the line, so the rest is strictly right
-            left[b][a] = everyone & ~m & ~(1 << a | 1 << b)
+            left[b][a] = everyone & ~(m | on)  # strictly right of a -> b
+            bit = 1 << r
+            inc[a] |= bit
+            inc[b] |= bit
+            r += 1
     base = [k * (2 * n - k - 1) // 2 for k in range(n)]  # rank of segment (k, k + 1)
-    inc = [0] * n  # ranks of the segments incident to each point
-    for r, (a, b) in enumerate(all_segments(n)):
-        inc[a] |= 1 << r
-        inc[b] |= 1 << r
     full = (1 << comb(n, 2)) - 1
     rows = []
     for i in range(n):

@@ -139,7 +139,9 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     ceiling = v_count + 1 if clash else n // 2
 
     best_members: list[int] = []
-    for seed in sorted(range(v_count), key=lambda v: (-adj[v].bit_count(), v)):
+    negdeg = [-row.bit_count() for row in adj]
+    # sorted() is stable, so equal degrees stay in id order
+    for seed in sorted(range(v_count), key=negdeg.__getitem__):
         grown = grow(seed)
         if len(grown) > len(best_members):
             best_members = grown
@@ -249,8 +251,14 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
                 level = used
                 while not lev[level]:
                     level -= 1
-                top = lev[level]
-                stack.append([(top & -top).bit_length() - 1, level, used, 0, None])
+                # Dead child: the loop below would pop this frame at once.
+                # A vertex at saturation level < used has a free used color,
+                # which it may take only while used < best_k; one at
+                # level == used has none, and its one choice, a new color,
+                # needs used + 1 < best_k.
+                if used + (level == used) < best_k:
+                    top = lev[level]
+                    stack.append([(top & -top).bit_length() - 1, level, used, 0, None])
             else:
                 best_k = used
                 best_colors = colors[:]

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
 quadratic greedy DSATUR, a Fraction-based segment intersection test, an
-edge-scan coloring check and an all-chords, all-triples double-chain check.
-All deliberately avoid the code paths they are used to check."""
+all-triples collinearity check, an edge-scan coloring check and an
+all-chords, all-triples double-chain check. All deliberately avoid the code
+paths they are used to check."""
 
 from __future__ import annotations
 
@@ -97,6 +98,17 @@ def segments_share_point(p1, p2, q1, q2) -> bool:
         lo1, hi1 = sorted((p1[1], p2[1]))
         lo2, hi2 = sorted((q1[1], q2[1]))
     return not (hi1 < lo2 or hi2 < lo1)
+
+
+def oracle_collinear(coords) -> tuple[int, int, int] | None:
+    """First index triple (in combinations order) of collinear points among
+    the (x, y) pairs, or None. Every triple, plain cross products; nothing
+    from dchain.geometry."""
+    for a, b, c in combinations(range(len(coords)), 3):
+        (ax, ay), (bx, by), (cx, cy) = coords[a], coords[b], coords[c]
+        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+            return a, b, c
+    return None
 
 
 def oracle_disjoint(ps: PointSet, a, b) -> bool:

@@ -2,6 +2,11 @@ import csv
 import functools
 import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dchain import f_of, gen_double_chain, save_points
 from dchain.cli import main
@@ -240,3 +245,64 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+# Mostly valid points and coloring files with faults mixed in: small
+# coordinates (so collinear points are common), stray entries, wrong counts
+# and partitions, colorings with gaps, reversed, missing or foreign
+# segments, a different point count, or arbitrary JSON instead of a file.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def cli_inputs(draw):
+    rnd = draw(st.randoms(use_true_random=True))  # picks which faults go in, unbiased
+    coords = st.integers(-2, 9)
+    size = st.integers(0, 7) if rnd.random() < 0.2 else st.integers(2, 7)
+    pts = [list(p) for p in draw(st.lists(st.tuples(coords, coords), unique=True,
+                                          min_size=draw(size), max_size=7))]
+    n = len(pts)
+    if rnd.random() < 0.1:
+        pts.insert(rnd.randint(0, n), draw(json_values))
+    points = {"n": draw(json_values) if rnd.random() < 0.1 else len(pts), "points": pts}
+    if rnd.random() < 0.3:
+        order = list(range(n))
+        rnd.shuffle(order)
+        cut = rnd.randint(0, n)
+        points["partition"] = (draw(json_values) if rnd.random() < 0.1
+                               else {"U": order[:cut], "L": order[cut:]})
+    raw = [draw(st.integers(0, 3)) for _ in range(n * (n - 1) // 2)]
+    if rnd.random() < 0.8:  # contiguous color ids 0..count-1
+        first = {c: new for new, c in enumerate(dict.fromkeys(raw))}
+        raw = [first[c] for c in raw]
+    rows = [[i, j, c] for (i, j), c in zip(
+        [(i, j) if rnd.random() < 0.7 else (j, i) for i in range(n) for j in range(i + 1, n)], raw)]
+    rnd.shuffle(rows)
+    if rnd.random() < 0.1:
+        rows = rows[:rnd.randint(0, len(rows))]
+    if rnd.random() < 0.1:
+        rows.append(draw(st.lists(st.integers(-1, n + 1) | json_values, max_size=4)))
+    coloring = {"n_points": draw(json_values | st.integers(-1, 8)) if rnd.random() < 0.1 else n,
+                "colors": rows}
+    return (draw(json_values) if rnd.random() < 0.05 else points,
+            draw(json_values) if rnd.random() < 0.05 else coloring)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(files=cli_inputs())
+def test_exit_contract_on_arbitrary_json(tmp_path, capsys, files):
+    points, coloring = files
+    # fresh files for every example: truncating a written file can be slow
+    here = Path(tempfile.mkdtemp(dir=tmp_path))
+    pts = here / "pts.json"
+    col = here / "col.json"
+    pts.write_text(json.dumps(points), encoding="utf-8")
+    col.write_text(json.dumps(coloring), encoding="utf-8")
+    for argv in (["chi", "--points", str(pts)], ["graph", "--points", str(pts)],
+                 ["verify", "--points", str(pts), "--coloring", str(col)]):
+        assert main(argv) in (0, 1, 2, 3), argv
+    capsys.readouterr()

@@ -61,6 +61,31 @@ class TestColoringType:
         assert c.vertex_colors() == colors
         assert c.color_count == 3
 
+    def test_vertex_colors_in_rank_order_for_any_key_order(self):
+        rng = random.Random(7)
+        for n in range(2, 9):
+            segs = all_segments(n)
+            colors = [rng.randrange(3) for _ in segs]
+            colors = [sorted(set(colors)).index(col) for col in colors]
+            items = [((s.j, s.i) if rng.random() < 0.5 else s, col) for s, col in zip(segs, colors)]
+            rng.shuffle(items)
+            c = Coloring(n, dict(items), len(set(colors)))
+            assert c.vertex_colors() == colors
+            assert list(c.assignment) == list(segs)
+            assert c == Coloring.from_vertex_colors(n, colors)
+
+    @pytest.mark.parametrize("colors, message", [
+        ([0, 1, 2, 0, 1, -1], "non-negative ints"),
+        ([0, True, 0, True, 0, True], "non-negative ints"),
+        ([0, 1.0, 0, 1, 0, 1], "non-negative ints"),
+        ([0, 2, 0, 2, 0, 2], "exactly 0"),
+        ([0, 1, 2, 0, 1], "expected 6 vertex colors"),
+        ([0, 1, 2, 0, 1, 2, 0], "expected 6 vertex colors"),
+    ])
+    def test_from_vertex_colors_rejects_bad_colors(self, colors, message):
+        with pytest.raises(ValueError, match=message):
+            Coloring.from_vertex_colors(4, colors)
+
     def test_classes_partition_segments(self):
         c = Coloring.from_vertex_colors(4, [0, 1, 2, 0, 1, 2])
         classes = c.classes()

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 import tracemalloc
@@ -23,7 +22,7 @@ from dchain import (
     segment_rank,
     segments_disjoint,
 )
-from helpers import oracle_disjoint, pairwise_disjoint_matrix
+from helpers import oracle_collinear, oracle_disjoint, pairwise_disjoint_matrix
 
 
 class TestSegmentId:
@@ -109,9 +108,7 @@ class TestBuildGraph:
             if len(coords) < 3:
                 continue
             ps = PointSet(tuple(Point(x, y) for x, y in coords))
-            collinear = any((b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
-                            for a, b, c in itertools.combinations(coords, 3))
-            if collinear:
+            if oracle_collinear(coords) is not None:
                 with pytest.raises(ValueError):
                     build_graph(ps)
                 refused += 1
@@ -122,6 +119,35 @@ class TestBuildGraph:
                     for u in range(g.n_vertices)] == mat, coords
             built += 1
         assert built >= 250 and refused >= 50, (built, refused)
+
+    def test_refuses_exactly_the_collinear_sets(self):
+        # half the sets get a planted collinear triple whose third point lies
+        # beyond the segment of the other two, at a random position in the
+        # list; the rest are small-box sets, some collinear by chance
+        rng = random.Random(3141)
+        refused = planted = 0
+        for trial in range(600):
+            n = 3 + trial % 7
+            coords = set()
+            if trial % 2:
+                (ax, ay), (dx, dy) = (rng.randint(0, 6), rng.randint(0, 6)), (0, 0)
+                while (dx, dy) == (0, 0):
+                    dx, dy = rng.randint(-3, 3), rng.randint(-3, 3)
+                t = rng.choice([-2, -1, 2, 3])
+                coords = {(ax, ay), (ax + dx, ay + dy), (ax + t * dx, ay + t * dy)}
+                planted += 1
+            while len(coords) < n:
+                coords.add((rng.randint(0, 40), rng.randint(0, 40)))
+            coords = list(coords)
+            rng.shuffle(coords)
+            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            if oracle_collinear(coords) is not None:
+                with pytest.raises(ValueError, match="not in general position"):
+                    build_graph(ps)
+                refused += 1
+            else:
+                assert build_graph(ps).n_points == n
+        assert planted == 300 and 300 <= refused <= 400, refused
 
     def test_graph_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):

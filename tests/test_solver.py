@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -229,6 +230,21 @@ class TestExactChi:
             assert (res.nodes, res.chi, res.witness.vertex_colors()) == \
                 (pin["nodes"], pin["chi"], pin["witness"]), pin
 
+    def test_budget_cutoffs_match_pins(self):
+        # (status, lower, upper, nodes) at each node budget, recorded before
+        # the search stopped pushing frames it would pop at once: skipping
+        # them must leave every cutoff where it was
+        pins = json.loads(Path(__file__).with_name("budget_pins.json").read_text())
+        cases = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
+        cases += random_configs(8, 50, 2024)
+        assert len(pins) == len(cases) == 53
+        for pin, ps in zip(pins, cases):
+            g = build_graph(ps)
+            for budget, expected in pin["budgets"].items():
+                r = chromatic_number_exact(g, max_nodes=int(budget))
+                assert [r.status, r.lower_bound, r.upper_bound, r.nodes] == expected, \
+                    (pin["case"], budget)
+
     def test_search_deeper_than_recursion_limit(self):
         g = build_graph(gen_convex(14))  # 91 vertices, 84 of them left to the search
         depth = 0
@@ -274,6 +290,16 @@ except RuntimeError as exc:
         assert proc.returncode == 0, proc.stderr
         assert "witness: solver witness is not a proper coloring" in proc.stdout
         assert "clique: greedy clique members" in proc.stdout
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, and every check with them
+        package = Path(solver_mod.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) >= 7
+        found = [f"{path.name}:{node.lineno}" for path in modules
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert not found, found
 
 
 class TestEnumerateOptimal:
