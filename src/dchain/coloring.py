@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
-from .geometry import PointSet, delete_points, gen_double_chain
+from .geometry import PointSet, _json_field, _json_ints, delete_points, gen_double_chain
 
 STAR = "star"
 THRACKLE = "thrackle"
@@ -271,9 +271,17 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(data: dict) -> Coloring:
-    entries = [(SegmentId.of(i, j), col) for i, j, col in data["colors"]]
+    """Inverse of coloring_to_json; a ValueError names any missing or
+    ill-typed field."""
+    doc = "coloring JSON"
+    n_points = _json_field(data, "n_points", int, doc)
+    rows = _json_field(data, "colors", list, doc)
+    entries = []
+    for r, row in enumerate(rows):
+        i, j, col = _json_ints(row, 3, f"{doc} colors[{r}]")
+        entries.append((SegmentId.of(i, j), col))
     count = max((col for _, col in entries), default=-1) + 1
-    return Coloring(data["n_points"], dict(entries), count)
+    return Coloring(n_points, dict(entries), count)
 
 
 def save_coloring(c: Coloring, path: str | Path) -> None:

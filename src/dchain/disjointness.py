@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .geometry import Orientation, PointSet, is_general_position, orientation
+from .geometry import Orientation, PointSet, _json_field, _json_ints, is_general_position, orientation
 
 
 class SegmentId(NamedTuple):
@@ -213,13 +213,18 @@ def graph_from_json(data: dict, points: PointSet | None = None) -> DisjointnessG
     When the source points are supplied alongside, the edge set is checked
     against a fresh build from those points.
     """
-    n_points = data["n_points"]
+    doc = "graph JSON"
+    n_points = _json_field(data, "n_points", int, doc)
+    if n_points < 0:
+        raise ValueError(f"{doc} field 'n_points' must be >= 0, got {n_points}")
     v = comb(n_points, 2)
-    if data.get("vertices") != v:
-        raise ValueError(f"vertex count {data.get('vertices')!r} does not match C({n_points},2)={v}")
+    vertices = _json_field(data, "vertices", int, doc)
+    if vertices != v:
+        raise ValueError(f"vertex count {vertices!r} does not match C({n_points},2)={v}")
     rows = [0] * v
     seen: set[tuple[int, int]] = set()
-    for u, w in data["edges"]:
+    for e, edge in enumerate(_json_field(data, "edges", list, doc)):
+        u, w = _json_ints(edge, 2, f"{doc} edges[{e}]")
         if not 0 <= u < w < v:
             raise ValueError(f"edge [{u}, {w}] is not an in-range pair with u < v")
         if (u, w) in seen:

@@ -396,14 +396,49 @@ def pointset_to_json(ps: PointSet) -> dict:
     return data
 
 
+_JSON_KINDS = {int: "an int", list: "a list", dict: "an object"}
+
+
+def _json_field(data, key: str, kind: type, doc: str):
+    """data[key] of the JSON document `doc`, checked to be `kind` (int
+    excludes bool, list admits tuple); a ValueError naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{doc} must be an object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"{doc} has no {key!r} field")
+    value = data[key]
+    if kind is list:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{doc} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _json_ints(value, size: int, what: str) -> tuple[int, ...]:
+    """value as a tuple of `size` ints (bool excluded); a ValueError naming
+    `what` otherwise."""
+    if (not isinstance(value, (list, tuple)) or len(value) != size
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{what} must be a list of {size} ints, got {value!r}")
+    return tuple(value)
+
+
 def pointset_from_json(data: dict) -> PointSet:
-    points = tuple(Point(x, y) for x, y in data["points"])
-    if data.get("n") != len(points):
-        raise ValueError(f"point count {data.get('n')!r} does not match {len(points)} points")
-    part = data.get("partition")
+    """Inverse of pointset_to_json; a ValueError names any missing or
+    ill-typed field."""
+    doc = "points JSON"
+    rows = _json_field(data, "points", list, doc)
+    points = tuple(Point(*_json_ints(p, 2, f"{doc} points[{i}]")) for i, p in enumerate(rows))
+    n = _json_field(data, "n", int, doc)
+    if n != len(points):
+        raise ValueError(f"point count {n!r} does not match {len(points)} points")
     partition = None
-    if part is not None:
-        partition = Partition(tuple(part["U"]), tuple(part["L"]))
+    if data.get("partition") is not None:
+        part = _json_field(data, "partition", dict, doc)
+        partition = Partition(tuple(_json_field(part, "U", list, f"{doc} partition")),
+                              tuple(_json_field(part, "L", list, f"{doc} partition")))
     return PointSet(points, partition)
 
 

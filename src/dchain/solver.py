@@ -234,8 +234,23 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
                 rise ^= moved
                 s -= 1
         deadline = None if max_ms is None else t0 + max_ms / 1000.0
-        # frames [pick, level, used, next color, undo]; undo holds the masks
-        # (forb[next color - 1], unc, lev) from before the frame's last color
+        # Moves and frames. The pick's saturation level is the number of used
+        # colors among its neighbors, so it has exactly used - level free used
+        # colors, taken while used < best_k, then the new color while
+        # used + 1 < best_k. Every node is entered with used < best_k, so on
+        # entry a node has used - level + (used + 1 < best_k) moves:
+        # - none (the dead child): the node is counted and left at once;
+        # - one (forced): the move updates forb, unc and lev in place and
+        #   pushes no frame. Every move of a node starts from the node's own
+        #   masks, so its feasible colors are fixed, and best_k only falls, so
+        #   a node forced on entry never gains a second move;
+        # - two or more (branching): the node pushes a frame
+        #   [pbit, level, used, next color, forb, unc, lev] with copies of its
+        #   masks as entered, and each later child starts from fresh copies of
+        #   those. A run of forced moves thus ends where the deepest branching
+        #   frame restores its snapshot.
+        # colors needs no restore: every vertex colored on the current path is
+        # written on that path, and a completion has colored them all.
         stack: list[list] = []
 
         while True:
@@ -247,60 +262,64 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
             if deadline is not None and nodes & 0xFF == 0 and perf_counter() > deadline:
                 aborted = True
                 break
+            c = -1
             if unc:
                 level = used
                 while not lev[level]:
                     level -= 1
-                # Dead child: the loop below would pop this frame at once.
-                # A vertex at saturation level < used has a free used color,
-                # which it may take only while used < best_k; one at
-                # level == used has none, and its one choice, a new color,
-                # needs used + 1 < best_k.
-                if used + (level == used) < best_k:
-                    top = lev[level]
-                    stack.append([(top & -top).bit_length() - 1, level, used, 0, None])
+                top = lev[level]
+                pbit = top & -top
+                if level < used:
+                    c = 0
+                    while forb[c] & pbit:
+                        c += 1
+                    if level + 1 < used or used + 1 < best_k:
+                        stack.append([pbit, level, used, c + 1, forb[:], unc, lev[:]])
+                elif used + 1 < best_k:
+                    c = used
             else:
                 best_k = used
                 best_colors = colors[:]
-            # give the deepest open frame its next color, dropping finished frames
-            while stack:
-                frame = stack[-1]
-                pick, level, used, c, undo = frame
-                if undo is not None:  # take back the frame's last color, c - 1
-                    forb[c - 1], unc, lev = undo
-                pbit = 1 << pick
-                while c < used and forb[c] & pbit:
-                    c += 1
-                if c < used:
-                    if used >= best_k:
-                        stack.pop()  # a deeper completion improved the incumbent
+            if c < 0:
+                # give the deepest branching frame its next color, dropping
+                # finished frames
+                while stack:
+                    frame = stack[-1]
+                    pbit, level, used, c, sforb, unc, slev = frame
+                    while c < used and sforb[c] & pbit:
+                        c += 1
+                    if c < used:
+                        if used >= best_k:
+                            stack.pop()  # a deeper completion improved the incumbent
+                            continue
+                    elif c > used or used + 1 >= best_k:
+                        stack.pop()
                         continue
-                elif c > used or used + 1 >= best_k:
-                    stack.pop()
-                    continue
-                row = adj[pick]
-                old = forb[c]
-                frame[3] = c + 1
-                frame[4] = (old, unc, lev)
-                forb[c] = old | row
-                unc ^= pbit
-                rise = row & unc & ~old  # uncolored neighbors that gain color c
-                lev = lev[:]
-                lev[level] ^= pbit
-                s = level
-                while rise:
-                    moved = lev[s] & rise
-                    if moved:
-                        lev[s] ^= moved
-                        lev[s + 1] |= moved
-                        rise ^= moved
-                    s -= 1
-                colors[pick] = c
-                if c == used:
-                    used += 1
-                break
-            else:
-                break
+                    frame[3] = c + 1
+                    forb = sforb[:]
+                    lev = slev[:]
+                    break
+                else:
+                    break
+            # color the pick with c, in place
+            pick = pbit.bit_length() - 1
+            row = adj[pick]
+            old = forb[c]
+            forb[c] = old | row
+            unc ^= pbit
+            rise = row & unc & ~old  # uncolored neighbors that gain color c
+            lev[level] ^= pbit
+            s = level
+            while rise:
+                moved = lev[s] & rise
+                if moved:
+                    lev[s] ^= moved
+                    lev[s + 1] |= moved
+                    rise ^= moved
+                s -= 1
+            colors[pick] = c
+            if c == used:
+                used += 1
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring.from_vertex_colors(g.n_points, best_colors)

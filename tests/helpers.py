@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
-quadratic greedy DSATUR, a Fraction-based segment intersection test, an
-all-triples collinearity check, an edge-scan coloring check and an
-all-chords, all-triples double-chain check. All deliberately avoid the code
-paths they are used to check."""
+quadratic greedy DSATUR, a recursive DSATUR branch and bound, a
+Fraction-based segment intersection test, an all-triples collinearity
+check, an edge-scan coloring check and an all-chords, all-triples
+double-chain check. All deliberately avoid the code paths they are used to
+check."""
 
 from __future__ import annotations
 
@@ -72,6 +73,70 @@ def oracle_dsatur(g: DisjointnessGraph) -> list[int]:
             if adj[pick] >> u & 1:
                 seen[u].add(c)
     return colors
+
+
+class _OutOfNodes(Exception):
+    pass
+
+
+def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None = None
+                            ) -> tuple[bool, int, int, list[int]]:
+    """(exact, nodes, color count, vertex colors) of a plain recursive DSATUR
+    branch and bound, written from the rule the exact solver documents:
+
+    - the members of `clique` take colors 0, 1, ... in id order;
+    - the incumbent is oracle_dsatur's coloring, and the search runs only
+      when it uses more colors than the clique has members;
+    - every node entered counts; entering node max_nodes + 1 ends the search
+      with exact False and the incumbent of that moment;
+    - a node with every vertex colored is a new incumbent. Otherwise it
+      branches on the uncolored vertex whose colored neighbors show the most
+      distinct colors (ties to the smallest id): each used color none of them
+      has, in ascending order, while the used colors are fewer than the
+      incumbent's, then one new color while used + 1 is fewer.
+
+    Saturation is recounted from `colors` at every node: no masks, and
+    nothing from dchain.solver."""
+    v_count = g.n_vertices
+    nbrs = [[u for u in range(v_count) if g.adj[v] >> u & 1] for v in range(v_count)]
+    colors = [-1] * v_count
+    for c, v in enumerate(sorted(clique)):
+        colors[v] = c
+    best = oracle_dsatur(g)
+    best_k = max(best, default=-1) + 1
+    nodes = 0
+
+    def visit(used: int) -> None:
+        nonlocal nodes, best, best_k
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise _OutOfNodes
+        pick, seen = -1, set()
+        for v in range(v_count):
+            if colors[v] < 0:
+                around = {colors[u] for u in nbrs[v] if colors[u] >= 0}
+                if pick < 0 or len(around) > len(seen):
+                    pick, seen = v, around
+        if pick < 0:
+            best, best_k = colors[:], used
+            return
+        for c in range(used):
+            if used >= best_k:
+                break
+            if c not in seen:
+                colors[pick] = c
+                visit(used)
+        if used + 1 < best_k:
+            colors[pick] = used
+            visit(used + 1)
+        colors[pick] = -1
+
+    if best_k > len(clique):
+        try:
+            visit(len(clique))
+        except _OutOfNodes:
+            return False, nodes, best_k, best
+    return True, nodes, best_k, best
 
 
 def _cross2(ax: int, ay: int, bx: int, by: int) -> int:

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import tempfile
@@ -178,6 +179,88 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9
         assert all(r["match"] == "true" for r in rows)
+
+
+    def test_golden_outputs(self, capsys):
+        # sha256 of the sweep's stdout, recorded before the frame rewrite of
+        # the exact search: any change to chi or to the CSV shows here
+        for max_sum, digest in (
+                (9, "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c"),
+                (11, "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f")):
+            code, out, _ = run(capsys, "sweep", "--max-sum", str(max_sum))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, max_sum
+
+
+class TestMalformedJson:
+    """A points or coloring file with a missing or ill-typed field exits 2
+    with an error that names the field."""
+
+    POINTS = {"n": 4, "points": [[0, 0], [4, 1], [3, 5], [-1, 3]], "partition": None}
+    COLORING = {"n_points": 4, "colors": [[0, 1, 0], [0, 2, 1], [0, 3, 2],
+                                          [1, 2, 3], [1, 3, 4], [2, 3, 5]]}
+
+    def check(self, tmp_path, capsys, points, coloring, message):
+        pts = tmp_path / "pts.json"
+        col = tmp_path / "col.json"
+        pts.write_text(json.dumps(points))
+        col.write_text(json.dumps(coloring))
+        argvs = [["verify", "--points", str(pts), "--coloring", str(col)]]
+        if points is not self.POINTS:  # a malformed points file fails chi and graph too
+            argvs += [["chi", "--points", str(pts)], ["graph", "--points", str(pts)]]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"error: {message}\n", argv
+
+    def test_well_formed_files_pass(self, tmp_path, capsys):
+        pts = tmp_path / "pts.json"
+        col = tmp_path / "col.json"
+        pts.write_text(json.dumps(self.POINTS))
+        col.write_text(json.dumps(self.COLORING))
+        code, _, _ = run(capsys, "verify", "--points", str(pts), "--coloring", str(col))
+        assert code == 0
+
+    def test_points_field_missing(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, {"n": 3}, self.COLORING,
+                   "points JSON has no 'points' field")
+
+    def test_points_not_an_object(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, [[0, 0], [1, 2]], self.COLORING,
+                   "points JSON must be an object, got [[0, 0], [1, 2]]")
+
+    def test_point_not_a_pair(self, tmp_path, capsys):
+        points = dict(self.POINTS, points=[[0, 0], [4, 1, 7], [3, 5], [-1, 3]])
+        self.check(tmp_path, capsys, points, self.COLORING,
+                   "points JSON points[1] must be a list of 2 ints, got [4, 1, 7]")
+
+    def test_point_count_missing_or_ill_typed(self, tmp_path, capsys):
+        points = {"points": self.POINTS["points"]}
+        self.check(tmp_path, capsys, points, self.COLORING, "points JSON has no 'n' field")
+        points = dict(self.POINTS, n="4")
+        self.check(tmp_path, capsys, points, self.COLORING,
+                   "points JSON field 'n' must be an int, got '4'")
+
+    def test_partition_ill_formed(self, tmp_path, capsys):
+        points = dict(self.POINTS, partition=[[0, 1], [2, 3]])
+        self.check(tmp_path, capsys, points, self.COLORING,
+                   "points JSON field 'partition' must be an object, got [[0, 1], [2, 3]]")
+        points = dict(self.POINTS, partition={"U": [0, 1]})
+        self.check(tmp_path, capsys, points, self.COLORING,
+                   "points JSON partition has no 'L' field")
+
+    def test_coloring_point_count_is_a_list(self, tmp_path, capsys):
+        coloring = dict(self.COLORING, n_points=[4])
+        self.check(tmp_path, capsys, self.POINTS, coloring,
+                   "coloring JSON field 'n_points' must be an int, got [4]")
+
+    def test_coloring_rows_missing_or_ill_formed(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, self.POINTS, {"n_points": 4},
+                   "coloring JSON has no 'colors' field")
+        coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, 3, "5"]])
+        self.check(tmp_path, capsys, self.POINTS, coloring,
+                   "coloring JSON colors[5] must be a list of 3 ints, got [2, 3, '5']")
 
 
 class TestProp4:

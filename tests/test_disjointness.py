@@ -278,6 +278,20 @@ class TestExports:
         with pytest.raises(ValueError):
             graph_from_json(data)
 
+    def test_json_errors_name_the_field(self):
+        good = graph_to_json(build_graph(gen_convex(4)))
+        for data, message in (
+                ({"vertices": 6, "edges": []}, "graph JSON has no 'n_points' field"),
+                (dict(good, n_points="4"), "graph JSON field 'n_points' must be an int, got '4'"),
+                (dict(good, n_points=-1), "graph JSON field 'n_points' must be >= 0, got -1"),
+                (dict(good, vertices=None), "graph JSON field 'vertices' must be an int, got None"),
+                (dict(good, edges={"0": 5}), "graph JSON field 'edges' must be a list, got {'0': 5}"),
+                (dict(good, edges=[[0, 5], [2]]), "graph JSON edges[1] must be a list of 2 ints, got [2]"),
+                ("graph", "graph JSON must be an object, got 'graph'")):
+            with pytest.raises(ValueError) as exc:
+                graph_from_json(data)
+            assert str(exc.value) == message
+
     def test_unknown_format_rejected(self):
         g = build_graph(gen_convex(4))
         with pytest.raises(ValueError):

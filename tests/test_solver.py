@@ -33,7 +33,7 @@ from dchain import (
     singleton_class_check,
     verify_coloring,
 )
-from helpers import naive_chromatic, oracle_dsatur
+from helpers import naive_chromatic, oracle_branch_and_bound, oracle_dsatur
 
 import dchain.solver as solver_mod
 
@@ -205,9 +205,16 @@ class TestExactChi:
         assert res.witness.color_count == res.upper_bound
 
     def test_time_budget_indeterminate(self):
-        g = build_graph(gen_double_chain(4, 5))
+        # the deadline is read only when nodes & 0xFF == 0, so a zero budget
+        # on a search of millions of nodes ends on entering node 256
+        g = build_graph(gen_double_chain(6, 7))
         res = chromatic_number_exact(g, max_ms=0.0)
-        assert not res.is_exact
+        assert res.status == "indeterminate"
+        assert res.chi is None
+        assert res.nodes == 256
+        assert res.lower_bound <= double_chain_chi(6, 7) <= res.upper_bound
+        assert verify_coloring(g, res.witness).proper
+        assert res.witness.color_count == res.upper_bound
 
     @pytest.mark.parametrize("budget", [
         {"max_ms": float("nan")}, {"max_ms": -1.0}, {"max_ms": float("inf")},
@@ -300,6 +307,51 @@ except RuntimeError as exc:
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Assert)]
         assert not found, found
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """Every chain with k + l <= 9, convex 4..10 and 300 seeded random
+    4..8-point sets, each with its greedy clique."""
+    sets = [gen_double_chain(k, l) for k in range(1, 5) for l in range(k, 10 - k)]
+    sets += [gen_convex(n) for n in range(4, 11)]
+    rng = random.Random(909)
+    for _ in range(300):
+        ps = None
+        while ps is None:
+            ps, _ = sample_general_position(rng, rng.randint(4, 8), box=rng.choice([60, 10_000]))
+        sets.append(ps)
+    graphs = [build_graph(ps) for ps in sets]
+    return [(g, clique_lower(g)[1]) for g in graphs]
+
+
+class TestAgainstOracle:
+    """The engine against a recursive DSATUR branch and bound written from
+    its documented rule (tests/helpers.py): equal node counts, chi and
+    witnesses, and equal cutoffs under node budgets."""
+
+    def test_exact_solves_match(self, oracle_cases):
+        assert len(oracle_cases) == 327
+        total = 0
+        for g, clique in oracle_cases:
+            res = chromatic_number_exact(g)
+            exact, nodes, chi, colors = oracle_branch_and_bound(g, clique)
+            assert exact and res.is_exact
+            assert (res.nodes, res.chi, res.witness.vertex_colors()) == (nodes, chi, colors)
+            total += nodes
+        assert total > 10_000  # the search is exercised, not skipped by the presolve
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 17])
+    def test_node_budget_cutoffs_match(self, oracle_cases, budget):
+        cut = 0
+        for g, clique in oracle_cases:
+            res = chromatic_number_exact(g, max_nodes=budget)
+            exact, nodes, upper, colors = oracle_branch_and_bound(g, clique, max_nodes=budget)
+            assert (res.is_exact, res.nodes, res.upper_bound, res.witness.vertex_colors()) == \
+                (exact, nodes, upper, colors)
+            assert res.lower_bound == (upper if exact else len(clique))
+            cut += not exact
+        assert cut > 0
 
 
 class TestEnumerateOptimal:
