@@ -1,6 +1,7 @@
 """Disjointness graphs of planar point sets: exact-integer geometry for
 double-chain and convex configurations, closed-form chromatic values, a
-constructive coloring, and an exact branch-and-bound chromatic solver."""
+constructive coloring, an exact branch-and-bound chromatic solver, and the
+experiments that hold the solver against the closed forms."""
 
 from .coloring import (
     STAR,
@@ -31,9 +32,18 @@ from .disjointness import (
     graph_to_json,
     segment_rank,
 )
+from .experiments import (
+    ConvexRow,
+    ScanReport,
+    SweepRow,
+    conjecture_scan,
+    convex_sweep,
+    double_chain_sweep,
+    sample_general_position,
+    singleton_class_check,
+)
 from .formulas import FormulaResult, double_chain_chi, f_of, f_step, formula_table, g_of
 from .geometry import (
-    DoubleChainSearchError,
     Orientation,
     Partition,
     Point,
@@ -53,18 +63,10 @@ from .geometry import (
 )
 from .solver import (
     ChiResult,
-    ConvexRow,
-    ScanReport,
-    SweepRow,
     chromatic_number_exact,
     clique_lower,
-    conjecture_scan,
-    convex_sweep,
-    double_chain_sweep,
     dsatur_upper,
     enumerate_optimal_colorings,
-    sample_general_position,
-    singleton_class_check,
 )
 
 __version__ = "0.1.0"

@@ -25,19 +25,9 @@ from .coloring import (
 )
 from .disjointness import build_graph, export_graph
 from .formulas import double_chain_chi, formula_table
-from .geometry import (
-    DoubleChainSearchError,
-    gen_convex,
-    gen_double_chain,
-    load_points,
-    pointset_to_json,
-)
-from .solver import (
-    chromatic_number_exact,
-    conjecture_scan,
-    double_chain_sweep,
-    singleton_class_check,
-)
+from .experiments import conjecture_scan, convex_sweep, double_chain_sweep, singleton_class_check
+from .geometry import gen_convex, gen_double_chain, load_points, pointset_to_json
+from .solver import chromatic_number_exact
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -157,15 +147,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = double_chain_sweep(args.max_sum)
-    table = [[r.k, r.l, r.chi, r.expected, str(r.match).lower()] for r in rows]
-    _emit_text(_csv_text(["k", "l", "chi", "expected", "match"], table), args.out)
-    bad = [r for r in rows if not r.match]
+    if args.convex:
+        rows = convex_sweep(4, args.max_sum)
+        header = ["n", "chi", "expected", "match"]
+        table = [[r.n, r.chi, r.expected, str(r.match).lower()] for r in rows]
+        where, law = [f"n={r.n}" for r in rows], "chi = f(n)"
+    else:
+        rows = double_chain_sweep(args.max_sum)
+        header = ["k", "l", "chi", "expected", "match"]
+        table = [[r.k, r.l, r.chi, r.expected, str(r.match).lower()] for r in rows]
+        where, law = [f"k={r.k}, l={r.l}" for r in rows], "chi = k + f(l)"
+    _emit_text(_csv_text(header, table), args.out)
+    bad = [i for i, r in enumerate(rows) if not r.match]
     if bad:
-        _note(f"{len(bad)} grid points disagree with the prediction, first at "
-              f"(k={bad[0].k}, l={bad[0].l})")
+        _note(f"{len(bad)} grid points disagree with the prediction, first at ({where[bad[0]]})")
         return EXIT_VIOLATION
-    _note(f"all {len(rows)} grid points match chi = k + f(l)")
+    _note(f"all {len(rows)} grid points match {law}")
     return EXIT_OK
 
 
@@ -249,8 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="CSV of exact chi vs k + f(l) over the double-chain grid")
-    p.add_argument("--max-sum", type=int, required=True, help="largest k + l to test")
+    p = sub.add_parser("sweep", help="CSV of exact chi vs k + f(l) over the double-chain grid, "
+                                     "or vs f(n) over convex n = 4..N with --convex")
+    p.add_argument("--max-sum", type=int, required=True,
+                   help="largest k + l to test (with --convex, the largest n)")
+    p.add_argument("--convex", action="store_true",
+                   help="sweep convex n-point sets against f(n) instead")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -278,8 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # RecursionError: JSON input nested deeper than the decoder can follow
-    except (ValueError, TypeError, OSError, KeyError, RecursionError,
-            DoubleChainSearchError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

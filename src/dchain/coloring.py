@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
+from .formulas import _check_int
 from .geometry import PointSet, _json_field, _json_ints, delete_points, gen_double_chain
 
 STAR = "star"
@@ -173,9 +174,9 @@ def construct_double_chain_coloring(k: int, l: int,
     still-uncolored incident segments. Total colors = provider's count + k,
     which is k + f(l) when the provider is optimal.
     """
-    if not isinstance(k, int) or not isinstance(l, int) or k < 1 or k > l or l < 3:
-        raise ValueError(f"need integers 1 <= k <= l with l >= 3, got k={k!r}, l={l!r}")
-    ps = gen_double_chain(k, l)
+    _check_int(k, "k")
+    _check_int(l, "l", 3)
+    ps = gen_double_chain(k, l)  # raises for k > l
     lower = ps.partition.lower
     cap = PointSet(tuple(ps.points[i] for i in lower))
     provider = convex_provider if convex_provider is not None else _exact_convex_provider
@@ -252,12 +253,10 @@ def thrackle_edge_bound_ok(n: int, thrackle_sizes: Iterable[int]) -> bool:
     n is the point count, k the number of thrackle classes; the bound caps
     the total number of segments the k classes can hold.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    _check_int(n, "n", 3)
     sizes = list(thrackle_sizes)
     for s in sizes:
-        if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-            raise ValueError(f"class sizes must be positive ints, got {s!r}")
+        _check_int(s, "thrackle class size")
     k = len(sizes)
     return sum(sizes) <= k * n - comb(k, 2)
 

@@ -83,9 +83,6 @@ class DisjointnessGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def segments(self) -> tuple[SegmentId, ...]:
-        return all_segments(self.n_points)
-
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
 

@@ -1,0 +1,172 @@
+"""Experiments that hold the exact solver against the paper's closed forms:
+the single-segment-class census of convex optimal colorings, the
+double-chain and convex sweeps, and a seeded randomized scan that hunts for
+sets with chi below the convex value f(n).
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from pathlib import Path
+
+from .disjointness import build_graph
+from .formulas import _check_int, double_chain_chi, f_of
+from .geometry import Point, PointSet, gen_convex, gen_double_chain, is_general_position, save_points
+from .solver import chromatic_number_exact, enumerate_optimal_colorings
+
+# the optimal-coloring census grows too fast to exhaust beyond this n
+SINGLETON_CAP = 6
+
+
+def singleton_class_check(n: int) -> bool:
+    """True iff every optimal coloring of the convex n-point disjointness graph
+    has at most one color class consisting of a single segment.
+
+    Enumerates all optimal colorings up to color permutation, so n is capped
+    at SINGLETON_CAP.
+    """
+    _check_int(n, "n", 4)
+    if n > SINGLETON_CAP:
+        raise ValueError(
+            f"n={n} exceeds the enumeration cap {SINGLETON_CAP}; the optimal-coloring census "
+            f"is only exhaustible at desk scale")
+    g = build_graph(gen_convex(n))
+    chi = chromatic_number_exact(g).chi
+    for coloring in enumerate_optimal_colorings(g, chi):
+        singles = sum(1 for segs in coloring.classes().values() if len(segs) == 1)
+        if singles > 1:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    k: int
+    l: int
+    chi: int
+    expected: int
+
+    @property
+    def match(self) -> bool:
+        return self.chi == self.expected
+
+
+def double_chain_sweep(max_sum: int) -> list[SweepRow]:
+    """Exact chi of every canonical double chain with 1 <= k <= l, l >= 3 and
+    k + l <= max_sum, paired with the closed-form prediction k + f(l)."""
+    _check_int(max_sum, "max_sum", 4)
+    rows = []
+    for k in range(1, max_sum // 2 + 1):
+        for l in range(max(k, 3), max_sum - k + 1):
+            result = chromatic_number_exact(build_graph(gen_double_chain(k, l)))
+            rows.append(SweepRow(k, l, result.chi, double_chain_chi(k, l)))
+    return rows
+
+
+@dataclass(frozen=True)
+class ConvexRow:
+    n: int
+    chi: int
+    expected: int
+
+    @property
+    def match(self) -> bool:
+        return self.chi == self.expected
+
+
+def convex_sweep(n_min: int, n_max: int) -> list[ConvexRow]:
+    """Exact chi of the canonical convex n-point set against f(n), for
+    2 <= n_min <= n <= n_max."""
+    _check_int(n_min, "n_min", 2)
+    _check_int(n_max, "n_max", n_min)
+    rows = []
+    for n in range(n_min, n_max + 1):
+        result = chromatic_number_exact(build_graph(gen_convex(n)))
+        rows.append(ConvexRow(n, result.chi, f_of(n)))
+    return rows
+
+
+def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
+                            max_attempts: int = 1_000) -> tuple[PointSet | None, int]:
+    """Rejection-sample n distinct integer points uniform in [0, box]^2 until
+    they are in general position; returns (point set or None, attempts used).
+    n, box and max_attempts must be positive ints; anything else raises
+    ValueError."""
+    _check_int(n, "n")
+    _check_int(box, "box")
+    _check_int(max_attempts, "max_attempts")
+    for attempt in range(1, max_attempts + 1):
+        coords = [(rng.randint(0, box), rng.randint(0, box)) for _ in range(n)]
+        if len(set(coords)) != n:
+            continue
+        ps = PointSet(tuple(Point(x, y) for x, y in coords))
+        if is_general_position(ps):
+            return ps, attempt
+    return None, max_attempts
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    """Summary of a randomized chi-versus-f(n) scan."""
+
+    n: int
+    trials: int
+    f_value: int
+    min_chi: int | None
+    counterexample_paths: tuple[str, ...]
+    forced_chis: dict[str, int]
+    resamples: int
+    exhausted: bool
+
+    @property
+    def conjecture_holds(self) -> bool:
+        return not self.counterexample_paths
+
+
+def conjecture_scan(n: int, trials: int, seed: int, *,
+                    out_dir: str | Path | None = None) -> ScanReport:
+    """Solve exact chi for the canonical convex and double-chain sets and for
+    seeded random general-position sets, and compare each against f(n). Any
+    set with chi < f(n) is written to disk as a points JSON file and
+    reported; running out of rejection-sampling attempts is reported via the
+    `exhausted` flag.
+    """
+    _check_int(n, "n", 4)
+    if n > 8:
+        raise ValueError(f"scan supports 4 <= n <= 8, got {n!r}")
+    _check_int(trials, "trials", 0)
+    rng = random.Random(seed)
+    target = f_of(n)
+    directory = Path(out_dir) if out_dir is not None else Path.cwd()
+
+    k = n // 2
+    samples: list[tuple[str, PointSet]] = [
+        ("convex", gen_convex(n)),
+        (f"double_chain_{k}_{n - k}", gen_double_chain(k, n - k)),
+    ]
+    resamples = 0
+    exhausted = False
+    for t in range(trials):
+        ps, attempts = sample_general_position(rng, n)
+        resamples += attempts - (1 if ps is not None else 0)
+        if ps is None:
+            exhausted = True
+            break
+        samples.append((f"random_{t}", ps))
+
+    min_chi: int | None = None
+    forced: dict[str, int] = {}
+    bad: list[str] = []
+    for label, ps in samples:
+        chi = chromatic_number_exact(build_graph(ps)).chi
+        if not label.startswith("random_"):
+            forced[label] = chi
+        if min_chi is None or chi < min_chi:
+            min_chi = chi
+        if chi < target:
+            directory.mkdir(parents=True, exist_ok=True)
+            path = directory / f"counterexample_n{n}_seed{seed}_{label}.json"
+            save_points(ps, path)
+            bad.append(str(path))
+    return ScanReport(n, trials, target, min_chi, tuple(bad), forced, resamples, exhausted)

@@ -10,14 +10,15 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 
-def _check_positive(value: int, name: str = "n") -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _check_int(value: int, name: str = "n", low: int = 1) -> None:
+    """Raise ValueError unless value is an int (bool excluded) >= low."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def g_of(n: int) -> int:
     """Largest positive integer i with C(i, 2) <= n."""
-    _check_positive(n)
+    _check_int(n)
     g = (1 + isqrt(8 * n + 1)) // 2
     if not comb(g, 2) <= n < comb(g + 1, 2):  # bracketing check of the isqrt algebra
         raise RuntimeError(f"g({n}) = {g} fails C(g, 2) <= n < C(g + 1, 2)")
@@ -33,7 +34,7 @@ def f_of(n: int) -> int:
     The closed form is defined for all n >= 1; its chromatic reading needs
     n >= 3 (f(1) = 0, f(2) = 1 are formal values).
     """
-    _check_positive(n)
+    _check_int(n)
     direct = n - (isqrt(8 * n + 1) - 1) // 2
     via_g = n - g_of(n) + 1
     if direct != via_g:
@@ -43,14 +44,14 @@ def f_of(n: int) -> int:
 
 def f_step(n: int) -> int:
     """f(n+1) - f(n); it is 0 exactly when n = C(i, 2) - 1 for some i, else 1."""
-    _check_positive(n)
+    _check_int(n)
     return f_of(n + 1) - f_of(n)
 
 
 def double_chain_chi(k: int, l: int) -> int:
     """Predicted chromatic number k + f(l) of the (k, l) double chain, l >= 3."""
-    _check_positive(k, "k")
-    _check_positive(l, "l")
+    _check_int(k, "k")
+    _check_int(l, "l")
     if k > l:
         raise ValueError(f"cup may not outnumber cap: k={k} > l={l}")
     if l < 3:
@@ -78,8 +79,8 @@ class FormulaResult:
 
 
 def formula_table(n_max: int, n_min: int = 1) -> list[FormulaResult]:
-    _check_positive(n_min, "n_min")
-    _check_positive(n_max, "n_max")
+    _check_int(n_min, "n_min")
+    _check_int(n_max, "n_max")
     if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
     return [FormulaResult.for_n(n) for n in range(n_min, n_max + 1)]

@@ -16,7 +16,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .formulas import _check_positive
+from .formulas import _check_int
 
 
 class Orientation(Enum):
@@ -110,17 +110,6 @@ class PointSet:
     def n(self) -> int:
         return len(self.points)
 
-    def _require_partition(self) -> Partition:
-        if self.partition is None:
-            raise ValueError("point set has no upper/lower partition")
-        return self.partition
-
-    def upper_points(self) -> tuple[Point, ...]:
-        return tuple(self.points[i] for i in self._require_partition().upper)
-
-    def lower_points(self) -> tuple[Point, ...]:
-        return tuple(self.points[i] for i in self._require_partition().lower)
-
 
 def _check_segment(seg: Sequence[int], n: int) -> tuple[int, int]:
     i, j = seg
@@ -209,46 +198,42 @@ def is_general_position(ps: PointSet) -> bool:
 
 def gen_convex(n: int) -> PointSet:
     """n integer points in convex and general position: (i, i*i) for i < n."""
-    _check_positive(n, "n")
+    _check_int(n, "n")
     return PointSet(tuple(Point(i, i * i) for i in range(n)))
 
 
-class DoubleChainSearchError(RuntimeError):
-    """The generator's vertical-offset search exceeded its step cap."""
-
-
-def gen_double_chain(k: int, l: int, *, max_offset_steps: int = 10_000) -> PointSet:
+def gen_double_chain(k: int, l: int) -> PointSet:
     """Canonical (k, l) double chain: a k-point cup strictly above an l-point cap.
 
     The cap sits on y = -x^2 at even x values roughly centered at 0, the cup
-    on y = x^2 + m at odd x values. m starts at a chord-height bound and is
-    incremented until the validator accepts, so within-chain collinearity is
-    impossible by construction and cross-chain degeneracies are searched away.
-    Deterministic for fixed (k, l); point order is cup left-to-right, then cap
-    left-to-right.
+    on y = x^2 + m at odd x values, with m a strict chord-height bound. So
+    within-chain collinearity is impossible by construction, and every chord
+    of either chain clears every point of the other. Deterministic for fixed
+    (k, l); point order is cup left-to-right, then cap left-to-right.
+    validate_double_chain checks the result, and a failure raises
+    RuntimeError.
     """
-    _check_positive(k, "k")
-    _check_positive(l, "l")
+    _check_int(k, "k")
+    _check_int(l, "l")
     if k > l:
         raise ValueError(f"cup may not outnumber cap: k={k} > l={l}")
     xs_up = [2 * (j - k // 2) + 1 for j in range(k)]
     xs_low = [2 * (i - l // 2) for i in range(l)]
     a = max(abs(x) for x in xs_up)
     b = max(abs(x) for x in xs_low)
-    # strict chord-height bound: covers both "cap below every cup chord" and
-    # "cup above every cap chord", so the first offset already validates
-    base = max(a * a, b * b) + 2 * a * b + 1
-    partition = Partition(tuple(range(k)), tuple(range(k, k + l)))
-    for step in range(max_offset_steps):
-        m = base + step
-        pts = tuple(Point(x, x * x + m) for x in xs_up) \
-            + tuple(Point(x, -x * x) for x in xs_low)
-        ps = PointSet(pts, partition)
-        if validate_double_chain(ps).ok:
-            return ps
-    raise DoubleChainSearchError(
-        f"no valid cup offset in [{base}, {base + max_offset_steps}) for (k={k}, l={l}); "
-        f"raise max_offset_steps")
+    # strict chord-height bound. The cup chord through x = p, q is the line
+    # y = (p + q) x - pq + m, strictly above the cap point (x, -x^2) when
+    # m > pq - (p + q) x - x^2 <= a^2 + 2ab. The cap chord through x = r, s is
+    # y = -(r + s) x + rs, strictly below the cup point (x, x^2 + m) when
+    # m > rs - (r + s) x - x^2 <= b^2 + 2ab. So every chord of one chain
+    # clears every point of the other.
+    m = max(a * a, b * b) + 2 * a * b + 1
+    pts = tuple(Point(x, x * x + m) for x in xs_up) + tuple(Point(x, -x * x) for x in xs_low)
+    ps = PointSet(pts, Partition(tuple(range(k)), tuple(range(k, k + l))))
+    failed = validate_double_chain(ps).failed()
+    if failed:
+        raise RuntimeError(f"generated ({k}, {l}) double chain fails {failed[0].name}")
+    return ps
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,20 @@
 The workhorse is a DSATUR-ordered branch and bound over big-int vertex masks
 (per-color forbidden sets and saturation levels) on an explicit stack,
 seeded with a greedy clique (precolored: sound symmetry breaking) and a
-greedy upper bound. On top of it sit a canonical enumerator of all optimal
-colorings, verification sweeps over double-chain and convex grids, and a
-seeded randomized scan that hunts for sets with chi below the convex value.
+greedy upper bound. Beside it sits a canonical enumerator of all optimal
+colorings. The engine knows nothing of the closed forms or the point-set
+generators; the sweeps and scans that compare it with them live in
+`experiments`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 from typing import Iterator
 
-from .coloring import Coloring, verify_coloring
-from .disjointness import DisjointnessGraph, _bits, build_graph
-from .formulas import _check_positive, double_chain_chi, f_of
-from .geometry import Point, PointSet, gen_convex, gen_double_chain, is_general_position, save_points
+from .coloring import Coloring, _check_int, verify_coloring
+from .disjointness import DisjointnessGraph, _bits
 
 EXACT = "exact"
 INDETERMINATE = "indeterminate"
@@ -196,9 +193,8 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     anything else (NaN included, which no clock reading exceeds) raises
     ValueError rather than running without the budget.
     """
-    if max_nodes is not None and (not isinstance(max_nodes, int) or isinstance(max_nodes, bool)
-                                  or max_nodes < 1):
-        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
+    if max_nodes is not None:
+        _check_int(max_nodes, "max_nodes")
     if max_ms is not None and (not isinstance(max_ms, (int, float)) or isinstance(max_ms, bool)
                                or not 0 <= max_ms < float("inf")):
         raise ValueError(f"max_ms must be a finite number >= 0, got {max_ms!r}")
@@ -339,8 +335,7 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
     id: exactly one canonical representative per orbit. Exhausting the stream
     without a single coloring raises (chi was below the chromatic number).
     """
-    if not isinstance(chi, int) or isinstance(chi, bool) or chi < 1:
-        raise ValueError(f"chi must be a positive integer, got {chi!r}")
+    _check_int(chi, "chi")
     v_count = g.n_vertices
     adj = g.adj
     colors = [-1] * v_count
@@ -387,161 +382,3 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
     if not found:
         raise ValueError(
             f"no proper coloring with {chi} colors exists; {chi} is below the chromatic number")
-
-
-def singleton_class_check(n: int, *, cap: int = 6) -> bool:
-    """True iff every optimal coloring of the convex n-point disjointness graph
-    has at most one color class consisting of a single segment.
-
-    Enumerates all optimal colorings up to color permutation, so n is capped
-    (default 6): the census grows too fast beyond desk scale.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 4:
-        raise ValueError(f"n must be an integer >= 4, got {n!r}")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; the optimal-coloring census "
-            f"is only exhaustible at desk scale")
-    g = build_graph(gen_convex(n))
-    chi = chromatic_number_exact(g).chi
-    for coloring in enumerate_optimal_colorings(g, chi):
-        singles = sum(1 for segs in coloring.classes().values() if len(segs) == 1)
-        if singles > 1:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    k: int
-    l: int
-    chi: int
-    expected: int
-
-    @property
-    def match(self) -> bool:
-        return self.chi == self.expected
-
-
-def double_chain_sweep(max_sum: int) -> list[SweepRow]:
-    """Exact chi of every canonical double chain with 1 <= k <= l, l >= 3 and
-    k + l <= max_sum, paired with the closed-form prediction k + f(l)."""
-    if not isinstance(max_sum, int) or isinstance(max_sum, bool) or max_sum < 4:
-        raise ValueError(f"max_sum must be an integer >= 4, got {max_sum!r}")
-    rows = []
-    for k in range(1, max_sum // 2 + 1):
-        for l in range(max(k, 3), max_sum - k + 1):
-            result = chromatic_number_exact(build_graph(gen_double_chain(k, l)))
-            rows.append(SweepRow(k, l, result.chi, double_chain_chi(k, l)))
-    return rows
-
-
-@dataclass(frozen=True)
-class ConvexRow:
-    n: int
-    chi: int
-    expected: int
-
-    @property
-    def match(self) -> bool:
-        return self.chi == self.expected
-
-
-def convex_sweep(n_min: int, n_max: int) -> list[ConvexRow]:
-    """Exact chi of the canonical convex n-point set against f(n), for a range."""
-    _check_positive(n_min, "n_min")
-    _check_positive(n_max, "n_max")
-    if n_min < 2 or n_min > n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}, {n_max}")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        result = chromatic_number_exact(build_graph(gen_convex(n)))
-        rows.append(ConvexRow(n, result.chi, f_of(n)))
-    return rows
-
-
-def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
-                            max_attempts: int = 1_000) -> tuple[PointSet | None, int]:
-    """Rejection-sample n distinct integer points uniform in [0, box]^2 until
-    they are in general position; returns (point set or None, attempts used).
-    n, box and max_attempts must be positive ints; anything else raises
-    ValueError."""
-    _check_positive(n, "n")
-    _check_positive(box, "box")
-    _check_positive(max_attempts, "max_attempts")
-    for attempt in range(1, max_attempts + 1):
-        coords = [(rng.randint(0, box), rng.randint(0, box)) for _ in range(n)]
-        if len(set(coords)) != n:
-            continue
-        ps = PointSet(tuple(Point(x, y) for x, y in coords))
-        if is_general_position(ps):
-            return ps, attempt
-    return None, max_attempts
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Summary of a randomized chi-versus-f(n) scan."""
-
-    n: int
-    trials: int
-    f_value: int
-    min_chi: int | None
-    counterexample_paths: tuple[str, ...]
-    forced_chis: dict[str, int]
-    resamples: int
-    exhausted: bool
-
-    @property
-    def conjecture_holds(self) -> bool:
-        return not self.counterexample_paths
-
-
-def conjecture_scan(n: int, trials: int, seed: int, *, out_dir: str | Path | None = None,
-                    include_canonical: bool = True, box: int = 10_000,
-                    max_attempts_per_trial: int = 1_000) -> ScanReport:
-    """Solve exact chi for seeded random general-position sets (plus, by
-    default, the canonical convex and double-chain sets) and compare each
-    against f(n). Any set with chi < f(n) is written to disk as a points
-    JSON file and reported; running out of rejection-sampling attempts is
-    reported via the `exhausted` flag.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or not 4 <= n <= 8:
-        raise ValueError(f"scan supports 4 <= n <= 8, got {n!r}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
-    rng = random.Random(seed)
-    target = f_of(n)
-    directory = Path(out_dir) if out_dir is not None else Path.cwd()
-
-    samples: list[tuple[str, PointSet]] = []
-    if include_canonical:
-        samples.append(("convex", gen_convex(n)))
-        k = n // 2
-        samples.append((f"double_chain_{k}_{n - k}", gen_double_chain(k, n - k)))
-    resamples = 0
-    exhausted = False
-    for t in range(trials):
-        ps, attempts = sample_general_position(rng, n, box=box,
-                                               max_attempts=max_attempts_per_trial)
-        resamples += attempts - (1 if ps is not None else 0)
-        if ps is None:
-            exhausted = True
-            break
-        samples.append((f"random_{t}", ps))
-
-    min_chi: int | None = None
-    forced: dict[str, int] = {}
-    bad: list[str] = []
-    for label, ps in samples:
-        chi = chromatic_number_exact(build_graph(ps)).chi
-        if not label.startswith("random_"):
-            forced[label] = chi
-        if min_chi is None or chi < min_chi:
-            min_chi = chi
-        if chi < target:
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"counterexample_n{n}_seed{seed}_{label}.json"
-            save_points(ps, path)
-            bad.append(str(path))
-    return ScanReport(n, trials, target, min_chi, tuple(bad), forced, resamples, exhausted)

@@ -43,7 +43,7 @@ from helpers import (
     pairwise_disjoint_matrix,
 )
 
-import dchain.solver as solver_mod
+import dchain.experiments as experiments_mod
 import random
 
 
@@ -311,7 +311,7 @@ def test_criterion_10_violations_archive_and_exit_nonzero(tmp_path, monkeypatch,
     # exercise the counterexample path end to end with an impossible threshold
     from dchain.cli import main
 
-    monkeypatch.setattr(solver_mod, "f_of", lambda n: 99)
+    monkeypatch.setattr(experiments_mod, "f_of", lambda n: 99)
     out = tmp_path / "report.json"
     code = main(["conjecture", "--n", "4", "--trials", "1", "--seed", "0",
                  "--out", str(out)])

@@ -1,11 +1,11 @@
 import csv
-import functools
 import hashlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -180,14 +180,33 @@ class TestSweep:
         assert len(rows) == 9
         assert all(r["match"] == "true" for r in rows)
 
+    def test_convex_mismatch_exits_1(self, capsys, monkeypatch):
+        import dchain.experiments
+
+        monkeypatch.setattr(dchain.experiments, "f_of", lambda n: f_of(n) + (n == 6))
+        code, out, err = run(capsys, "sweep", "--convex", "--max-sum", "7")
+        assert code == 1
+        assert out.splitlines() == ["n,chi,expected,match", "4,2,2,true", "5,3,3,true",
+                                    "6,3,4,false", "7,4,4,true"]
+        assert err == "1 grid points disagree with the prediction, first at (n=6)\n"
+
+    @pytest.mark.parametrize("max_sum", ["3", "0"])
+    def test_convex_rejects_small_max_sum(self, capsys, max_sum):
+        code, out, err = run(capsys, "sweep", "--convex", "--max-sum", max_sum)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_golden_outputs(self, capsys):
         # sha256 of the sweep's stdout, recorded before the frame rewrite of
-        # the exact search: any change to chi or to the CSV shows here
-        for max_sum, digest in (
-                (9, "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c"),
-                (11, "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f")):
-            code, out, _ = run(capsys, "sweep", "--max-sum", str(max_sum))
+        # the exact search (double chain) and from the convex sweep script
+        # that --convex replaced: any change to chi or to the CSV shows here
+        for flags, max_sum, digest in (
+                ((), 9, "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c"),
+                ((), 11, "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f"),
+                (("--convex",), 10, "858c815b19c2b88fea812d3387dc2516bd240407d411174216374ee4f796cfe8"),
+                (("--convex",), 13, "47a710cc706c132d5b6ba5651264142758489770ada5e57ceb06a653ff817cbb")):
+            code, out, _ = run(capsys, "sweep", *flags, "--max-sum", str(max_sum))
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, max_sum
 
@@ -285,10 +304,10 @@ class TestConjecture:
         assert report["counterexamples"] == []
 
     def test_exhausted_sampling_exits_3(self, tmp_path, capsys, monkeypatch):
-        import dchain.solver
+        import dchain.experiments
 
-        monkeypatch.setattr(dchain.solver, "sample_general_position",
-                            lambda rng, n, box, max_attempts: (None, max_attempts))
+        monkeypatch.setattr(dchain.experiments, "sample_general_position",
+                            lambda rng, n: (None, 1_000))
         report_path = tmp_path / "report.json"
         code, _, err = run(capsys, "conjecture", "--n", "4", "--trials", "3",
                            "--seed", "5", "--out", str(report_path))
@@ -301,23 +320,6 @@ class TestConjecture:
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "conjecture", "--n", "4")
         assert code == 2
-
-
-def test_double_chain_search_error_is_usage_error(capsys, monkeypatch):
-    # a zero step cap makes the real generator give up at once
-    import dchain.cli
-    import dchain.coloring
-    import dchain.solver
-
-    capped = functools.partial(gen_double_chain, max_offset_steps=0)
-    for module in (dchain.cli, dchain.coloring, dchain.solver):
-        monkeypatch.setattr(module, "gen_double_chain", capped)
-    for argv in (["gen", "--k", "2", "--l", "3"], ["color", "--k", "2", "--l", "3"],
-                 ["sweep", "--max-sum", "5"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert err.startswith("error: no valid cup offset"), err
 
 
 class TestUsage:

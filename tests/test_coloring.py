@@ -223,6 +223,9 @@ class TestConstruction:
             construct_double_chain_coloring(3, 2)
         with pytest.raises(ValueError):
             construct_double_chain_coloring(1, 2)
+        for k, l in ((True, 3), (1, 3.0), (0, 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                construct_double_chain_coloring(k, l)
 
 
 class TestRemoveStarApices:
@@ -281,6 +284,9 @@ class TestThrackleBound:
             thrackle_edge_bound_ok(2, [1])
         with pytest.raises(ValueError):
             thrackle_edge_bound_ok(5, [0])
+        for n, sizes in ((True, [1]), (5.0, [1]), (5, [True]), (5, [1.0])):
+            with pytest.raises(ValueError, match="must be an integer"):
+                thrackle_edge_bound_ok(n, sizes)
 
 
 class TestColoringJson:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -6,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dchain import (
-    DoubleChainSearchError,
     Orientation,
     Partition,
     Point,
@@ -25,7 +26,8 @@ from dchain import (
     segments_disjoint,
     validate_double_chain,
 )
-from dchain.geometry import CONDITION_NAMES
+import dchain.geometry
+from dchain.geometry import CONDITION_NAMES, ConditionCheck, DoubleChainReport
 from helpers import oracle_disjoint, oracle_validate_double_chain, oracle_violates
 
 coord = st.integers(-1000, 1000)
@@ -170,9 +172,21 @@ class TestGenDoubleChain:
         with pytest.raises(ValueError):
             gen_double_chain(0, 3)
 
-    def test_offset_search_cap_diagnostic(self):
-        with pytest.raises(DoubleChainSearchError, match="max_offset_steps"):
-            gen_double_chain(2, 3, max_offset_steps=0)
+    def test_failed_validation_raises(self, monkeypatch):
+        # the chord-height bound makes this unreachable; the check must still fire
+        failing = DoubleChainReport((ConditionCheck(CONDITION_NAMES[2], False, (0, 1, 2)),))
+        monkeypatch.setattr(dchain.geometry, "validate_double_chain", lambda ps: failing)
+        with pytest.raises(RuntimeError, match="lower_below_upper_lines"):
+            gen_double_chain(2, 3)
+
+    def test_golden_points(self):
+        # sha256 of every chain with 1 <= k <= l <= 40, recorded before the
+        # offset search was removed: the points are those of its first offset
+        digest = hashlib.sha256()
+        for k in range(1, 41):
+            for l in range(k, 41):
+                digest.update((json.dumps(pointset_to_json(gen_double_chain(k, l))) + "\n").encode())
+        assert digest.hexdigest() == "c8e03df0ca42612c8fef3e285102592fcb493d6f66c2c175324823d24dd17def"
 
 
 class TestValidateDoubleChain:

@@ -35,6 +35,7 @@ from dchain import (
 )
 from helpers import naive_chromatic, oracle_branch_and_bound, oracle_dsatur
 
+import dchain.experiments as experiments_mod
 import dchain.solver as solver_mod
 
 
@@ -308,6 +309,21 @@ except RuntimeError as exc:
                  if isinstance(node, ast.Assert)]
         assert not found, found
 
+    def test_engine_imports_no_driver(self):
+        # the engine stands apart from the experiments, the closed forms and
+        # the generators: only .coloring, .disjointness and the stdlib
+        tree = ast.parse(Path(solver_mod.__file__).read_text(encoding="utf-8"))
+        relative, absolute = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative.add(node.module)
+            elif isinstance(node, ast.ImportFrom):
+                absolute.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                absolute.update(alias.name.split(".")[0] for alias in node.names)
+        assert relative == {"coloring", "disjointness"}
+        assert absolute <= set(sys.stdlib_module_names), absolute - set(sys.stdlib_module_names)
+
 
 @pytest.fixture(scope="module")
 def oracle_cases():
@@ -460,13 +476,14 @@ class TestConjectureScan:
 
     def test_counterexample_archival_mechanism(self, tmp_path, monkeypatch):
         # force the threshold sky-high so every sample "violates"
-        monkeypatch.setattr(solver_mod, "f_of", lambda n: 99)
-        report = conjecture_scan(4, trials=1, seed=0, out_dir=tmp_path,
-                                 include_canonical=False)
+        monkeypatch.setattr(experiments_mod, "f_of", lambda n: 99)
+        report = conjecture_scan(4, trials=1, seed=0, out_dir=tmp_path)
         assert not report.conjecture_holds
-        assert len(report.counterexample_paths) == 1
-        archived = tmp_path / f"counterexample_n4_seed0_random_0.json"
-        assert archived.exists()
+        labels = ["convex", "double_chain_2_2", "random_0"]
+        assert report.counterexample_paths == tuple(
+            str(tmp_path / f"counterexample_n4_seed0_{label}.json") for label in labels)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"counterexample_n4_seed0_{label}.json" for label in labels)
 
     def test_sampler_respects_box_and_general_position(self):
         rng = random.Random(1234)
