@@ -17,9 +17,9 @@ import sys
 from pathlib import Path
 
 from .coloring import (
-    coloring_from_json,
     coloring_to_json,
     construct_double_chain_coloring,
+    load_coloring,
     verify_coloring,
     verify_report_to_json,
 )
@@ -135,7 +135,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     ps = load_points(args.points)
-    coloring = coloring_from_json(json.loads(Path(args.coloring).read_text(encoding="utf-8")))
+    coloring = load_coloring(args.coloring)
     report = verify_coloring(build_graph(ps), coloring)
     _emit_json(verify_report_to_json(report), args.out)
     if report.proper:
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.convex:
-        rows = convex_sweep(4, args.max_sum)
+        rows = convex_sweep(args.max_sum)
         header = ["n", "chi", "expected", "match"]
         table = [[r.n, r.chi, r.expected, str(r.match).lower()] for r in rows]
         where, law = [f"n={r.n}" for r in rows], "chi = f(n)"

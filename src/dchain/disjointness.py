@@ -74,6 +74,23 @@ class DisjointnessGraph:
                 if not self.adj[w] >> u & 1:
                     raise ValueError(f"adjacency is not symmetric at ({u}, {w})")
                 above ^= low
+        # Segments sharing an endpoint are never disjoint, so no clique has
+        # more than n // 2 members. The rows are symmetric, so testing each
+        # segment against the lower-ranked ones through its endpoints covers
+        # every pair: O(V) big-int operations.
+        n = self.n_points
+        inc = [0] * n  # ranks seen so far of the segments through each point
+        r = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                clash = self.adj[r] & (inc[a] | inc[b])
+                if clash:
+                    w = clash.bit_length() - 1
+                    raise ValueError(f"vertex {r}, segment {(a, b)}, is adjacent to vertex {w}, "
+                                     f"segment {tuple(all_segments(n)[w])}, sharing an endpoint")
+                inc[a] |= 1 << r
+                inc[b] |= 1 << r
+                r += 1
 
     @property
     def n_vertices(self) -> int:

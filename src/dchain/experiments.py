@@ -75,13 +75,12 @@ class ConvexRow:
         return self.chi == self.expected
 
 
-def convex_sweep(n_min: int, n_max: int) -> list[ConvexRow]:
+def convex_sweep(n_max: int) -> list[ConvexRow]:
     """Exact chi of the canonical convex n-point set against f(n), for
-    2 <= n_min <= n <= n_max."""
-    _check_int(n_min, "n_min", 2)
-    _check_int(n_max, "n_max", n_min)
+    4 <= n <= n_max."""
+    _check_int(n_max, "n_max", 4)
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in range(4, n_max + 1):
         result = chromatic_number_exact(build_graph(gen_convex(n)))
         rows.append(ConvexRow(n, result.chi, f_of(n)))
     return rows

@@ -78,9 +78,6 @@ class FormulaResult:
         return cls(n, g_of(n), f_of(n))
 
 
-def formula_table(n_max: int, n_min: int = 1) -> list[FormulaResult]:
-    _check_int(n_min, "n_min")
+def formula_table(n_max: int) -> list[FormulaResult]:
     _check_int(n_max, "n_max")
-    if n_min > n_max:
-        raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
-    return [FormulaResult.for_n(n) for n in range(n_min, n_max + 1)]
+    return [FormulaResult.for_n(n) for n in range(1, n_max + 1)]

@@ -114,26 +114,12 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
             cand &= adj[best]
         return members
 
-    # Ceiling: when no row joins two segments that share an endpoint, the
-    # members of a clique have pairwise distinct endpoints, so no clique has
-    # more than n_points // 2 of them. Every build_graph output passes this
-    # check; graphs built by hand or read from JSON need not. best_members is
-    # only ever replaced by a strictly larger clique, and a one-out/two-in
-    # move would need one above the ceiling, so stopping at the ceiling
-    # returns exactly the clique of the full loop. The rows are symmetric, so
-    # testing each segment against the lower-ranked segments through its
-    # endpoints covers every pair: one pass, O(V) big-int operations.
-    n = g.n_points
-    inc = [0] * n  # ranks seen so far of the segments through each point
-    clash = 0
-    r = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            clash |= adj[r] & (inc[a] | inc[b])
-            inc[a] |= 1 << r
-            inc[b] |= 1 << r
-            r += 1
-    ceiling = v_count + 1 if clash else n // 2
+    # Ceiling: DisjointnessGraph rejects rows that join segments sharing an
+    # endpoint, so no clique has more than n_points // 2 members. best_members
+    # is only ever replaced by a strictly larger clique, and a one-out/two-in
+    # move would need one above the ceiling, so stopping there returns exactly
+    # the clique of the full loop.
+    ceiling = g.n_points // 2
 
     best_members: list[int] = []
     negdeg = [-row.bit_count() for row in adj]
@@ -332,17 +318,20 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
 
     Vertices are colored in id order and a new color id may only be the next
     unused one, so the emitted classes are numbered by their minimum vertex
-    id: exactly one canonical representative per orbit. Exhausting the stream
-    without a single coloring raises (chi was below the chromatic number).
+    id: exactly one canonical representative per orbit. A chi above the vertex
+    count raises at once, one below the chromatic number at the stream's end.
     """
     _check_int(chi, "chi")
     v_count = g.n_vertices
+    if chi > v_count:
+        raise ValueError(f"no proper coloring with {chi} colors exists; the graph has only "
+                         f"{v_count} vertices")
     adj = g.adj
     colors = [-1] * v_count
-    forb = [0] * v_count  # colors already taken by earlier neighbors, per vertex
+    forb = [0] * chi  # the neighbors of the vertices colored c on the path, per color c
     found = False
-    # the frame at depth v colors vertex v: [used, next color, bit, touched],
-    # where the later neighbors in `touched` gained `bit` from its current color
+    # the frame at depth v colors vertex v: [used, next color, saved], where
+    # saved is forb[next color - 1] before v took that color
     stack: list[list] = []
     v = used = 0
     while True:
@@ -353,25 +342,21 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
                 found = True
                 yield Coloring.from_vertex_colors(g.n_points, colors)
         else:
-            stack.append([used, 0, 0, ()])
+            stack.append([used, 0, 0])
         while stack:
             v = len(stack) - 1
             frame = stack[-1]
-            used, c, bit, touched = frame
-            for u in touched:
-                forb[u] ^= bit
-            mask = forb[v]
+            used, c, saved = frame
+            if c:
+                forb[c - 1] = saved
             limit = min(used + 1, chi)
-            while c < limit and mask >> c & 1:
+            while c < limit and forb[c] >> v & 1:
                 c += 1
             if c == limit:
                 stack.pop()
                 continue
-            bit = 1 << c
-            touched = [u for u in _bits(adj[v] >> (v + 1) << (v + 1)) if not forb[u] & bit]
-            for u in touched:
-                forb[u] |= bit
-            frame[1:] = c + 1, bit, touched
+            frame[1:] = c + 1, forb[c]
+            forb[c] |= adj[v]
             colors[v] = c
             v += 1
             if c == used:

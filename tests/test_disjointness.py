@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -156,6 +157,34 @@ class TestBuildGraph:
     def test_graph_validation_rejects_self_loop(self):
         with pytest.raises(ValueError):
             DisjointnessGraph(3, (0b001, 0b000, 0b000))
+
+    @pytest.mark.parametrize("n_points, edges, message", [
+        # segments (0, 1) and (0, 2) share point 0, so they are never disjoint
+        (3, [(0, 1)], "vertex 1, segment (0, 2), is adjacent to vertex 0, segment (0, 1)"),
+        # the next three row sets each hold a triangle, above the clique
+        # ceiling n_points // 2 = 2, so they must join segments that share an
+        # endpoint
+        (4, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (4, 5)],
+         "vertex 1, segment (0, 2), is adjacent to vertex 0, segment (0, 1)"),
+        # every joined pair of segments that share an endpoint shares the
+        # smaller endpoint of the higher-ranked segment
+        (4, [(0, 1), (0, 5), (1, 5), (2, 3), (3, 4), (3, 5)],
+         "vertex 1, segment (0, 2), is adjacent to vertex 0, segment (0, 1)"),
+        # every joined pair of segments that share an endpoint shares the
+        # larger endpoint of the higher-ranked segment
+        (5, [(0, 7), (1, 6), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (6, 8)],
+         "vertex 7, segment (2, 3), is adjacent to vertex 5, segment (1, 3)"),
+    ])
+    def test_graph_validation_rejects_shared_endpoint(self, n_points, edges, message):
+        rows = [0] * (n_points * (n_points - 1) // 2)
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DisjointnessGraph(n_points, tuple(rows))
+        data = {"n_points": n_points, "vertices": len(rows), "edges": [list(e) for e in edges]}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_json(data)
 
 
 class TestConvexHullEdges:

@@ -109,10 +109,6 @@ class TestFormulaTable:
         with pytest.raises(ValueError):
             FormulaResult(5, 3, 9)
 
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            formula_table(3, n_min=5)
-
 
 def test_cross_checks_survive_python_O():
     script = """

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from dchain import (
     DisjointnessGraph,
     Point,
     PointSet,
+    SegmentId,
     all_segments,
     build_graph,
     chromatic_number_exact,
@@ -30,6 +32,7 @@ from dchain import (
     gen_double_chain,
     is_general_position,
     sample_general_position,
+    segment_rank,
     singleton_class_check,
     verify_coloring,
 )
@@ -39,9 +42,15 @@ import dchain.experiments as experiments_mod
 import dchain.solver as solver_mod
 
 
-def complete_graph(v_count, n_points):
-    full = (1 << v_count) - 1
-    return DisjointnessGraph(n_points, tuple(full ^ (1 << u) for u in range(v_count)))
+def k6_graph():
+    """K6 on the six endpoint-disjoint segments (0, 1), (2, 3), ..., (10, 11)
+    of 12 points; the other 60 vertices are isolated."""
+    ranks = [segment_rank(SegmentId(2 * i, 2 * i + 1), 12) for i in range(6)]
+    clique = sum(1 << r for r in ranks)
+    rows = [0] * 66
+    for r in ranks:
+        rows[r] = clique ^ (1 << r)
+    return DisjointnessGraph(12, tuple(rows))
 
 
 def random_configs(n, count, seed):
@@ -74,8 +83,7 @@ class TestDsatur:
         assert c.color_count == 1
 
     def test_complete_graph_uses_all(self):
-        g = complete_graph(6, 4)
-        assert dsatur_upper(g).color_count == 6
+        assert dsatur_upper(k6_graph()).color_count == 6
 
     def test_proper_and_bounded_on_convex4(self):
         g = build_graph(gen_convex(4))
@@ -121,29 +129,9 @@ class TestCliqueLower:
             assert g.adjacent(a, b)
 
     def test_complete_graph_full_clique(self):
-        size, _ = clique_lower(complete_graph(6, 4))
+        size, members = clique_lower(k6_graph())
         assert size == 6
-
-    @pytest.mark.parametrize("n_points, edges, triangle", [
-        # vertex 0 has the top degree (tied with 3, lower id) and its neighbors
-        # 1, 2, 3 are pairwise non-adjacent, so its seed grows to {0, 1}
-        (4, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (4, 5)], {3, 4, 5}),
-        # seed 3 grows to {2, 3}; every joined pair of segments that share an
-        # endpoint shares the smaller endpoint of the higher-ranked segment
-        (4, [(0, 1), (0, 5), (1, 5), (2, 3), (3, 4), (3, 5)], {0, 1, 5}),
-        # seed 7 grows to {0, 7}; every joined pair of segments that share an
-        # endpoint shares the larger endpoint of the higher-ranked segment
-        (5, [(0, 7), (1, 6), (2, 6), (2, 7), (2, 8), (3, 7), (5, 7), (6, 8)], {2, 6, 8}),
-    ])
-    def test_ceiling_needs_endpoint_check(self, n_points, edges, triangle):
-        # the ceiling n_points // 2 would be 2, but these rows join segments
-        # that share endpoints and a later seed finds a triangle
-        rows = [0] * (n_points * (n_points - 1) // 2)
-        for u, v in edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        size, members = clique_lower(DisjointnessGraph(n_points, tuple(rows)))
-        assert (size, members) == (3, frozenset(triangle))
+        assert members == {segment_rank(SegmentId(2 * i, 2 * i + 1), 12) for i in range(6)}
 
     def test_ceiling_holds_on_built_graphs(self):
         for g in built_graphs(2017):
@@ -421,10 +409,38 @@ class TestEnumerateOptimal:
         stream = ["".join(map(str, c.vertex_colors())) for c in enumerate_optimal_colorings(g, 3)]
         assert stream == expected
 
+    def test_convex5_stream_above_chi(self):
+        # sha256 of the ordered stream at chi + 1 = 4, one line per coloring,
+        # recorded from the enumerator with per-vertex color bitsets
+        g = build_graph(gen_convex(5))
+        text = "".join("".join(map(str, c.vertex_colors())) + "\n"
+                       for c in enumerate_optimal_colorings(g, 4))
+        assert text.count("\n") == 2270
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+            "98ae3c42be0234ba1fc97ff07aac0ad875312b52a06f2e5ad95516d3a5637bd3"
+
     def test_raises_below_chromatic_number(self):
         g = build_graph(gen_convex(4))
         with pytest.raises(ValueError, match="below the chromatic number"):
             list(enumerate_optimal_colorings(g, 1))
+
+    def test_raises_above_vertex_count(self):
+        g = build_graph(gen_convex(4))  # chi 2, six vertices
+        assert len(list(enumerate_optimal_colorings(g, 6))) == 1
+        with pytest.raises(ValueError, match="has only 6 vertices") as exc:
+            list(enumerate_optimal_colorings(g, 7))
+        assert "chromatic number" not in str(exc.value)
+
+    def test_huge_chi_fails_fast(self):
+        g = build_graph(gen_convex(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="has only 6 vertices"):
+                next(enumerate_optimal_colorings(g, 10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
 
 class TestSingletonClassCheck:
@@ -449,14 +465,14 @@ class TestSweeps:
         assert all(r.match for r in rows)
 
     def test_convex_range(self):
-        rows = convex_sweep(4, 7)
+        rows = convex_sweep(7)
         assert [(r.n, r.chi) for r in rows] == [(4, 2), (5, 3), (6, 3), (7, 4)]
         assert all(r.match for r in rows)
 
-    @pytest.mark.parametrize("bounds", [(2, 3.5), (2.0, 4), ("2", 4), (True, 4), (1, 4), (5, 4)])
-    def test_convex_range_rejects_bad_bounds(self, bounds):
-        with pytest.raises(ValueError):
-            convex_sweep(*bounds)
+    @pytest.mark.parametrize("n_max", [3.5, 3, True, "7"])
+    def test_convex_range_rejects_bad_bounds(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 4"):
+            convex_sweep(n_max)
 
 
 class TestConjectureScan:
