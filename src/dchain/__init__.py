@@ -13,7 +13,6 @@ from .coloring import (
     classify_coloring,
     coloring_from_json,
     coloring_to_json,
-    construct_double_chain_coloring,
     load_coloring,
     remove_star_apices,
     save_coloring,
@@ -37,6 +36,7 @@ from .experiments import (
     ScanReport,
     SweepRow,
     conjecture_scan,
+    construct_double_chain_coloring,
     convex_sweep,
     double_chain_sweep,
     sample_general_position,

@@ -16,16 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import (
-    coloring_to_json,
-    construct_double_chain_coloring,
-    load_coloring,
-    verify_coloring,
-    verify_report_to_json,
-)
+from .coloring import coloring_to_json, load_coloring, verify_coloring, verify_report_to_json
 from .disjointness import build_graph, export_graph
 from .formulas import double_chain_chi, formula_table
-from .experiments import conjecture_scan, convex_sweep, double_chain_sweep, singleton_class_check
+from .experiments import (conjecture_scan, construct_double_chain_coloring, convex_sweep,
+                          double_chain_sweep, singleton_class_check)
 from .geometry import gen_convex, gen_double_chain, load_points, pointset_to_json
 from .solver import chromatic_number_exact
 

@@ -1,6 +1,6 @@
 """Colorings of disjointness graphs: proper-coloring verification, star and
-thrackle class structure, the cup-star construction for double chains, star
-apex removal, and the thrackle edge-count bound.
+thrackle class structure, star apex removal, and the thrackle edge-count
+bound.
 """
 
 from __future__ import annotations
@@ -8,12 +8,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import ne
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
 from .formulas import _check_int
-from .geometry import PointSet, _json_field, _json_ints, delete_points, gen_double_chain
+from .geometry import PointSet, _json_field, _json_ints, delete_points
 
 STAR = "star"
 THRACKLE = "thrackle"
@@ -32,8 +33,9 @@ def _check_colors(colors: Collection[int], color_count: int) -> None:
 class Coloring:
     """Total assignment of color ids 0..color_count-1 to every segment of a point set.
 
-    `assignment` is keyed by `SegmentId` in rank order, so its values are the
-    vertex colors of the disjointness graph.
+    The keys of `assignment` are exactly `all_segments(n_points)`, in rank
+    order, so its values are the vertex colors of the disjointness graph.
+    The stored dict is keyed by the shared `SegmentId`s of that tuple.
     """
 
     n_points: int
@@ -41,41 +43,25 @@ class Coloring:
     color_count: int
 
     def __post_init__(self) -> None:
-        normalized: dict[SegmentId, int] = {}
-        for seg, col in dict(self.assignment).items():
-            sid = seg if isinstance(seg, SegmentId) else SegmentId.of(*seg)
-            if sid.j >= self.n_points:
-                raise ValueError(f"segment {sid} out of range for {self.n_points} points")
-            if sid in normalized:
-                raise ValueError(f"segment {sid} assigned twice")
-            normalized[sid] = col
-        expected = comb(self.n_points, 2)
-        if len(normalized) != expected:
-            raise ValueError(
-                f"coloring must cover all {expected} segments of {self.n_points} points, "
-                f"got {len(normalized)}")
-        # the keys are distinct segments of n_points points, as many as there
-        # are segments: exactly all_segments(n_points)
-        ranked = {s: normalized[s] for s in all_segments(self.n_points)}
+        n = self.n_points
+        _check_int(n, "n_points", 0)
+        expected = comb(n, 2)
+        # the length test comes first, so a huge n_points never reaches all_segments
+        if len(self.assignment) != expected or any(map(ne, self.assignment, all_segments(n))):
+            raise ValueError(f"coloring keys must be the {expected} segments of {n} points in rank order")
+        ranked = dict(zip(all_segments(n), self.assignment.values()))
         _check_colors(ranked.values(), self.color_count)
         object.__setattr__(self, "assignment", ranked)
 
     @classmethod
     def from_vertex_colors(cls, n_points: int, vertex_colors: Iterable[int]) -> "Coloring":
-        segs = all_segments(n_points)
+        """The coloring giving the rank-r segment vertex_colors[r], with as
+        many colors as there are distinct values."""
         expected = comb(n_points, 2)  # raises ValueError for a negative n_points
         colors = list(vertex_colors)
         if len(colors) != expected:
             raise ValueError(f"expected {expected} vertex colors, got {len(colors)}")
-        count = len(set(colors))
-        _check_colors(colors, count)
-        # the keys are all_segments itself, already valid and in rank order,
-        # so only the colors need checking: skip __post_init__
-        c = object.__new__(cls)
-        object.__setattr__(c, "n_points", n_points)
-        object.__setattr__(c, "assignment", dict(zip(segs, colors)))
-        object.__setattr__(c, "color_count", count)
-        return c
+        return cls(n_points, dict(zip(all_segments(n_points), colors)), len(set(colors)))
 
     def vertex_colors(self) -> list[int]:
         return list(self.assignment.values())
@@ -152,56 +138,6 @@ def classify_coloring(ps: PointSet, c: Coloring) -> dict[int, ClassKind]:
     return {color: classify_class(ps, segs) for color, segs in sorted(c.classes().items())}
 
 
-ConvexProvider = Callable[[PointSet], Coloring]
-
-
-def _exact_convex_provider(cap: PointSet) -> Coloring:
-    from .solver import chromatic_number_exact  # deferred: solver depends on this module
-
-    result = chromatic_number_exact(build_graph(cap))
-    if not result.is_exact:
-        raise RuntimeError("exact solve of the cap configuration was cut off")
-    return result.witness
-
-
-def construct_double_chain_coloring(k: int, l: int,
-                                    convex_provider: ConvexProvider | None = None) -> Coloring:
-    """Proper coloring of the canonical (k, l) double chain's disjointness graph.
-
-    Cap-internal segments reuse a proper coloring of the cap's own
-    disjointness graph (by default an optimal one from the exact solver);
-    then each cup point, left to right, gives one fresh color to all of its
-    still-uncolored incident segments. Total colors = provider's count + k,
-    which is k + f(l) when the provider is optimal.
-    """
-    _check_int(k, "k")
-    _check_int(l, "l", 3)
-    ps = gen_double_chain(k, l)  # raises for k > l
-    lower = ps.partition.lower
-    cap = PointSet(tuple(ps.points[i] for i in lower))
-    provider = convex_provider if convex_provider is not None else _exact_convex_provider
-    base = provider(cap)
-    if not isinstance(base, Coloring) or base.n_points != cap.n:
-        raise ValueError("provider must return a coloring of the cap configuration")
-    report = verify_coloring(build_graph(cap), base)
-    if not report.proper:
-        raise ValueError(
-            f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")
-    assignment: dict[SegmentId, int] = {
-        SegmentId.of(lower[s.i], lower[s.j]): col for s, col in base.assignment.items()
-    }
-    next_color = base.color_count
-    for u in sorted(ps.partition.upper, key=lambda i: (ps.points[i].x, ps.points[i].y)):
-        for w in range(ps.n):
-            if w == u:
-                continue
-            sid = SegmentId.of(u, w)
-            if sid not in assignment:
-                assignment[sid] = next_color
-        next_color += 1  # each cup point colors at least its cap segments
-    return Coloring(ps.n, assignment, next_color)
-
-
 def remove_star_apices(ps: PointSet, coloring: Coloring,
                        apices: Iterable[int]) -> tuple[PointSet, Coloring]:
     """Delete one star apex per listed point and induce the coloring on the rest.
@@ -213,8 +149,7 @@ def remove_star_apices(ps: PointSet, coloring: Coloring,
     """
     apex_list = list(apices)
     for a in apex_list:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < ps.n:
-            raise ValueError(f"apex {a!r} out of range for {ps.n} points")
+        _check_int(a, "apex", 0, ps.n)
     if len(set(apex_list)) != len(apex_list):
         raise ValueError(f"duplicate apices in {apex_list}")
     if coloring.n_points != ps.n:
@@ -233,18 +168,17 @@ def remove_star_apices(ps: PointSet, coloring: Coloring,
         else:
             raise ValueError(f"point {a} is not the apex of an unclaimed star class")
     new_ps, remap = delete_points(ps, apex_list)
-    surviving: dict[SegmentId, int] = {}
-    for seg, col in coloring.assignment.items():
-        if seg.i in remap and seg.j in remap:
-            surviving[SegmentId.of(remap[seg.i], remap[seg.j])] = col
-    kept = sorted(set(surviving.values()))
+    # remap is monotone, so the surviving segments keep their relative rank
+    # order: in old rank order, their colors are the new vertex colors
+    surviving = [col for seg, col in coloring.assignment.items()
+                 if seg.i in remap and seg.j in remap]
+    kept = sorted(set(surviving))
     vanished = set(range(coloring.color_count)) - set(kept)
     if vanished != set(claimed):
         extra = sorted(vanished - set(claimed))
         raise ValueError(f"colors {extra} vanished but were not selected star classes")
     renumber = {old: new for new, old in enumerate(kept)}
-    induced = Coloring(new_ps.n, {s: renumber[c] for s, c in surviving.items()}, len(kept))
-    return new_ps, induced
+    return new_ps, Coloring.from_vertex_colors(new_ps.n, [renumber[c] for c in surviving])
 
 
 def thrackle_edge_bound_ok(n: int, thrackle_sizes: Iterable[int]) -> bool:
@@ -270,17 +204,29 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(data: dict) -> Coloring:
-    """Inverse of coloring_to_json; a ValueError names any missing or
-    ill-typed field."""
+    """Inverse of coloring_to_json. The rows may come in any order and name
+    a segment by either endpoint first. A ValueError names any missing or
+    ill-typed field, and any out-of-range, duplicated or missing segment."""
     doc = "coloring JSON"
     n_points = _json_field(data, "n_points", int, doc)
+    _check_int(n_points, f"{doc} field 'n_points'", 0)
     rows = _json_field(data, "colors", list, doc)
-    entries = []
+    colors: dict[SegmentId, int] = {}
     for r, row in enumerate(rows):
         i, j, col = _json_ints(row, 3, f"{doc} colors[{r}]")
-        entries.append((SegmentId.of(i, j), col))
-    count = max((col for _, col in entries), default=-1) + 1
-    return Coloring(n_points, dict(entries), count)
+        seg = SegmentId.of(i, j)
+        if seg.j >= n_points:
+            raise ValueError(f"segment {seg} out of range for {n_points} points")
+        if seg in colors:
+            raise ValueError(f"segment {seg} assigned twice")
+        colors[seg] = col
+    if len(colors) != comb(n_points, 2):
+        # this lazy walk in rank order meets a missing segment within
+        # len(colors) + 1 steps, however large n_points is
+        missing = next((i, j) for i in range(n_points) for j in range(i + 1, n_points)
+                       if (i, j) not in colors)
+        raise ValueError(f"coloring of {n_points} points misses segment {missing}")
+    return Coloring.from_vertex_colors(n_points, [colors[s] for s in all_segments(n_points)])
 
 
 def save_coloring(c: Coloring, path: str | Path) -> None:

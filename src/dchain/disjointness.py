@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple
 
+from .formulas import _check_int
 from .geometry import Orientation, PointSet, _json_field, _json_ints, is_general_position, orientation
 
 
@@ -22,16 +24,17 @@ class SegmentId(NamedTuple):
 
     @classmethod
     def of(cls, a: int, b: int) -> "SegmentId":
-        for idx in (a, b):
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise ValueError(f"segment endpoints must be non-negative ints, got {idx!r}")
+        _check_int(a, "segment endpoint", 0)
+        _check_int(b, "segment endpoint", 0)
         if a == b:
             raise ValueError(f"degenerate segment ({a}, {b})")
         return cls(a, b) if a < b else cls(b, a)
 
 
+@lru_cache(maxsize=8)
 def all_segments(n_points: int) -> tuple[SegmentId, ...]:
-    """All segments on n points in lexicographic (vertex-rank) order."""
+    """All segments on n points in lexicographic (vertex-rank) order: one
+    shared tuple per n_points, which every `Coloring` on n_points keys by."""
     return tuple(SegmentId(i, j) for i in range(n_points) for j in range(i + 1, n_points))
 
 

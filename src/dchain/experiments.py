@@ -1,22 +1,72 @@
 """Experiments that hold the exact solver against the paper's closed forms:
-the single-segment-class census of convex optimal colorings, the
-double-chain and convex sweeps, and a seeded randomized scan that hunts for
-sets with chi below the convex value f(n).
+the cup-star construction for double chains, the single-segment-class
+census of convex optimal colorings, the double-chain and convex sweeps, and
+a seeded randomized scan that hunts for sets with chi below the convex value
+f(n).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
+from typing import Callable
 
-from .disjointness import build_graph
+from .coloring import Coloring, verify_coloring
+from .disjointness import SegmentId, build_graph, segment_rank
 from .formulas import _check_int, double_chain_chi, f_of
-from .geometry import Point, PointSet, gen_convex, gen_double_chain, is_general_position, save_points
+from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 from .solver import chromatic_number_exact, enumerate_optimal_colorings
 
 # the optimal-coloring census grows too fast to exhaust beyond this n
 SINGLETON_CAP = 6
+
+ConvexProvider = Callable[[PointSet], Coloring]
+
+
+def _exact_convex_provider(cap: PointSet) -> Coloring:
+    result = chromatic_number_exact(build_graph(cap))
+    if not result.is_exact:
+        raise RuntimeError("exact solve of the cap configuration was cut off")
+    return result.witness
+
+
+def construct_double_chain_coloring(k: int, l: int,
+                                    convex_provider: ConvexProvider | None = None) -> Coloring:
+    """Proper coloring of the canonical (k, l) double chain's disjointness graph.
+
+    Cap-internal segments reuse a proper coloring of the cap's own
+    disjointness graph (by default an optimal one from the exact solver);
+    then each cup point, left to right, gives one fresh color to all of its
+    still-uncolored incident segments. Total colors = provider's count + k,
+    which is k + f(l) when the provider is optimal.
+    """
+    _check_int(k, "k")
+    _check_int(l, "l", 3)
+    ps = gen_double_chain(k, l)  # raises for k > l
+    lower = ps.partition.lower
+    cap = PointSet(tuple(ps.points[i] for i in lower))
+    provider = convex_provider if convex_provider is not None else _exact_convex_provider
+    base = provider(cap)
+    if not isinstance(base, Coloring) or base.n_points != cap.n:
+        raise ValueError("provider must return a coloring of the cap configuration")
+    report = verify_coloring(build_graph(cap), base)
+    if not report.proper:
+        raise ValueError(
+            f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")
+    colors = [-1] * comb(ps.n, 2)  # by segment rank
+    for s, col in base.assignment.items():
+        colors[segment_rank(SegmentId.of(lower[s.i], lower[s.j]), ps.n)] = col
+    next_color = base.color_count
+    for u in sorted(ps.partition.upper, key=lambda i: (ps.points[i].x, ps.points[i].y)):
+        for w in range(ps.n):
+            if w != u:
+                r = segment_rank(SegmentId.of(u, w), ps.n)
+                if colors[r] < 0:
+                    colors[r] = next_color
+        next_color += 1  # each cup point colors at least its cap segments
+    return Coloring.from_vertex_colors(ps.n, colors)
 
 
 def singleton_class_check(n: int) -> bool:
@@ -99,7 +149,7 @@ def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
         coords = [(rng.randint(0, box), rng.randint(0, box)) for _ in range(n)]
         if len(set(coords)) != n:
             continue
-        ps = PointSet(tuple(Point(x, y) for x, y in coords))
+        ps = PointSet(tuple(coords))
         if is_general_position(ps):
             return ps, attempt
     return None, max_attempts

@@ -10,10 +10,13 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 
-def _check_int(value: int, name: str = "n", low: int = 1) -> None:
-    """Raise ValueError unless value is an int (bool excluded) >= low."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_int(value: int, name: str = "n", low: int = 1, high: int | None = None) -> None:
+    """Raise ValueError unless value is an int (bool excluded) with
+    low <= value, and value < high when high is given."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value >= high):
+        bound = f">= {low}" if high is None else f"in {low}..{high - 1}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def g_of(n: int) -> int:

@@ -75,8 +75,7 @@ class Partition:
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", low)
         for idx in up + low:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise ValueError(f"partition indices must be non-negative ints, got {idx!r}")
+            _check_int(idx, "partition index", 0)
         if not up or not low:
             raise ValueError("both sides of a partition must be non-empty")
         if len(set(up)) != len(up) or len(set(low)) != len(low) or set(up) & set(low):
@@ -91,7 +90,9 @@ class PointSet:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        pts = tuple(_as_point(p) for p in self.points)
+        # from a list: a tuple built from a generator is resized to fit, then
+        # sits in CPython's tuple free lists until a full garbage collection
+        pts = tuple([_as_point(p) for p in self.points])
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("a point set needs at least one point")
@@ -228,7 +229,8 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     # m > rs - (r + s) x - x^2 <= b^2 + 2ab. So every chord of one chain
     # clears every point of the other.
     m = max(a * a, b * b) + 2 * a * b + 1
-    pts = tuple(Point(x, x * x + m) for x in xs_up) + tuple(Point(x, -x * x) for x in xs_low)
+    # from lists, as in PointSet
+    pts = tuple([Point(x, x * x + m) for x in xs_up] + [Point(x, -x * x) for x in xs_low])
     ps = PointSet(pts, Partition(tuple(range(k)), tuple(range(k, k + l))))
     failed = validate_double_chain(ps).failed()
     if failed:
@@ -354,8 +356,7 @@ def delete_points(ps: PointSet, remove: Iterable[int]) -> tuple[PointSet, dict[i
     """
     rm = set(remove)
     for idx in rm:
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < ps.n:
-            raise ValueError(f"cannot delete point {idx!r}: out of range")
+        _check_int(idx, "deleted point", 0, ps.n)
     keep = [i for i in range(ps.n) if i not in rm]
     if not keep:
         raise ValueError("cannot delete every point")

@@ -274,6 +274,19 @@ class TestMalformedJson:
         self.check(tmp_path, capsys, self.POINTS, coloring,
                    "coloring JSON field 'n_points' must be an int, got [4]")
 
+    def test_coloring_point_count_huge(self, tmp_path, capsys):
+        # the row count is compared with C(n_points, 2) before any list of
+        # that size is made, and the missing segment is found by a lazy walk
+        n = 10**30
+        coloring = dict(self.COLORING, n_points=n)
+        self.check(tmp_path, capsys, self.POINTS, coloring,
+                   f"coloring of {n} points misses segment (0, 4)")
+
+    def test_coloring_point_count_negative(self, tmp_path, capsys):
+        coloring = dict(self.COLORING, n_points=-4)
+        self.check(tmp_path, capsys, self.POINTS, coloring,
+                   "coloring JSON field 'n_points' must be an integer >= 0, got -4")
+
     def test_coloring_rows_missing_or_ill_formed(self, tmp_path, capsys):
         self.check(tmp_path, capsys, self.POINTS, {"n_points": 4},
                    "coloring JSON has no 'colors' field")

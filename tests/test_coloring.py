@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from dchain import (
     STAR,
     THRACKLE,
     Coloring,
+    Partition,
     SegmentId,
     all_segments,
     build_graph,
@@ -15,11 +19,14 @@ from dchain import (
     coloring_to_json,
     construct_double_chain_coloring,
     chromatic_number_exact,
+    delete_points,
     dsatur_upper,
     double_chain_chi,
+    enumerate_optimal_colorings,
     gen_convex,
     gen_double_chain,
     load_coloring,
+    pointset_to_json,
     remove_star_apices,
     sample_general_position,
     save_coloring,
@@ -31,15 +38,45 @@ from helpers import oracle_verify
 
 
 def flat_coloring(n_points, pairs_to_colors):
-    """Coloring from a {(i, j): color} dict; colors must already be contiguous."""
-    count = max(pairs_to_colors.values()) + 1
-    return Coloring(n_points, pairs_to_colors, count)
+    """Coloring from a {(i, j): color} dict in any key order, read the way
+    coloring JSON is; colors must already be contiguous."""
+    rows = [[i, j, col] for (i, j), col in pairs_to_colors.items()]
+    return coloring_from_json({"n_points": n_points, "colors": rows})
 
 
 class TestColoringType:
     def test_rejects_partial_assignment(self):
         with pytest.raises(ValueError):
             Coloring(4, {(0, 1): 0}, 1)
+
+    @pytest.mark.parametrize("keys", [
+        [(1, 0), (0, 2), (1, 2)],
+        [(0, 1), (1, 2), (0, 2)],
+        [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (0, 2)],
+        [(0, 1), (0, 2), (1, 2), (0, 3)],
+    ])
+    def test_keys_must_be_all_segments_in_rank_order(self, keys):
+        # reversed, out-of-order, out-of-range, missing and extra keys are
+        # all refused: nothing is normalized on the way in
+        with pytest.raises(ValueError, match="keys must be the 3 segments of 3 points in rank order"):
+            Coloring(3, {key: 0 for key in keys}, 1)
+
+    def test_keys_rebuilt_on_the_shared_segments(self):
+        segs = all_segments(4)
+        c = Coloring(4, {(s.i, s.j): 0 for s in segs}, 1)
+        assert all(a is b for a, b in zip(c.assignment, segs))
+        assert c == Coloring.from_vertex_colors(4, [0] * 6)
+
+    @pytest.mark.parametrize("n_points", [-1, True, 3.0, "3"])
+    def test_rejects_bad_point_count(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
+            Coloring(n_points, {}, 0)
+
+    def test_all_segments_is_shared(self):
+        for n in range(12):
+            assert all_segments(n) is all_segments(n)
+            assert len(all_segments(n)) == n * (n - 1) // 2
 
     def test_rejects_noncontiguous_colors(self):
         segs = all_segments(3)
@@ -54,6 +91,7 @@ class TestColoringType:
     def test_normalizes_reversed_pairs(self):
         c = flat_coloring(3, {(1, 0): 0, (2, 0): 1, (2, 1): 2})
         assert c.assignment[SegmentId(0, 1)] == 0
+        assert list(c.assignment) == list(all_segments(3))
 
     def test_vertex_colors_roundtrip(self):
         colors = [0, 1, 2, 0, 1, 2]
@@ -67,9 +105,10 @@ class TestColoringType:
             segs = all_segments(n)
             colors = [rng.randrange(3) for _ in segs]
             colors = [sorted(set(colors)).index(col) for col in colors]
-            items = [((s.j, s.i) if rng.random() < 0.5 else s, col) for s, col in zip(segs, colors)]
-            rng.shuffle(items)
-            c = Coloring(n, dict(items), len(set(colors)))
+            rows = [[s.j, s.i, col] if rng.random() < 0.5 else [s.i, s.j, col]
+                    for s, col in zip(segs, colors)]
+            rng.shuffle(rows)
+            c = coloring_from_json({"n_points": n, "colors": rows})
             assert c.vertex_colors() == colors
             assert list(c.assignment) == list(segs)
             assert c == Coloring.from_vertex_colors(n, colors)
@@ -228,6 +267,25 @@ class TestConstruction:
                 construct_double_chain_coloring(k, l)
 
 
+class TestValidators:
+    @pytest.mark.parametrize("make", [
+        lambda: SegmentId.of(-1, 2),
+        lambda: SegmentId.of(True, 2),
+        lambda: SegmentId.of(0, 2.0),
+        lambda: Partition((0, -1), (2,)),
+        lambda: Partition((0, False), (2,)),
+        lambda: delete_points(gen_convex(4), [4]),
+        lambda: delete_points(gen_convex(4), [True]),
+        lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3), [4]),
+        lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3), [1.0]),
+    ], ids=["segment_negative", "segment_bool", "segment_float", "partition_negative",
+            "partition_bool", "delete_out_of_range", "delete_bool", "apex_out_of_range",
+            "apex_float"])
+    def test_index_arguments_checked_alike(self, make):
+        with pytest.raises(ValueError, match="must be an integer (>= 0|in 0..3)"):
+            make()
+
+
 class TestRemoveStarApices:
     def test_empty_removal_is_identity(self):
         ps = gen_double_chain(1, 3)
@@ -303,7 +361,61 @@ class TestColoringJson:
         assert pairs == sorted(pairs)
         assert coloring_from_json(data) == c
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0, 0], [0, 4, 1], [0, 2, 2]], r"segment SegmentId\(i=0, j=4\) out of range for 3 points"),
+        ([[1, 0, 0], [2, 0, 1], [0, 1, 2]], r"segment SegmentId\(i=0, j=1\) assigned twice"),
+        ([[2, 1, 0], [0, 1, 1]], r"coloring of 3 points misses segment \(0, 2\)"),
+        ([[2, 1, 0], [0, 1, 1], [2, 0, 2], [1, 1, 0]], r"degenerate segment \(1, 1\)"),
+        ([[1, 0, 0], [2, 0, -1], [2, 1, 1]], "non-negative ints"),
+        ([[1, 0, 0], [2, 0, 2], [2, 1, 0]], r"exactly 0\.\.1"),
+    ], ids=["out_of_range", "duplicate", "missing", "degenerate", "negative_color", "color_gap"])
+    def test_json_names_bad_segments(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            coloring_from_json({"n_points": 3, "colors": rows})
+
     def test_verdict_json(self):
         g = build_graph(gen_convex(4))
         report = verify_coloring(g, Coloring.from_vertex_colors(4, list(range(6))))
         assert verify_report_to_json(report) == {"proper": True, "violations": []}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestColoringPins:
+    """sha256 of coloring outputs, recorded from the earlier `Coloring` that
+    normalized any mapping it was given."""
+
+    PINS = json.loads(Path(__file__).with_name("coloring_pins.json").read_text())
+
+    def test_constructive_colorings(self):
+        got = {f"{k},{l}": _sha(json.dumps(coloring_to_json(construct_double_chain_coloring(k, l))))
+               for k in range(1, 11) for l in range(max(k, 3), 11)}
+        assert got == self.PINS["construct"]
+
+    def test_apex_removal(self):
+        # the cases and apex choice of the acceptance suite's criterion 6
+        cases = [(f"convex {n}", gen_convex(n)) for n in range(4, 9)]
+        cases += [(f"chain {k},{l}", gen_double_chain(k, l)) for k, l in
+                  [(1, 3), (2, 2), (1, 4), (2, 3), (1, 5), (2, 4), (3, 3),
+                   (1, 6), (2, 5), (3, 4), (1, 7), (2, 6), (3, 5), (4, 4)]]
+        got = {}
+        for label, ps in cases:
+            witness = chromatic_number_exact(build_graph(ps)).witness
+            apices = []
+            for _, kind in sorted(classify_coloring(ps, witness).items()):
+                if kind.kind == STAR and kind.apex not in apices:
+                    apices.append(kind.apex)
+            new_ps, induced = remove_star_apices(ps, witness, apices)
+            got[label] = _sha(json.dumps([apices, pointset_to_json(new_ps),
+                                          coloring_to_json(induced)]))
+        assert got == self.PINS["apex_removal"]
+
+    def test_enumerator_stream(self):
+        pin = self.PINS["enumerator"]
+        g = build_graph(gen_double_chain(*pin["chain"]))
+        text = "".join("".join(map(str, c.vertex_colors())) + "\n"
+                       for c in enumerate_optimal_colorings(g, pin["colors"]))
+        assert text.count("\n") == pin["count"] == 64727
+        assert _sha(text) == pin["sha256"]

@@ -133,3 +133,15 @@ except RuntimeError as exc:
     assert proc.returncode == 0, proc.stderr
     assert "g: g(10) = 6 fails C(g, 2) <= n < C(g + 1, 2)" in proc.stdout
     assert "f: f(10) = 6 disagrees with n - g(n) + 1 = 10" in proc.stdout
+
+
+class TestCheckInt:
+    def test_exclusive_high(self):
+        check = formulas_mod._check_int
+        check(0, "i", 0, 3)
+        check(2, "i", 0, 3)
+        for bad in (-1, 3, True, 1.0):
+            with pytest.raises(ValueError, match=r"i must be an integer in 0\.\.2, got"):
+                check(bad, "i", 0, 3)
+        with pytest.raises(ValueError, match="i must be an integer >= 0, got -1"):
+            check(-1, "i", 0)
