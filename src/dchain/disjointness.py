@@ -70,13 +70,16 @@ class DisjointnessGraph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"vertex {u} has a self-loop")
-            above = row >> (u + 1) << (u + 1)
-            while above:
-                low = above & -above
-                w = low.bit_length() - 1
-                if not self.adj[w] >> u & 1:
-                    raise ValueError(f"adjacency is not symmetric at ({u}, {w})")
-                above ^= low
+        # cells[u * v + w] is bit w of row u, so column w reads cells[w::v]:
+        # one string comparison per vertex, none per edge
+        spec = f"0{v}b"
+        cells = "".join([format(row, spec)[::-1] for row in self.adj])
+        for w in range(v):
+            column, row = cells[w::v], cells[w * v:(w + 1) * v]
+            if column != row:
+                # w is the first asymmetric vertex, so the first differing u is above it
+                u = next(u for u in range(v) if column[u] != row[u])
+                raise ValueError(f"adjacency is not symmetric at ({w}, {u})")
         # Segments sharing an endpoint are never disjoint, so no clique has
         # more than n // 2 members. The rows are symmetric, so testing each
         # segment against the lower-ranked ones through its endpoints covers
@@ -239,14 +242,12 @@ def graph_from_json(data: dict, points: PointSet | None = None) -> DisjointnessG
     if vertices != v:
         raise ValueError(f"vertex count {vertices!r} does not match C({n_points},2)={v}")
     rows = [0] * v
-    seen: set[tuple[int, int]] = set()
     for e, edge in enumerate(_json_field(data, "edges", list, doc)):
         u, w = _json_ints(edge, 2, f"{doc} edges[{e}]")
         if not 0 <= u < w < v:
             raise ValueError(f"edge [{u}, {w}] is not an in-range pair with u < v")
-        if (u, w) in seen:
+        if rows[u] >> w & 1:
             raise ValueError(f"duplicate edge [{u}, {w}]")
-        seen.add((u, w))
         rows[u] |= 1 << w
         rows[w] |= 1 << u
     g = DisjointnessGraph(n_points, tuple(rows))

@@ -46,7 +46,7 @@ def construct_double_chain_coloring(k: int, l: int,
     _check_int(l, "l", 3)
     ps = gen_double_chain(k, l)  # raises for k > l
     lower = ps.partition.lower
-    cap = PointSet(tuple(ps.points[i] for i in lower))
+    cap = PointSet([ps.points[i] for i in lower])
     provider = convex_provider if convex_provider is not None else _exact_convex_provider
     base = provider(cap)
     if not isinstance(base, Coloring) or base.n_points != cap.n:
@@ -149,7 +149,7 @@ def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
         coords = [(rng.randint(0, box), rng.randint(0, box)) for _ in range(n)]
         if len(set(coords)) != n:
             continue
-        ps = PointSet(tuple(coords))
+        ps = PointSet(coords)
         if is_general_position(ps):
             return ps, attempt
     return None, max_attempts

@@ -102,7 +102,7 @@ class PointSet:
             part = self.partition
             if not isinstance(part, Partition):
                 up, low = part
-                part = Partition(tuple(up), tuple(low))
+                part = Partition(up, low)
                 object.__setattr__(self, "partition", part)
             if sorted(part.upper + part.lower) != list(range(len(pts))):
                 raise ValueError("partition must cover every point index exactly once")
@@ -200,7 +200,7 @@ def is_general_position(ps: PointSet) -> bool:
 def gen_convex(n: int) -> PointSet:
     """n integer points in convex and general position: (i, i*i) for i < n."""
     _check_int(n, "n")
-    return PointSet(tuple(Point(i, i * i) for i in range(n)))
+    return PointSet([Point(i, i * i) for i in range(n)])
 
 
 def gen_double_chain(k: int, l: int) -> PointSet:
@@ -229,9 +229,8 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     # m > rs - (r + s) x - x^2 <= b^2 + 2ab. So every chord of one chain
     # clears every point of the other.
     m = max(a * a, b * b) + 2 * a * b + 1
-    # from lists, as in PointSet
-    pts = tuple([Point(x, x * x + m) for x in xs_up] + [Point(x, -x * x) for x in xs_low])
-    ps = PointSet(pts, Partition(tuple(range(k)), tuple(range(k, k + l))))
+    pts = [Point(x, x * x + m) for x in xs_up] + [Point(x, -x * x) for x in xs_low]
+    ps = PointSet(pts, Partition(range(k), range(k, k + l)))
     failed = validate_double_chain(ps).failed()
     if failed:
         raise RuntimeError(f"generated ({k}, {l}) double chain fails {failed[0].name}")
@@ -363,11 +362,11 @@ def delete_points(ps: PointSet, remove: Iterable[int]) -> tuple[PointSet, dict[i
     remap = {old: new for new, old in enumerate(keep)}
     part = None
     if ps.partition is not None:
-        up = tuple(remap[i] for i in ps.partition.upper if i in remap)
-        low = tuple(remap[i] for i in ps.partition.lower if i in remap)
+        up = [remap[i] for i in ps.partition.upper if i in remap]
+        low = [remap[i] for i in ps.partition.lower if i in remap]
         if up and low:
             part = Partition(up, low)
-    return PointSet(tuple(ps.points[i] for i in keep), part), remap
+    return PointSet([ps.points[i] for i in keep], part), remap
 
 
 def pointset_to_json(ps: PointSet) -> dict:
@@ -416,15 +415,15 @@ def pointset_from_json(data: dict) -> PointSet:
     ill-typed field."""
     doc = "points JSON"
     rows = _json_field(data, "points", list, doc)
-    points = tuple(Point(*_json_ints(p, 2, f"{doc} points[{i}]")) for i, p in enumerate(rows))
+    points = [Point(*_json_ints(p, 2, f"{doc} points[{i}]")) for i, p in enumerate(rows)]
     n = _json_field(data, "n", int, doc)
     if n != len(points):
         raise ValueError(f"point count {n!r} does not match {len(points)} points")
     partition = None
     if data.get("partition") is not None:
         part = _json_field(data, "partition", dict, doc)
-        partition = Partition(tuple(_json_field(part, "U", list, f"{doc} partition")),
-                              tuple(_json_field(part, "L", list, f"{doc} partition")))
+        partition = Partition(_json_field(part, "U", list, f"{doc} partition"),
+                              _json_field(part, "L", list, f"{doc} partition"))
     return PointSet(points, partition)
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchain import (
     DisjointnessGraph,
@@ -20,6 +22,7 @@ from dchain import (
     gen_double_chain,
     graph_from_json,
     graph_to_json,
+    sample_general_position,
     segment_rank,
     segments_disjoint,
 )
@@ -46,6 +49,25 @@ class TestSegmentId:
     def test_rank_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             segment_rank(SegmentId(0, 4), 4)
+
+
+@st.composite
+def one_bit_flips(draw):
+    """A built graph (seeded random general-position set, double chain or
+    convex set) and an off-diagonal cell (u, w) in either triangle."""
+    kind = draw(st.sampled_from(["random", "chain", "convex"]))
+    if kind == "random":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        ps, _ = sample_general_position(rng, draw(st.integers(3, 9)))
+    elif kind == "chain":
+        l = draw(st.integers(3, 8))
+        ps = gen_double_chain(draw(st.integers(1, l)), l)
+    else:
+        ps = gen_convex(draw(st.integers(3, 10)))
+    g = build_graph(ps)
+    u = draw(st.integers(0, g.n_vertices - 1))
+    w = draw(st.integers(0, g.n_vertices - 2))
+    return g, u, w + (w >= u)
 
 
 class TestBuildGraph:
@@ -153,6 +175,19 @@ class TestBuildGraph:
     def test_graph_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             DisjointnessGraph(3, (0b010, 0b000, 0b000))
+        # the one bit sits below the diagonal, in row 5
+        with pytest.raises(ValueError, match=re.escape("not symmetric at (0, 5)")):
+            DisjointnessGraph(4, (0, 0, 0, 0, 0, 1))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=one_bit_flips())
+    def test_graph_validation_refuses_any_one_bit_flip(self, case):
+        g, u, w = case
+        rows = list(g.adj)
+        rows[u] ^= 1 << w
+        pair = (min(u, w), max(u, w))
+        with pytest.raises(ValueError, match=re.escape(f"not symmetric at {pair}")):
+            DisjointnessGraph(g.n_points, tuple(rows))
 
     def test_graph_validation_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -300,6 +335,20 @@ class TestExports:
         data["vertices"] = 5
         with pytest.raises(ValueError):
             graph_from_json(data)
+
+    def test_json_load_peak_memory(self):
+        # the symmetry check holds V^2 one-character cells, twice (76,176
+        # each at (12, 12)); a set of edge tuples kept for the duplicate
+        # check peaked at 3.7 MB here
+        data = graph_to_json(build_graph(gen_double_chain(12, 12)))
+        tracemalloc.start()
+        try:
+            g = graph_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == len(data["edges"]) == 26532
+        assert peak < 1_000_000, peak
 
     def test_json_rejects_duplicate_edge(self):
         data = graph_to_json(build_graph(gen_convex(4)))
