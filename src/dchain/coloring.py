@@ -6,11 +6,10 @@ bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
-from operator import ne
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Iterable
 
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
 from .formulas import _check_int
@@ -20,55 +19,38 @@ STAR = "star"
 THRACKLE = "thrackle"
 
 
-def _check_colors(colors: Collection[int], color_count: int) -> None:
-    """Every color a non-negative int (bool excluded) and together exactly 0..color_count-1."""
-    for col in colors:
-        if not isinstance(col, int) or isinstance(col, bool) or col < 0:
-            raise ValueError(f"color ids must be non-negative ints, got {col!r}")
-    if set(colors) != set(range(color_count)):
-        raise ValueError(f"color ids must be exactly 0..{color_count - 1}")
-
-
 @dataclass(frozen=True)
 class Coloring:
-    """Total assignment of color ids 0..color_count-1 to every segment of a point set.
+    """Color ids 0..color_count-1 on every segment of a point set, in rank order.
 
-    The keys of `assignment` are exactly `all_segments(n_points)`, in rank
-    order, so its values are the vertex colors of the disjointness graph.
-    The stored dict is keyed by the shared `SegmentId`s of that tuple.
+    `colors[r]` is the color of segment `all_segments(n_points)[r]`, which is
+    vertex r of the disjointness graph. `color_count` is worked out from the
+    colors, which must be exactly 0..color_count-1.
     """
 
     n_points: int
-    assignment: Mapping[SegmentId, int]
-    color_count: int
+    colors: tuple[int, ...]
+    color_count: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n_points
-        _check_int(n, "n_points", 0)
-        expected = comb(n, 2)
-        # the length test comes first, so a huge n_points never reaches all_segments
-        if len(self.assignment) != expected or any(map(ne, self.assignment, all_segments(n))):
-            raise ValueError(f"coloring keys must be the {expected} segments of {n} points in rank order")
-        ranked = dict(zip(all_segments(n), self.assignment.values()))
-        _check_colors(ranked.values(), self.color_count)
-        object.__setattr__(self, "assignment", ranked)
-
-    @classmethod
-    def from_vertex_colors(cls, n_points: int, vertex_colors: Iterable[int]) -> "Coloring":
-        """The coloring giving the rank-r segment vertex_colors[r], with as
-        many colors as there are distinct values."""
-        expected = comb(n_points, 2)  # raises ValueError for a negative n_points
-        colors = list(vertex_colors)
+        _check_int(self.n_points, "n_points", 0)
+        colors = tuple(self.colors)
+        expected = comb(self.n_points, 2)
         if len(colors) != expected:
             raise ValueError(f"expected {expected} vertex colors, got {len(colors)}")
-        return cls(n_points, dict(zip(all_segments(n_points), colors)), len(set(colors)))
-
-    def vertex_colors(self) -> list[int]:
-        return list(self.assignment.values())
+        for col in colors:
+            if not isinstance(col, int) or isinstance(col, bool) or col < 0:
+                raise ValueError(f"color ids must be non-negative ints, got {col!r}")
+        # count distinct non-negative ids are exactly 0..count-1 iff none reaches count
+        count = len(set(colors))
+        if colors and max(colors) >= count:
+            raise ValueError(f"color ids must be exactly 0..{count - 1}")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "color_count", count)
 
     def classes(self) -> dict[int, frozenset[SegmentId]]:
         out: dict[int, set[SegmentId]] = {c: set() for c in range(self.color_count)}
-        for seg, col in self.assignment.items():
+        for seg, col in zip(all_segments(self.n_points), self.colors):
             out[col].add(seg)
         return {c: frozenset(s) for c, s in out.items()}
 
@@ -77,8 +59,11 @@ class Coloring:
 class VerifyReport:
     """Outcome of checking a coloring against a disjointness graph."""
 
-    proper: bool
     violations: tuple[tuple[int, int], ...]
+
+    @property
+    def proper(self) -> bool:
+        return not self.violations
 
 
 def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
@@ -90,14 +75,13 @@ def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
     if c.n_points != g.n_points:
         raise ValueError(
             f"coloring covers {c.n_points} points but the graph has {g.n_points}")
-    vc = c.vertex_colors()
     cls = [0] * c.color_count
-    for u, col in enumerate(vc):
+    for u, col in enumerate(c.colors):
         cls[col] |= 1 << u
     # u ascending, then v ascending: the lexicographic order of g.edges()
-    bad = tuple((u, v) for u, col in enumerate(vc)
+    bad = tuple((u, v) for u, col in enumerate(c.colors)
                 for v in _bits(g.adj[u] & (cls[col] >> (u + 1) << (u + 1))))
-    return VerifyReport(not bad, bad)
+    return VerifyReport(bad)
 
 
 @dataclass(frozen=True)
@@ -170,7 +154,7 @@ def remove_star_apices(ps: PointSet, coloring: Coloring,
     new_ps, remap = delete_points(ps, apex_list)
     # remap is monotone, so the surviving segments keep their relative rank
     # order: in old rank order, their colors are the new vertex colors
-    surviving = [col for seg, col in coloring.assignment.items()
+    surviving = [col for seg, col in zip(all_segments(ps.n), coloring.colors)
                  if seg.i in remap and seg.j in remap]
     kept = sorted(set(surviving))
     vanished = set(range(coloring.color_count)) - set(kept)
@@ -178,7 +162,7 @@ def remove_star_apices(ps: PointSet, coloring: Coloring,
         extra = sorted(vanished - set(claimed))
         raise ValueError(f"colors {extra} vanished but were not selected star classes")
     renumber = {old: new for new, old in enumerate(kept)}
-    return new_ps, Coloring.from_vertex_colors(new_ps.n, [renumber[c] for c in surviving])
+    return new_ps, Coloring(new_ps.n, [renumber[c] for c in surviving])
 
 
 def thrackle_edge_bound_ok(n: int, thrackle_sizes: Iterable[int]) -> bool:
@@ -199,7 +183,7 @@ def coloring_to_json(c: Coloring) -> dict:
     """{"n_points":, "colors": [[i, j, color], ...]} sorted by segment rank."""
     return {
         "n_points": c.n_points,
-        "colors": [[s.i, s.j, col] for s, col in c.assignment.items()],
+        "colors": [[s.i, s.j, col] for s, col in zip(all_segments(c.n_points), c.colors)],
     }
 
 
@@ -226,7 +210,7 @@ def coloring_from_json(data: dict) -> Coloring:
         missing = next((i, j) for i in range(n_points) for j in range(i + 1, n_points)
                        if (i, j) not in colors)
         raise ValueError(f"coloring of {n_points} points misses segment {missing}")
-    return Coloring.from_vertex_colors(n_points, [colors[s] for s in all_segments(n_points)])
+    return Coloring(n_points, [colors[s] for s in all_segments(n_points)])
 
 
 def save_coloring(c: Coloring, path: str | Path) -> None:

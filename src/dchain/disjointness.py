@@ -34,7 +34,7 @@ class SegmentId(NamedTuple):
 @lru_cache(maxsize=8)
 def all_segments(n_points: int) -> tuple[SegmentId, ...]:
     """All segments on n points in lexicographic (vertex-rank) order: one
-    shared tuple per n_points, which every `Coloring` on n_points keys by."""
+    shared tuple per n_points, which pairs `Coloring.colors` with segments."""
     return tuple(SegmentId(i, j) for i in range(n_points) for j in range(i + 1, n_points))
 
 
@@ -61,11 +61,15 @@ class DisjointnessGraph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.n_points, "n_points", 0)
+        # a tuple, so no caller can change a row after it is checked
+        adj = tuple(self.adj)
+        object.__setattr__(self, "adj", adj)
         v = comb(self.n_points, 2)
-        if len(self.adj) != v:
-            raise ValueError(f"expected {v} vertices for {self.n_points} points, got {len(self.adj)}")
+        if len(adj) != v:
+            raise ValueError(f"expected {v} vertices for {self.n_points} points, got {len(adj)}")
         full = (1 << v) - 1
-        for u, row in enumerate(self.adj):
+        for u, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
@@ -73,7 +77,7 @@ class DisjointnessGraph:
         # cells[u * v + w] is bit w of row u, so column w reads cells[w::v]:
         # one string comparison per vertex, none per edge
         spec = f"0{v}b"
-        cells = "".join([format(row, spec)[::-1] for row in self.adj])
+        cells = "".join([format(row, spec)[::-1] for row in adj])
         for w in range(v):
             column, row = cells[w::v], cells[w * v:(w + 1) * v]
             if column != row:
@@ -89,7 +93,7 @@ class DisjointnessGraph:
         r = 0
         for a in range(n):
             for b in range(a + 1, n):
-                clash = self.adj[r] & (inc[a] | inc[b])
+                clash = adj[r] & (inc[a] | inc[b])
                 if clash:
                     w = clash.bit_length() - 1
                     raise ValueError(f"vertex {r}, segment {(a, b)}, is adjacent to vertex {w}, "

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .coloring import Coloring, verify_coloring
-from .disjointness import SegmentId, build_graph, segment_rank
+from .disjointness import SegmentId, all_segments, build_graph, segment_rank
 from .formulas import _check_int, double_chain_chi, f_of
 from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 from .solver import chromatic_number_exact, enumerate_optimal_colorings
@@ -56,7 +56,7 @@ def construct_double_chain_coloring(k: int, l: int,
         raise ValueError(
             f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")
     colors = [-1] * comb(ps.n, 2)  # by segment rank
-    for s, col in base.assignment.items():
+    for s, col in zip(all_segments(cap.n), base.colors):
         colors[segment_rank(SegmentId.of(lower[s.i], lower[s.j]), ps.n)] = col
     next_color = base.color_count
     for u in sorted(ps.partition.upper, key=lambda i: (ps.points[i].x, ps.points[i].y)):
@@ -66,7 +66,7 @@ def construct_double_chain_coloring(k: int, l: int,
                 if colors[r] < 0:
                     colors[r] = next_color
         next_color += 1  # each cup point colors at least its cap segments
-    return Coloring.from_vertex_colors(ps.n, colors)
+    return Coloring(ps.n, colors)
 
 
 def singleton_class_check(n: int) -> bool:

@@ -87,7 +87,7 @@ def _dsatur_colors(adj: tuple[int, ...]) -> list[int]:
 
 def dsatur_upper(g: DisjointnessGraph) -> Coloring:
     """Greedy proper coloring by saturation degree, ties to the smallest vertex id."""
-    return Coloring.from_vertex_colors(g.n_points, _dsatur_colors(g.adj))
+    return Coloring(g.n_points, _dsatur_colors(g.adj))
 
 
 def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
@@ -304,7 +304,7 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
                 used += 1
 
     ms = (perf_counter() - t0) * 1000.0
-    witness = Coloring.from_vertex_colors(g.n_points, best_colors)
+    witness = Coloring(g.n_points, best_colors)
     if not verify_coloring(g, witness).proper:
         raise RuntimeError("solver witness is not a proper coloring")
     if aborted:
@@ -340,7 +340,7 @@ def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Colo
         elif v == v_count:
             if used == chi:
                 found = True
-                yield Coloring.from_vertex_colors(g.n_points, colors)
+                yield Coloring(g.n_points, colors)
         else:
             stack.append([used, 0, 0])
         while stack:

@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dchain import (
     STAR,
@@ -37,6 +39,16 @@ from dchain import (
 from helpers import oracle_verify
 
 
+@st.composite
+def colorings(draw):
+    """A Coloring of up to 8 points: raw colors relabelled to 0..k-1 in
+    order of first appearance."""
+    n = draw(st.integers(0, 8))
+    raw = draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    relabel = {col: new for new, col in enumerate(dict.fromkeys(raw))}
+    return Coloring(n, [relabel[col] for col in raw])
+
+
 def flat_coloring(n_points, pairs_to_colors):
     """Coloring from a {(i, j): color} dict in any key order, read the way
     coloring JSON is; colors must already be contiguous."""
@@ -46,32 +58,13 @@ def flat_coloring(n_points, pairs_to_colors):
 
 class TestColoringType:
     def test_rejects_partial_assignment(self):
-        with pytest.raises(ValueError):
-            Coloring(4, {(0, 1): 0}, 1)
-
-    @pytest.mark.parametrize("keys", [
-        [(1, 0), (0, 2), (1, 2)],
-        [(0, 1), (1, 2), (0, 2)],
-        [(0, 1), (0, 2), (0, 3)],
-        [(0, 1), (0, 2)],
-        [(0, 1), (0, 2), (1, 2), (0, 3)],
-    ])
-    def test_keys_must_be_all_segments_in_rank_order(self, keys):
-        # reversed, out-of-order, out-of-range, missing and extra keys are
-        # all refused: nothing is normalized on the way in
-        with pytest.raises(ValueError, match="keys must be the 3 segments of 3 points in rank order"):
-            Coloring(3, {key: 0 for key in keys}, 1)
-
-    def test_keys_rebuilt_on_the_shared_segments(self):
-        segs = all_segments(4)
-        c = Coloring(4, {(s.i, s.j): 0 for s in segs}, 1)
-        assert all(a is b for a, b in zip(c.assignment, segs))
-        assert c == Coloring.from_vertex_colors(4, [0] * 6)
+        with pytest.raises(ValueError, match="expected 6 vertex colors, got 1"):
+            Coloring(4, (0,))
 
     @pytest.mark.parametrize("n_points", [-1, True, 3.0, "3"])
     def test_rejects_bad_point_count(self, n_points):
         with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
-            Coloring(n_points, {}, 0)
+            Coloring(n_points, ())
 
     def test_all_segments_is_shared(self):
         for n in range(12):
@@ -79,25 +72,37 @@ class TestColoringType:
             assert len(all_segments(n)) == n * (n - 1) // 2
 
     def test_rejects_noncontiguous_colors(self):
-        segs = all_segments(3)
         with pytest.raises(ValueError):
-            Coloring(3, {s: 2 * i for i, s in enumerate(segs)}, 5)
+            Coloring(3, [0, 2, 4])
 
     def test_rejects_wrong_color_count(self):
-        segs = all_segments(3)
-        with pytest.raises(ValueError):
-            Coloring(3, {s: 0 for s in segs}, 2)
+        # the count is worked out from the colors, never passed in
+        with pytest.raises(TypeError):
+            Coloring(3, [0, 0, 0], 2)
+        assert Coloring(3, [0, 0, 0]).color_count == 1
 
     def test_normalizes_reversed_pairs(self):
         c = flat_coloring(3, {(1, 0): 0, (2, 0): 1, (2, 1): 2})
-        assert c.assignment[SegmentId(0, 1)] == 0
-        assert list(c.assignment) == list(all_segments(3))
+        assert c.colors == (0, 1, 2)
+        assert c.classes()[0] == {SegmentId(0, 1)}
 
     def test_vertex_colors_roundtrip(self):
         colors = [0, 1, 2, 0, 1, 2]
-        c = Coloring.from_vertex_colors(4, colors)
-        assert c.vertex_colors() == colors
+        c = Coloring(4, colors)
+        assert c.colors == tuple(colors)
         assert c.color_count == 3
+        colors[0] = 5  # the caller's list is copied, not kept
+        assert c.colors == (0, 1, 2, 0, 1, 2)
+
+    def test_hash_and_equality_follow_points_and_colors(self):
+        cases = [(4, (0, 1, 2, 0, 1, 2)), (4, (0, 1, 2, 0, 1, 2)), (4, (0, 1, 2, 0, 2, 1)),
+                 (4, (0,) * 6), (3, (0, 1, 2)), (2, (0,))]
+        for n, colors in cases:
+            c = Coloring(n, list(colors))
+            assert hash(c) == hash(Coloring(n, colors))
+            for m, other in cases:
+                assert (c == Coloring(m, other)) == ((n, colors) == (m, other))
+        assert len({Coloring(n, colors) for n, colors in cases}) == 5
 
     def test_vertex_colors_in_rank_order_for_any_key_order(self):
         rng = random.Random(7)
@@ -109,9 +114,8 @@ class TestColoringType:
                     for s, col in zip(segs, colors)]
             rng.shuffle(rows)
             c = coloring_from_json({"n_points": n, "colors": rows})
-            assert c.vertex_colors() == colors
-            assert list(c.assignment) == list(segs)
-            assert c == Coloring.from_vertex_colors(n, colors)
+            assert c.colors == tuple(colors)
+            assert c == Coloring(n, colors)
 
     @pytest.mark.parametrize("colors, message", [
         ([0, 1, 2, 0, 1, -1], "non-negative ints"),
@@ -122,14 +126,17 @@ class TestColoringType:
         ([0, 1, 2, 0, 1, 2, 0], "expected 6 vertex colors"),
     ])
     def test_from_vertex_colors_rejects_bad_colors(self, colors, message):
+        # one color per vertex, as every producer passes them to the constructor
         with pytest.raises(ValueError, match=message):
-            Coloring.from_vertex_colors(4, colors)
+            Coloring(4, colors)
 
     def test_classes_partition_segments(self):
-        c = Coloring.from_vertex_colors(4, [0, 1, 2, 0, 1, 2])
+        c = Coloring(4, [0, 1, 2, 0, 1, 2])
         classes = c.classes()
         assert sorted(classes) == [0, 1, 2]
         assert sum(len(s) for s in classes.values()) == 6
+        # colors[r] belongs to the rank-r segment
+        assert classes == {col: frozenset(all_segments(4)[col::3]) for col in range(3)}
 
 
 class TestVerifyColoring:
@@ -153,7 +160,7 @@ class TestVerifyColoring:
 
     def test_all_distinct_colors_proper(self):
         g = build_graph(gen_convex(5))
-        c = Coloring.from_vertex_colors(5, list(range(10)))
+        c = Coloring(5, list(range(10)))
         assert verify_coloring(g, c).proper
 
     @pytest.mark.parametrize("n", range(2, 10))
@@ -165,7 +172,7 @@ class TestVerifyColoring:
         improper = 0
         for g in graphs:
             v = g.n_vertices
-            colorings = [chromatic_number_exact(g).witness.vertex_colors()]
+            colorings = [chromatic_number_exact(g).witness.colors]
             for _ in range(40):
                 # few colors for most draws, so most colorings are improper
                 t = rng.choice((1, 2, 3, max(1, v // 2), v))
@@ -173,7 +180,7 @@ class TestVerifyColoring:
                 relabel = {c: new for new, c in enumerate(dict.fromkeys(raw))}
                 colorings.append([relabel[c] for c in raw])
             for vc in colorings:
-                report = verify_coloring(g, Coloring.from_vertex_colors(n, vc))
+                report = verify_coloring(g, Coloring(n, vc))
                 assert (report.proper, report.violations) == oracle_verify(g, vc), vc
                 improper += not report.proper
         if n >= 4:
@@ -181,7 +188,7 @@ class TestVerifyColoring:
 
     def test_rejects_mismatched_point_count(self):
         g = build_graph(gen_convex(4))
-        c = Coloring.from_vertex_colors(5, [0] * 10)
+        c = Coloring(5, [0] * 10)
         with pytest.raises(ValueError):
             verify_coloring(g, c)
 
@@ -252,7 +259,7 @@ class TestConstruction:
     def test_rejects_improper_provider(self):
         def bad_provider(cap):
             # one color for everything is improper once the cap has a disjoint pair
-            return Coloring.from_vertex_colors(cap.n, [0] * len(all_segments(cap.n)))
+            return Coloring(cap.n, [0] * len(all_segments(cap.n)))
 
         with pytest.raises(ValueError, match="not proper"):
             construct_double_chain_coloring(2, 4, bad_provider)
@@ -354,6 +361,11 @@ class TestColoringJson:
         save_coloring(c, path)
         assert load_coloring(path) == c
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(c=colorings())
+    def test_json_roundtrip_any_coloring(self, c):
+        assert coloring_from_json(coloring_to_json(c)) == c
+
     def test_rank_sorted_rows(self):
         c = construct_double_chain_coloring(1, 3)
         data = coloring_to_json(c)
@@ -375,7 +387,7 @@ class TestColoringJson:
 
     def test_verdict_json(self):
         g = build_graph(gen_convex(4))
-        report = verify_coloring(g, Coloring.from_vertex_colors(4, list(range(6))))
+        report = verify_coloring(g, Coloring(4, list(range(6))))
         assert verify_report_to_json(report) == {"proper": True, "violations": []}
 
 
@@ -415,7 +427,7 @@ class TestColoringPins:
     def test_enumerator_stream(self):
         pin = self.PINS["enumerator"]
         g = build_graph(gen_double_chain(*pin["chain"]))
-        text = "".join("".join(map(str, c.vertex_colors())) + "\n"
+        text = "".join("".join(map(str, c.colors)) + "\n"
                        for c in enumerate_optimal_colorings(g, pin["colors"]))
         assert text.count("\n") == pin["count"] == 64727
         assert _sha(text) == pin["sha256"]

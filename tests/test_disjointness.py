@@ -193,6 +193,18 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             DisjointnessGraph(3, (0b001, 0b000, 0b000))
 
+    def test_rows_cannot_change_after_the_check(self):
+        rows = [0] * 6
+        g = DisjointnessGraph(4, rows)
+        rows[0] = 1 << 5
+        assert g.adj == (0,) * 6 and isinstance(g.adj, tuple)
+        assert hash(g) == hash(DisjointnessGraph(4, (0,) * 6))
+
+    @pytest.mark.parametrize("n_points", [True, -1, 4.0, "4"])
+    def test_rejects_bad_point_count(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
+            DisjointnessGraph(n_points, ())
+
     @pytest.mark.parametrize("n_points, edges, message", [
         # segments (0, 1) and (0, 2) share point 0, so they are never disjoint
         (3, [(0, 1)], "vertex 1, segment (0, 2), is adjacent to vertex 0, segment (0, 1)"),

@@ -93,7 +93,7 @@ class TestDsatur:
 
     def test_matches_quadratic_oracle(self):
         for g in built_graphs(1979):
-            assert dsatur_upper(g).vertex_colors() == oracle_dsatur(g), g.n_points
+            assert dsatur_upper(g).colors == tuple(oracle_dsatur(g)), g.n_points
 
 
 def test_presolve_matches_pins():
@@ -104,7 +104,7 @@ def test_presolve_matches_pins():
     for pin in pins:
         ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
         g = build_graph(ps)
-        colors = dsatur_upper(g).vertex_colors()
+        colors = dsatur_upper(g).colors
         size, members = clique_lower(g)
         text = ",".join(map(str, colors)) + ";" + ",".join(map(str, sorted(members)))
         assert (max(colors) + 1, size, hashlib.sha256(text.encode("ascii")).hexdigest()) \
@@ -223,8 +223,8 @@ class TestExactChi:
         for pin in pins:
             ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
             res = chromatic_number_exact(build_graph(ps))
-            assert (res.nodes, res.chi, res.witness.vertex_colors()) == \
-                (pin["nodes"], pin["chi"], pin["witness"]), pin
+            assert (res.nodes, res.chi, res.witness.colors) == \
+                (pin["nodes"], pin["chi"], tuple(pin["witness"])), pin
 
     def test_budget_cutoffs_match_pins(self):
         # (status, lower, upper, nodes) at each node budget, recorded before
@@ -341,7 +341,7 @@ class TestAgainstOracle:
             res = chromatic_number_exact(g)
             exact, nodes, chi, colors = oracle_branch_and_bound(g, clique)
             assert exact and res.is_exact
-            assert (res.nodes, res.chi, res.witness.vertex_colors()) == (nodes, chi, colors)
+            assert (res.nodes, res.chi, res.witness.colors) == (nodes, chi, tuple(colors))
             total += nodes
         assert total > 10_000  # the search is exercised, not skipped by the presolve
 
@@ -351,8 +351,8 @@ class TestAgainstOracle:
         for g, clique in oracle_cases:
             res = chromatic_number_exact(g, max_nodes=budget)
             exact, nodes, upper, colors = oracle_branch_and_bound(g, clique, max_nodes=budget)
-            assert (res.is_exact, res.nodes, res.upper_bound, res.witness.vertex_colors()) == \
-                (exact, nodes, upper, colors)
+            assert (res.is_exact, res.nodes, res.upper_bound, res.witness.colors) == \
+                (exact, nodes, upper, tuple(colors))
             assert res.lower_bound == (upper if exact else len(clique))
             cut += not exact
         assert cut > 0
@@ -371,7 +371,7 @@ class TestEnumerateOptimal:
         g = build_graph(gen_convex(5))
         seen = set()
         for c in enumerate_optimal_colorings(g, 3):
-            vc = tuple(c.vertex_colors())
+            vc = c.colors
             assert vc not in seen
             seen.add(vc)
             firsts = []
@@ -394,7 +394,7 @@ class TestEnumerateOptimal:
                 relabel.setdefault(c, len(relabel))
                 out.append(relabel[c])
             canonical.add(tuple(out))
-        enumerated = {tuple(c.vertex_colors()) for c in enumerate_optimal_colorings(g, 2)}
+        enumerated = {c.colors for c in enumerate_optimal_colorings(g, 2)}
         assert enumerated == canonical
 
     def test_convex6_stream_order(self):
@@ -406,14 +406,14 @@ class TestEnumerateOptimal:
             "010001120111222", "010001120121222", "010201120111222", "010201120121222",
         ]
         g = build_graph(gen_convex(6))
-        stream = ["".join(map(str, c.vertex_colors())) for c in enumerate_optimal_colorings(g, 3)]
+        stream = ["".join(map(str, c.colors)) for c in enumerate_optimal_colorings(g, 3)]
         assert stream == expected
 
     def test_convex5_stream_above_chi(self):
         # sha256 of the ordered stream at chi + 1 = 4, one line per coloring,
         # recorded from the enumerator with per-vertex color bitsets
         g = build_graph(gen_convex(5))
-        text = "".join("".join(map(str, c.vertex_colors())) + "\n"
+        text = "".join("".join(map(str, c.colors)) + "\n"
                        for c in enumerate_optimal_colorings(g, 4))
         assert text.count("\n") == 2270
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
