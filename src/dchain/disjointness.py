@@ -70,6 +70,8 @@ class DisjointnessGraph:
             raise ValueError(f"expected {v} vertices for {self.n_points} points, got {len(adj)}")
         full = (1 << v) - 1
         for u, row in enumerate(adj):
+            if not isinstance(row, int) or isinstance(row, bool):
+                raise ValueError(f"adjacency row {u} must be an int, got {row!r}")
             if row & ~full:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
@@ -239,8 +241,7 @@ def graph_from_json(data: dict, points: PointSet | None = None) -> DisjointnessG
     """
     doc = "graph JSON"
     n_points = _json_field(data, "n_points", int, doc)
-    if n_points < 0:
-        raise ValueError(f"{doc} field 'n_points' must be >= 0, got {n_points}")
+    _check_int(n_points, f"{doc} field 'n_points'", 0)
     v = comb(n_points, 2)
     vertices = _json_field(data, "vertices", int, doc)
     if vertices != v:

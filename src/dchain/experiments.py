@@ -181,9 +181,7 @@ def conjecture_scan(n: int, trials: int, seed: int, *,
     reported; running out of rejection-sampling attempts is reported via the
     `exhausted` flag.
     """
-    _check_int(n, "n", 4)
-    if n > 8:
-        raise ValueError(f"scan supports 4 <= n <= 8, got {n!r}")
+    _check_int(n, "n", 4, 9)
     _check_int(trials, "trials", 0)
     rng = random.Random(seed)
     target = f_of(n)

@@ -1,10 +1,11 @@
 """Exact chromatic numbers of disjointness graphs.
 
-The workhorse is a DSATUR-ordered branch and bound over big-int vertex masks
-(per-color forbidden sets and saturation levels) on an explicit stack,
-seeded with a greedy clique (precolored: sound symmetry breaking) and a
-greedy upper bound. Beside it sits a canonical enumerator of all optimal
-colorings. The engine knows nothing of the closed forms or the point-set
+The workhorse is one DSATUR-ordered branch and bound over big-int vertex
+masks (per-color forbidden sets and saturation levels) on an explicit stack.
+Its first dive from no colored vertex is the greedy DSATUR coloring, the
+upper bound; the exact solve then searches again from a greedy clique,
+precolored (sound symmetry breaking). Beside it sits a canonical enumerator
+of all optimal colorings. The engine knows nothing of the closed forms or the point-set
 generators; the sweeps and scans that compare it with them live in
 `experiments`.
 """
@@ -16,7 +17,7 @@ from time import perf_counter
 from typing import Iterator
 
 from .coloring import Coloring, _check_int, verify_coloring
-from .disjointness import DisjointnessGraph, _bits
+from .disjointness import DisjointnessGraph
 
 EXACT = "exact"
 INDETERMINATE = "indeterminate"
@@ -39,37 +40,121 @@ class ChiResult:
         return self.status == EXACT
 
 
-def _dsatur_colors(adj: tuple[int, ...]) -> list[int]:
-    """Greedy DSATUR colors in vertex-rank order, on the search's masks.
+def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: list[int] | None,
+            max_nodes: int | None, deadline: float | None,
+            first_leaf: bool) -> tuple[int, list[int] | None, int, bool]:
+    """DSATUR branch and bound below `best_k` colors from `clique`, precolored
+    0, 1, ... in the order given; returns (best_k, best_colors, nodes, aborted).
 
-    `forb[c]` holds the neighbors of the vertices colored c, `unc` the
-    uncolored vertices and `lev[s]` the uncolored vertices whose neighbors
-    carry exactly s colors. The pick is the lowest vertex of the highest
-    non-empty level (maximum saturation, ties to the smallest id) and takes
-    the first color whose `forb` lacks it. A vertex's saturation never
-    exceeds the number of colors opened, so `lev` grows with `forb`.
+    The branching vertex is the uncolored vertex of maximum saturation (ties
+    to the smallest id), and it may take any feasible used color or open
+    exactly one new color. The state is a handful of vertex masks: `forb[c]`
+    holds the neighbors of the vertices colored c, `unc` the uncolored
+    vertices, and `lev[s]` the uncolored vertices whose neighbors carry
+    exactly s colors. The search runs on an explicit stack, so its depth is
+    not bounded by Python's recursion limit. With `first_leaf` it stops at its
+    first leaf and pushes no frame, since nothing will backtrack.
     """
-    colors = [-1] * len(adj)
-    forb: list[int] = []
-    unc = (1 << len(adj)) - 1
-    lev = [unc]
-    level = 0
-    while unc:
-        while not lev[level]:
-            level -= 1
-        top = lev[level]
-        pbit = top & -top
+    v_count = len(adj)
+    colors = [-1] * v_count
+    forb = [0] * best_k
+    unc = (1 << v_count) - 1
+    used = len(clique)
+    for c, v in enumerate(clique):
+        colors[v] = c
+        forb[c] = adj[v]
+        unc ^= 1 << v
+    # a vertex's saturation never exceeds `used`, which stays below best_k;
+    # lift the uncolored neighbors of each clique color by one level
+    lev = [0] * (best_k + 1)
+    lev[0] = unc
+    for c in range(used):
+        rise = forb[c] & unc
+        s = c
+        while rise:
+            moved = lev[s] & rise
+            lev[s] ^= moved
+            lev[s + 1] |= moved
+            rise ^= moved
+            s -= 1
+    nodes = 0
+    aborted = False
+    # Moves and frames. The pick's saturation level is the number of used
+    # colors among its neighbors, so it has exactly used - level free used
+    # colors, taken while used < best_k, then the new color while
+    # used + 1 < best_k. Every node is entered with used < best_k, so on
+    # entry a node has used - level + (used + 1 < best_k) moves:
+    # - none (the dead child): the node is counted and left at once;
+    # - one (forced): the move updates forb, unc and lev in place and
+    #   pushes no frame. Every move of a node starts from the node's own
+    #   masks, so its feasible colors are fixed, and best_k only falls, so
+    #   a node forced on entry never gains a second move;
+    # - two or more (branching): the node pushes a frame
+    #   [pbit, level, used, next color, forb, unc, lev] with copies of its
+    #   masks as entered, and each later child starts from fresh copies of
+    #   those. A run of forced moves thus ends where the deepest branching
+    #   frame restores its snapshot.
+    # colors needs no restore: every vertex colored on the current path is
+    # written on that path, and a completion has colored them all.
+    stack: list[list] = []
+
+    while True:
+        # enter a node
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            aborted = True
+            break
+        if deadline is not None and nodes & 0xFF == 0 and perf_counter() > deadline:
+            aborted = True
+            break
+        c = -1
+        if unc:
+            level = used
+            while not lev[level]:
+                level -= 1
+            top = lev[level]
+            pbit = top & -top
+            if level < used:
+                c = 0
+                while forb[c] & pbit:
+                    c += 1
+                if not first_leaf and (level + 1 < used or used + 1 < best_k):
+                    stack.append([pbit, level, used, c + 1, forb[:], unc, lev[:]])
+            elif used + 1 < best_k:
+                c = used
+        else:
+            best_k = used
+            best_colors = colors[:]
+            if first_leaf:
+                break
+        if c < 0:
+            # give the deepest branching frame its next color, dropping
+            # finished frames
+            while stack:
+                frame = stack[-1]
+                pbit, level, used, c, sforb, unc, slev = frame
+                while c < used and sforb[c] & pbit:
+                    c += 1
+                if c < used:
+                    if used >= best_k:
+                        stack.pop()  # a deeper completion improved the incumbent
+                        continue
+                elif c > used or used + 1 >= best_k:
+                    stack.pop()
+                    continue
+                frame[3] = c + 1
+                forb = sforb[:]
+                lev = slev[:]
+                break
+            else:
+                break
+        # color the pick with c, in place
         pick = pbit.bit_length() - 1
-        c = 0
-        while c < len(forb) and forb[c] & pbit:
-            c += 1
-        if c == len(forb):
-            forb.append(0)
-            lev.append(0)
         row = adj[pick]
-        rise = row & unc & ~forb[c]  # uncolored neighbors that gain color c
-        forb[c] |= row
+        old = forb[c]
+        forb[c] = old | row
         unc ^= pbit
+        rise = row & unc & ~old  # uncolored neighbors that gain color c
         lev[level] ^= pbit
         s = level
         while rise:
@@ -80,19 +165,29 @@ def _dsatur_colors(adj: tuple[int, ...]) -> list[int]:
                 rise ^= moved
             s -= 1
         colors[pick] = c
-        # nothing uncolored sits above `level`, so a neighbor rose to level + 1 at most
-        level += 1
-    return colors
+        if c == used:
+            used += 1
+    return best_k, best_colors, nodes, aborted
 
 
 def dsatur_upper(g: DisjointnessGraph) -> Coloring:
-    """Greedy proper coloring by saturation degree, ties to the smallest vertex id."""
-    return Coloring(g.n_points, _dsatur_colors(g.adj))
+    """Greedy proper coloring by saturation degree, ties to the smallest vertex id.
+
+    This is the first dive of the exact search, from no colored vertex and
+    with best_k = V + 1. Every node on it has used + 1 <= V < best_k, so the
+    new color is always allowed and no child is dead, and the first child
+    takes the lowest free used color, or the new color when none is free:
+    the greedy rule. The first leaf, node V + 1, is the greedy coloring.
+    """
+    _, colors, _, _ = _search(g.adj, [], len(g.adj) + 1, None, None, None, True)
+    return Coloring(g.n_points, colors)
 
 
 def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
-    """Deterministic greedy clique (a set of pairwise disjoint segments) with
-    one-out/two-in local improvement; pairwise adjacency is re-validated."""
+    """Deterministic greedy clique (a set of pairwise disjoint segments): each
+    vertex, by descending degree (ties to the smallest id), seeds a greedy
+    growth, and the first largest clique is kept; pairwise adjacency is
+    re-validated."""
     v_count = g.n_vertices
     adj = g.adj
 
@@ -115,10 +210,10 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
         return members
 
     # Ceiling: DisjointnessGraph rejects rows that join segments sharing an
-    # endpoint, so no clique has more than n_points // 2 members. best_members
-    # is only ever replaced by a strictly larger clique, and a one-out/two-in
-    # move would need one above the ceiling, so stopping there returns exactly
-    # the clique of the full loop.
+    # endpoint, so no clique has more than n_points // 2 members, and no later
+    # seed can grow a larger one. best_members is only ever replaced by a
+    # strictly larger clique, so stopping there returns exactly the clique of
+    # the full loop.
     ceiling = g.n_points // 2
 
     best_members: list[int] = []
@@ -129,24 +224,6 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
         if len(grown) > len(best_members):
             best_members = grown
             if len(best_members) >= ceiling:
-                break
-
-    improved = len(best_members) < ceiling
-    while improved:
-        improved = False
-        for drop in sorted(best_members):
-            rest = [v for v in best_members if v != drop]
-            cand = (1 << v_count) - 1
-            for v in rest:
-                cand &= adj[v]
-            for x in _bits(cand):
-                pair = adj[x] & ((cand >> (x + 1)) << (x + 1))
-                if pair:
-                    y = (pair & -pair).bit_length() - 1
-                    best_members = rest + [x, y]
-                    improved = True
-                    break
-            if improved:
                 break
 
     members = sorted(best_members)
@@ -162,18 +239,11 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
                            max_ms: float | None = None) -> ChiResult:
     """Exact chromatic number with an optimal-coloring witness.
 
-    Branch and bound in DSATUR order: the branching vertex is the uncolored
-    vertex of maximum saturation (ties to the smallest id), it may take any
-    feasible used color or open exactly one new color, and a greedy clique is
-    precolored with distinct colors up front. The search is deterministic for
-    a fixed graph. When a node or time budget runs out the result is
-    INDETERMINATE and carries the best proven bounds, never a guessed value.
-
-    The state is a handful of vertex masks: `forb[c]` holds the neighbors of
-    the vertices colored c, `unc` the uncolored vertices, and `lev[s]` the
-    uncolored vertices whose neighbors carry exactly s colors. The search runs
-    on an explicit stack, so its depth is not bounded by Python's recursion
-    limit.
+    Branch and bound in DSATUR order (see `_search`): the greedy DSATUR
+    coloring is the incumbent, and a greedy clique is precolored with
+    distinct colors up front. The search is deterministic for a fixed graph.
+    When a node or time budget runs out the result is INDETERMINATE and
+    carries the best proven bounds, never a guessed value.
 
     `max_nodes` must be a positive int and `max_ms` a finite number >= 0;
     anything else (NaN included, which no clock reading exceeds) raises
@@ -185,123 +255,16 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
                                or not 0 <= max_ms < float("inf")):
         raise ValueError(f"max_ms must be a finite number >= 0, got {max_ms!r}")
     t0 = perf_counter()
+    adj = g.adj
     lower, clique = clique_lower(g)
-    best_colors = _dsatur_colors(g.adj)
-    best_k = max(best_colors, default=-1) + 1
+    # the greedy incumbent: the first dive, as in dsatur_upper
+    best_k, best_colors, _, _ = _search(adj, [], len(adj) + 1, None, None, None, True)
     nodes = 0
     aborted = False
-
     if best_k > lower:
-        v_count = g.n_vertices
-        adj = g.adj
-        colors = [-1] * v_count
-        forb = [0] * best_k
-        unc = (1 << v_count) - 1
-        used = len(clique)
-        for c, v in enumerate(sorted(clique)):
-            colors[v] = c
-            forb[c] = adj[v]
-            unc ^= 1 << v
-        # a vertex's saturation never exceeds `used`, which stays below best_k;
-        # lift the uncolored neighbors of each clique color by one level
-        lev = [0] * (best_k + 1)
-        lev[0] = unc
-        for c in range(used):
-            rise = forb[c] & unc
-            s = c
-            while rise:
-                moved = lev[s] & rise
-                lev[s] ^= moved
-                lev[s + 1] |= moved
-                rise ^= moved
-                s -= 1
         deadline = None if max_ms is None else t0 + max_ms / 1000.0
-        # Moves and frames. The pick's saturation level is the number of used
-        # colors among its neighbors, so it has exactly used - level free used
-        # colors, taken while used < best_k, then the new color while
-        # used + 1 < best_k. Every node is entered with used < best_k, so on
-        # entry a node has used - level + (used + 1 < best_k) moves:
-        # - none (the dead child): the node is counted and left at once;
-        # - one (forced): the move updates forb, unc and lev in place and
-        #   pushes no frame. Every move of a node starts from the node's own
-        #   masks, so its feasible colors are fixed, and best_k only falls, so
-        #   a node forced on entry never gains a second move;
-        # - two or more (branching): the node pushes a frame
-        #   [pbit, level, used, next color, forb, unc, lev] with copies of its
-        #   masks as entered, and each later child starts from fresh copies of
-        #   those. A run of forced moves thus ends where the deepest branching
-        #   frame restores its snapshot.
-        # colors needs no restore: every vertex colored on the current path is
-        # written on that path, and a completion has colored them all.
-        stack: list[list] = []
-
-        while True:
-            # enter a node
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                aborted = True
-                break
-            if deadline is not None and nodes & 0xFF == 0 and perf_counter() > deadline:
-                aborted = True
-                break
-            c = -1
-            if unc:
-                level = used
-                while not lev[level]:
-                    level -= 1
-                top = lev[level]
-                pbit = top & -top
-                if level < used:
-                    c = 0
-                    while forb[c] & pbit:
-                        c += 1
-                    if level + 1 < used or used + 1 < best_k:
-                        stack.append([pbit, level, used, c + 1, forb[:], unc, lev[:]])
-                elif used + 1 < best_k:
-                    c = used
-            else:
-                best_k = used
-                best_colors = colors[:]
-            if c < 0:
-                # give the deepest branching frame its next color, dropping
-                # finished frames
-                while stack:
-                    frame = stack[-1]
-                    pbit, level, used, c, sforb, unc, slev = frame
-                    while c < used and sforb[c] & pbit:
-                        c += 1
-                    if c < used:
-                        if used >= best_k:
-                            stack.pop()  # a deeper completion improved the incumbent
-                            continue
-                    elif c > used or used + 1 >= best_k:
-                        stack.pop()
-                        continue
-                    frame[3] = c + 1
-                    forb = sforb[:]
-                    lev = slev[:]
-                    break
-                else:
-                    break
-            # color the pick with c, in place
-            pick = pbit.bit_length() - 1
-            row = adj[pick]
-            old = forb[c]
-            forb[c] = old | row
-            unc ^= pbit
-            rise = row & unc & ~old  # uncolored neighbors that gain color c
-            lev[level] ^= pbit
-            s = level
-            while rise:
-                moved = lev[s] & rise
-                if moved:
-                    lev[s] ^= moved
-                    lev[s + 1] |= moved
-                    rise ^= moved
-                s -= 1
-            colors[pick] = c
-            if c == used:
-                used += 1
+        best_k, best_colors, nodes, aborted = _search(adj, sorted(clique), best_k, best_colors,
+                                                      max_nodes, deadline, False)
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring(g.n_points, best_colors)

@@ -205,6 +205,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
             DisjointnessGraph(n_points, ())
 
+    @pytest.mark.parametrize("n_points, rows, message", [
+        (2, (0.0,), "adjacency row 0 must be an int, got 0.0"),
+        (2, (None,), "adjacency row 0 must be an int, got None"),
+        (2, ("0",), "adjacency row 0 must be an int, got '0'"),
+        (3, (False,) * 3, "adjacency row 0 must be an int, got False"),
+    ])
+    def test_rejects_rows_that_are_not_ints(self, n_points, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DisjointnessGraph(n_points, rows)
+
     @pytest.mark.parametrize("n_points, edges, message", [
         # segments (0, 1) and (0, 2) share point 0, so they are never disjoint
         (3, [(0, 1)], "vertex 1, segment (0, 2), is adjacent to vertex 0, segment (0, 1)"),
@@ -373,7 +383,7 @@ class TestExports:
         for data, message in (
                 ({"vertices": 6, "edges": []}, "graph JSON has no 'n_points' field"),
                 (dict(good, n_points="4"), "graph JSON field 'n_points' must be an int, got '4'"),
-                (dict(good, n_points=-1), "graph JSON field 'n_points' must be >= 0, got -1"),
+                (dict(good, n_points=-1), "graph JSON field 'n_points' must be an integer >= 0, got -1"),
                 (dict(good, vertices=None), "graph JSON field 'vertices' must be an int, got None"),
                 (dict(good, edges={"0": 5}), "graph JSON field 'edges' must be a list, got {'0': 5}"),
                 (dict(good, edges=[[0, 5], [2]]), "graph JSON edges[1] must be a list of 2 ints, got [2]"),

@@ -76,6 +76,38 @@ def built_graphs(seed):
     return graphs
 
 
+def later_seed_graph():
+    """Six points, five edges: vertices 3 and 4, segments (0, 4) and (0, 5),
+    have the largest degree, 2. The first seed, 3, has the unjoined
+    neighbors 5 and 8, so it grows to two members; seed 4 reaches the
+    ceiling 3 with the triangle 4, 6, 10."""
+    rows = [0] * 15
+    for u, v in [(3, 5), (3, 8), (4, 6), (4, 10), (6, 10)]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return DisjointnessGraph(6, tuple(rows))
+
+
+def hand_built_graphs(seed, count):
+    """`count` seeded random graphs on 4..7 points that keep the endpoint
+    rule (no edge joins segments that share an endpoint), each with its own
+    edge density in [0, 1), then the edgeless graph on 4 points and
+    later_seed_graph()."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        segs = all_segments(n)
+        density = rng.random()
+        rows = [0] * len(segs)
+        for u, v in itertools.combinations(range(len(segs)), 2):
+            if not set(segs[u]) & set(segs[v]) and rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        graphs.append(DisjointnessGraph(n, tuple(rows)))
+    return graphs + [DisjointnessGraph(4, (0,) * 6), later_seed_graph()]
+
+
 class TestDsatur:
     def test_edgeless_uses_one_color(self):
         g = build_graph(gen_convex(3))  # three segments, all pairwise incident
@@ -92,7 +124,7 @@ class TestDsatur:
         assert 2 <= c.color_count <= 3
 
     def test_matches_quadratic_oracle(self):
-        for g in built_graphs(1979):
+        for g in built_graphs(1979) + hand_built_graphs(1980, 300):
             assert dsatur_upper(g).colors == tuple(oracle_dsatur(g)), g.n_points
 
 
@@ -119,6 +151,11 @@ class TestCliqueLower:
     def test_edgeless_gives_one(self):
         size, _ = clique_lower(build_graph(gen_convex(3)))
         assert size == 1
+        # below the ceiling, so every seed is grown
+        assert clique_lower(DisjointnessGraph(4, (0,) * 6)) == (1, frozenset({0}))
+
+    def test_later_seed_reaches_the_ceiling(self):
+        assert clique_lower(later_seed_graph()) == (3, frozenset({4, 6, 10}))
 
     def test_members_pairwise_adjacent(self):
         g = build_graph(gen_convex(6))
@@ -265,7 +302,7 @@ import dchain.solver as solver
 from dchain import Coloring, DisjointnessGraph, build_graph, gen_convex
 assert False, "asserts must be stripped for this check to mean anything"
 g = build_graph(gen_convex(6))
-solver._dsatur_colors = lambda adj: [0] * len(adj)  # the incumbent of the exact solve
+solver._search = lambda adj, *rest: (1, [0] * len(adj), 0, False)  # the incumbent of the exact solve
 try:
     solver.chromatic_number_exact(g)
 except RuntimeError as exc:
@@ -315,8 +352,9 @@ except RuntimeError as exc:
 
 @pytest.fixture(scope="module")
 def oracle_cases():
-    """Every chain with k + l <= 9, convex 4..10 and 300 seeded random
-    4..8-point sets, each with its greedy clique."""
+    """Every chain with k + l <= 9, convex 4..10, 300 seeded random
+    4..8-point sets and 200 hand-built graphs (hand_built_graphs), each with
+    its greedy clique."""
     sets = [gen_double_chain(k, l) for k in range(1, 5) for l in range(k, 10 - k)]
     sets += [gen_convex(n) for n in range(4, 11)]
     rng = random.Random(909)
@@ -325,7 +363,7 @@ def oracle_cases():
         while ps is None:
             ps, _ = sample_general_position(rng, rng.randint(4, 8), box=rng.choice([60, 10_000]))
         sets.append(ps)
-    graphs = [build_graph(ps) for ps in sets]
+    graphs = [build_graph(ps) for ps in sets] + hand_built_graphs(910, 198)
     return [(g, clique_lower(g)[1]) for g in graphs]
 
 
@@ -335,7 +373,7 @@ class TestAgainstOracle:
     witnesses, and equal cutoffs under node budgets."""
 
     def test_exact_solves_match(self, oracle_cases):
-        assert len(oracle_cases) == 327
+        assert len(oracle_cases) == 527
         total = 0
         for g, clique in oracle_cases:
             res = chromatic_number_exact(g)
