@@ -22,7 +22,6 @@ from .coloring import (
 )
 from .disjointness import (
     DisjointnessGraph,
-    SegmentId,
     all_segments,
     build_graph,
     convex_hull_edges,
@@ -48,6 +47,7 @@ from .geometry import (
     Partition,
     Point,
     PointSet,
+    SegmentId,
     delete_points,
     find_collinear_triple,
     gen_convex,

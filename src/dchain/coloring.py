@@ -39,8 +39,7 @@ class Coloring:
         if len(colors) != expected:
             raise ValueError(f"expected {expected} vertex colors, got {len(colors)}")
         for col in colors:
-            if not isinstance(col, int) or isinstance(col, bool) or col < 0:
-                raise ValueError(f"color ids must be non-negative ints, got {col!r}")
+            _check_int(col, "color", 0)
         # count distinct non-negative ids are exactly 0..count-1 iff none reaches count
         count = len(set(colors))
         if colors and max(colors) >= count:
@@ -104,12 +103,9 @@ def classify_class(ps: PointSet, segments: Iterable) -> ClassKind:
     A single-segment class admits both endpoints as apex; the smaller point
     index is reported.
     """
-    segs = [s if isinstance(s, SegmentId) else SegmentId.of(*s) for s in segments]
+    segs = [SegmentId.of(a, b, ps.n) for a, b in segments]
     if not segs:
         raise ValueError("cannot classify an empty class")
-    for s in segs:
-        if s.j >= ps.n:
-            raise ValueError(f"segment {s} out of range for {ps.n} points")
     common = {segs[0].i, segs[0].j}
     for s in segs[1:]:
         common &= {s.i, s.j}
@@ -193,14 +189,12 @@ def coloring_from_json(data: dict) -> Coloring:
     ill-typed field, and any out-of-range, duplicated or missing segment."""
     doc = "coloring JSON"
     n_points = _json_field(data, "n_points", int, doc)
-    _check_int(n_points, f"{doc} field 'n_points'", 0)
     rows = _json_field(data, "colors", list, doc)
     colors: dict[SegmentId, int] = {}
     for r, row in enumerate(rows):
-        i, j, col = _json_ints(row, 3, f"{doc} colors[{r}]")
-        seg = SegmentId.of(i, j)
-        if seg.j >= n_points:
-            raise ValueError(f"segment {seg} out of range for {n_points} points")
+        what = f"{doc} colors[{r}]"
+        i, j, col = _json_ints(row, 3, what, 0)
+        seg = SegmentId.of(i, j, n_points, f"{what} endpoint")
         if seg in colors:
             raise ValueError(f"segment {seg} assigned twice")
         colors[seg] = col

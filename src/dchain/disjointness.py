@@ -10,25 +10,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .formulas import _check_int
-from .geometry import Orientation, PointSet, _json_field, _json_ints, is_general_position, orientation
-
-
-class SegmentId(NamedTuple):
-    """Unordered pair of point indices, stored with i < j."""
-
-    i: int
-    j: int
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "SegmentId":
-        _check_int(a, "segment endpoint", 0)
-        _check_int(b, "segment endpoint", 0)
-        if a == b:
-            raise ValueError(f"degenerate segment ({a}, {b})")
-        return cls(a, b) if a < b else cls(b, a)
+from .geometry import (Orientation, PointSet, SegmentId, _json_field, _json_ints,
+                       is_general_position, orientation)
 
 
 @lru_cache(maxsize=8)
@@ -39,10 +25,10 @@ def all_segments(n_points: int) -> tuple[SegmentId, ...]:
 
 
 def segment_rank(seg: SegmentId, n_points: int) -> int:
-    """Position of seg in lexicographic order; this is its vertex id in D(P)."""
-    i, j = seg
-    if not 0 <= i < j < n_points:
-        raise ValueError(f"segment {seg} invalid for {n_points} points")
+    """Position of seg, in either endpoint order, in lexicographic order;
+    this is its vertex id in D(P)."""
+    a, b = seg
+    i, j = SegmentId.of(a, b, n_points)
     return i * (2 * n_points - i - 1) // 2 + (j - i - 1)
 
 
@@ -70,8 +56,7 @@ class DisjointnessGraph:
             raise ValueError(f"expected {v} vertices for {self.n_points} points, got {len(adj)}")
         full = (1 << v) - 1
         for u, row in enumerate(adj):
-            if not isinstance(row, int) or isinstance(row, bool):
-                raise ValueError(f"adjacency row {u} must be an int, got {row!r}")
+            _check_int(row, f"adjacency row {u}", 0)
             if row & ~full:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
@@ -222,7 +207,8 @@ def convex_hull_edges(ps: PointSet) -> list[SegmentId]:
     lower = half(order)
     upper = half(order[::-1])
     cycle = lower[:-1] + upper[:-1]
-    return [SegmentId.of(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
+    return [SegmentId.of(cycle[t], cycle[(t + 1) % len(cycle)], ps.n)
+            for t in range(len(cycle))]
 
 
 def graph_to_json(g: DisjointnessGraph) -> dict:
@@ -241,7 +227,6 @@ def graph_from_json(data: dict, points: PointSet | None = None) -> DisjointnessG
     """
     doc = "graph JSON"
     n_points = _json_field(data, "n_points", int, doc)
-    _check_int(n_points, f"{doc} field 'n_points'", 0)
     v = comb(n_points, 2)
     vertices = _json_field(data, "vertices", int, doc)
     if vertices != v:
@@ -267,7 +252,7 @@ def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
     DIMACS uses 1-based vertex ids in rank order: a "p edge V E" header then
     one "e u v" line per adjacency pair.
     """
-    kind = fmt.strip().lower()
+    kind = fmt.strip().lower() if isinstance(fmt, str) else fmt
     if kind == "dimacs":
         # one bytes object per adjacency row, none per edge, so the transient
         # peak stays near twice the output size

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .coloring import Coloring, verify_coloring
-from .disjointness import SegmentId, all_segments, build_graph, segment_rank
+from .disjointness import all_segments, build_graph, segment_rank
 from .formulas import _check_int, double_chain_chi, f_of
 from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 from .solver import chromatic_number_exact, enumerate_optimal_colorings
@@ -42,9 +42,8 @@ def construct_double_chain_coloring(k: int, l: int,
     still-uncolored incident segments. Total colors = provider's count + k,
     which is k + f(l) when the provider is optimal.
     """
-    _check_int(k, "k")
     _check_int(l, "l", 3)
-    ps = gen_double_chain(k, l)  # raises for k > l
+    ps = gen_double_chain(k, l)  # checks k, and raises for k > l
     lower = ps.partition.lower
     cap = PointSet([ps.points[i] for i in lower])
     provider = convex_provider if convex_provider is not None else _exact_convex_provider
@@ -57,12 +56,12 @@ def construct_double_chain_coloring(k: int, l: int,
             f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")
     colors = [-1] * comb(ps.n, 2)  # by segment rank
     for s, col in zip(all_segments(cap.n), base.colors):
-        colors[segment_rank(SegmentId.of(lower[s.i], lower[s.j]), ps.n)] = col
+        colors[segment_rank((lower[s.i], lower[s.j]), ps.n)] = col
     next_color = base.color_count
     for u in sorted(ps.partition.upper, key=lambda i: (ps.points[i].x, ps.points[i].y)):
         for w in range(ps.n):
             if w != u:
-                r = segment_rank(SegmentId.of(u, w), ps.n)
+                r = segment_rank((u, w), ps.n)
                 if colors[r] < 0:
                     colors[r] = next_color
         next_color += 1  # each cup point colors at least its cap segments
@@ -183,6 +182,7 @@ def conjecture_scan(n: int, trials: int, seed: int, *,
     """
     _check_int(n, "n", 4, 9)
     _check_int(trials, "trials", 0)
+    _check_int(seed, "seed", None)
     rng = random.Random(seed)
     target = f_of(n)
     directory = Path(out_dir) if out_dir is not None else Path.cwd()

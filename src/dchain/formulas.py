@@ -10,13 +10,22 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 
-def _check_int(value: int, name: str = "n", low: int = 1, high: int | None = None) -> None:
-    """Raise ValueError unless value is an int (bool excluded) with
-    low <= value, and value < high when high is given."""
-    if (not isinstance(value, int) or isinstance(value, bool) or value < low
-            or high is not None and value >= high):
-        bound = f">= {low}" if high is None else f"in {low}..{high - 1}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+def _check_int(value: int, name: str = "n", low: int | None = 1, high: int | None = None) -> int:
+    """Return value if it is an int (bool excluded) with low <= value, and
+    value < high when high is given; low=None admits any int. Raise
+    ValueError naming `name` otherwise."""
+    if (not isinstance(value, int) or isinstance(value, bool) or low is not None
+            and (value < low or high is not None and value >= high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high - 1}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _check_chain(k: int, l: int, l_low: int = 1) -> None:
+    """Raise ValueError unless k, l size a double chain C_{k,l}: 1 <= k <= l,
+    and l >= l_low."""
+    _check_int(k, "k")
+    _check_int(l, "l", max(k, l_low))
 
 
 def g_of(n: int) -> int:
@@ -53,12 +62,7 @@ def f_step(n: int) -> int:
 
 def double_chain_chi(k: int, l: int) -> int:
     """Predicted chromatic number k + f(l) of the (k, l) double chain, l >= 3."""
-    _check_int(k, "k")
-    _check_int(l, "l")
-    if k > l:
-        raise ValueError(f"cup may not outnumber cap: k={k} > l={l}")
-    if l < 3:
-        raise ValueError(f"the prediction needs l >= 3, got l={l}")
+    _check_chain(k, l, 3)
     return k + f_of(l)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .formulas import _check_int
+from .formulas import _check_chain, _check_int
 
 
 class Orientation(Enum):
@@ -35,9 +35,8 @@ class Point:
     y: int
 
     def __post_init__(self) -> None:
-        for c in (self.x, self.y):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coordinates must be ints, got {c!r}")
+        _check_int(self.x, "point x", None)
+        _check_int(self.y, "point y", None)
 
 
 def _as_point(obj) -> Point:
@@ -112,16 +111,21 @@ class PointSet:
         return len(self.points)
 
 
-def _check_segment(seg: Sequence[int], n: int) -> tuple[int, int]:
-    i, j = seg
-    for idx in (i, j):
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise TypeError(f"segment endpoints must be ints, got {idx!r}")
-        if not 0 <= idx < n:
-            raise ValueError(f"point index {idx} out of range for {n} points")
-    if i == j:
-        raise ValueError(f"degenerate segment ({i}, {j})")
-    return (i, j) if i < j else (j, i)
+class SegmentId(NamedTuple):
+    """Unordered pair of point indices, stored with i < j."""
+
+    i: int
+    j: int
+
+    @classmethod
+    def of(cls, a: int, b: int, n_points: int, name: str = "segment endpoint") -> "SegmentId":
+        """The segment between points a and b of an n_points-point set; a
+        ValueError naming `name` unless both are indices 0..n_points-1."""
+        _check_int(a, name, 0, n_points)
+        _check_int(b, name, 0, n_points)
+        if a == b:
+            raise ValueError(f"degenerate segment ({a}, {b})")
+        return cls(a, b) if a < b else cls(b, a)
 
 
 def _in_box(a: Point, b: Point, p: Point) -> bool:
@@ -135,9 +139,9 @@ def segments_disjoint(a: Sequence[int], b: Sequence[int], ps: PointSet) -> bool:
     Sharing an endpoint, properly crossing, and touching (an endpoint lying
     on the other segment) all count as intersecting. Symmetric in a and b.
     """
-    n = ps.n
-    i, j = _check_segment(a, n)
-    k, l = _check_segment(b, n)
+    (i, j), (k, l) = a, b
+    i, j = SegmentId.of(i, j, ps.n)
+    k, l = SegmentId.of(k, l, ps.n)
     if (i, j) == (k, l):
         raise ValueError(f"segments must be distinct, got ({i}, {j}) twice")
     if i in (k, l) or j in (k, l):
@@ -214,10 +218,7 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     validate_double_chain checks the result, and a failure raises
     RuntimeError.
     """
-    _check_int(k, "k")
-    _check_int(l, "l")
-    if k > l:
-        raise ValueError(f"cup may not outnumber cap: k={k} > l={l}")
+    _check_chain(k, l)
     xs_up = [2 * (j - k // 2) + 1 for j in range(k)]
     xs_low = [2 * (i - l // 2) for i in range(l)]
     a = max(abs(x) for x in xs_up)
@@ -381,33 +382,31 @@ def pointset_to_json(ps: PointSet) -> dict:
     return data
 
 
-_JSON_KINDS = {int: "an int", list: "a list", dict: "an object"}
+_JSON_KINDS = {list: "a list", dict: "an object"}
 
 
 def _json_field(data, key: str, kind: type, doc: str):
-    """data[key] of the JSON document `doc`, checked to be `kind` (int
-    excludes bool, list admits tuple); a ValueError naming the field otherwise."""
+    """data[key] of the JSON document `doc`, checked to be `kind`: an int
+    >= 0, a list (or tuple) or an object; a ValueError naming the field
+    otherwise."""
     if not isinstance(data, dict):
         raise ValueError(f"{doc} must be an object, got {data!r}")
     if key not in data:
         raise ValueError(f"{doc} has no {key!r} field")
     value = data[key]
-    if kind is list:
-        ok = isinstance(value, (list, tuple))
-    else:
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-    if not ok:
+    if kind is int:
+        return _check_int(value, f"{doc} field {key!r}", 0)
+    if not isinstance(value, (list, tuple) if kind is list else kind):
         raise ValueError(f"{doc} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _json_ints(value, size: int, what: str) -> tuple[int, ...]:
-    """value as a tuple of `size` ints (bool excluded); a ValueError naming
-    `what` otherwise."""
-    if (not isinstance(value, (list, tuple)) or len(value) != size
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+def _json_ints(value, size: int, what: str, low: int | None = None) -> tuple[int, ...]:
+    """value as a tuple of `size` ints, each checked by `_check_int` with
+    bound `low` and named `what[t]`; a ValueError otherwise."""
+    if not isinstance(value, (list, tuple)) or len(value) != size:
         raise ValueError(f"{what} must be a list of {size} ints, got {value!r}")
-    return tuple(value)
+    return tuple([_check_int(v, f"{what}[{t}]", low) for t, v in enumerate(value)])
 
 
 def pointset_from_json(data: dict) -> PointSet:

@@ -253,13 +253,19 @@ class TestMalformedJson:
         points = dict(self.POINTS, points=[[0, 0], [4, 1, 7], [3, 5], [-1, 3]])
         self.check(tmp_path, capsys, points, self.COLORING,
                    "points JSON points[1] must be a list of 2 ints, got [4, 1, 7]")
+        # coordinates are any ints, so there is no out-of-range case
+        for bad in (True, 1.0, "1", None):
+            points = dict(self.POINTS, points=[[0, 0], [4, bad], [3, 5], [-1, 3]])
+            self.check(tmp_path, capsys, points, self.COLORING,
+                       f"points JSON points[1][1] must be an integer, got {bad!r}")
 
     def test_point_count_missing_or_ill_typed(self, tmp_path, capsys):
         points = {"points": self.POINTS["points"]}
         self.check(tmp_path, capsys, points, self.COLORING, "points JSON has no 'n' field")
-        points = dict(self.POINTS, n="4")
-        self.check(tmp_path, capsys, points, self.COLORING,
-                   "points JSON field 'n' must be an int, got '4'")
+        for bad in ("4", True, 4.0, None, -4):
+            points = dict(self.POINTS, n=bad)
+            self.check(tmp_path, capsys, points, self.COLORING,
+                       f"points JSON field 'n' must be an integer >= 0, got {bad!r}")
 
     def test_partition_ill_formed(self, tmp_path, capsys):
         points = dict(self.POINTS, partition=[[0, 1], [2, 3]])
@@ -268,11 +274,16 @@ class TestMalformedJson:
         points = dict(self.POINTS, partition={"U": [0, 1]})
         self.check(tmp_path, capsys, points, self.COLORING,
                    "points JSON partition has no 'L' field")
+        for bad in (True, 1.0, "1", None, -1):
+            points = dict(self.POINTS, partition={"U": [0, bad], "L": [2, 3]})
+            self.check(tmp_path, capsys, points, self.COLORING,
+                       f"partition index must be an integer >= 0, got {bad!r}")
 
     def test_coloring_point_count_is_a_list(self, tmp_path, capsys):
-        coloring = dict(self.COLORING, n_points=[4])
-        self.check(tmp_path, capsys, self.POINTS, coloring,
-                   "coloring JSON field 'n_points' must be an int, got [4]")
+        for bad in ([4], True, 4.0, "4", None):
+            coloring = dict(self.COLORING, n_points=bad)
+            self.check(tmp_path, capsys, self.POINTS, coloring,
+                       f"coloring JSON field 'n_points' must be an integer >= 0, got {bad!r}")
 
     def test_coloring_point_count_huge(self, tmp_path, capsys):
         # the row count is compared with C(n_points, 2) before any list of
@@ -290,9 +301,17 @@ class TestMalformedJson:
     def test_coloring_rows_missing_or_ill_formed(self, tmp_path, capsys):
         self.check(tmp_path, capsys, self.POINTS, {"n_points": 4},
                    "coloring JSON has no 'colors' field")
-        coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, 3, "5"]])
+        for bad in ("5", True, 5.0, None, -5):
+            coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, 3, bad]])
+            self.check(tmp_path, capsys, self.POINTS, coloring,
+                       f"coloring JSON colors[5][2] must be an integer >= 0, got {bad!r}")
+        for bad in ("3", True, 3.0, None, -1):
+            coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, bad, 5]])
+            self.check(tmp_path, capsys, self.POINTS, coloring,
+                       f"coloring JSON colors[5][1] must be an integer >= 0, got {bad!r}")
+        coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, 4, 5]])
         self.check(tmp_path, capsys, self.POINTS, coloring,
-                   "coloring JSON colors[5] must be a list of 3 ints, got [2, 3, '5']")
+                   "coloring JSON colors[5] endpoint must be an integer in 0..3, got 4")
 
 
 class TestProp4:

@@ -61,7 +61,7 @@ class TestColoringType:
         with pytest.raises(ValueError, match="expected 6 vertex colors, got 1"):
             Coloring(4, (0,))
 
-    @pytest.mark.parametrize("n_points", [-1, True, 3.0, "3"])
+    @pytest.mark.parametrize("n_points", [-1, True, 3.0, "3", None])
     def test_rejects_bad_point_count(self, n_points):
         with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
             Coloring(n_points, ())
@@ -118,12 +118,14 @@ class TestColoringType:
             assert c == Coloring(n, colors)
 
     @pytest.mark.parametrize("colors, message", [
-        ([0, 1, 2, 0, 1, -1], "non-negative ints"),
-        ([0, True, 0, True, 0, True], "non-negative ints"),
-        ([0, 1.0, 0, 1, 0, 1], "non-negative ints"),
+        ([0, 1, 2, 0, 1, -1], "color must be an integer >= 0, got -1"),
+        ([0, True, 0, True, 0, True], "color must be an integer >= 0, got True"),
+        ([0, 1.0, 0, 1, 0, 1], "color must be an integer >= 0, got 1.0"),
         ([0, 2, 0, 2, 0, 2], "exactly 0"),
         ([0, 1, 2, 0, 1], "expected 6 vertex colors"),
         ([0, 1, 2, 0, 1, 2, 0], "expected 6 vertex colors"),
+        ([0, "1", 0, 1, 0, 1], "color must be an integer >= 0, got '1'"),
+        ([0, None, 0, 1, 0, 1], "color must be an integer >= 0, got None"),
     ])
     def test_from_vertex_colors_rejects_bad_colors(self, colors, message):
         # one color per vertex, as every producer passes them to the constructor
@@ -269,27 +271,58 @@ class TestConstruction:
             construct_double_chain_coloring(3, 2)
         with pytest.raises(ValueError):
             construct_double_chain_coloring(1, 2)
-        for k, l in ((True, 3), (1, 3.0), (0, 3)):
-            with pytest.raises(ValueError, match="must be an integer"):
+        for k, l, name in ((True, 3, "k"), (1, 3.0, "l"), (0, 3, "k"), (1.0, 3, "k"),
+                           ("1", 3, "k"), (None, 3, "k"), (1, True, "l"), (1, "3", "l"),
+                           (1, None, "l"), (3, 2, "l"), (4, 3, "l")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 construct_double_chain_coloring(k, l)
 
 
 class TestValidators:
+    # each index argument refuses True, 1.0, "1", None and an out-of-range int
     @pytest.mark.parametrize("make", [
-        lambda: SegmentId.of(-1, 2),
-        lambda: SegmentId.of(True, 2),
-        lambda: SegmentId.of(0, 2.0),
-        lambda: Partition((0, -1), (2,)),
-        lambda: Partition((0, False), (2,)),
-        lambda: delete_points(gen_convex(4), [4]),
-        lambda: delete_points(gen_convex(4), [True]),
-        lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3), [4]),
-        lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3), [1.0]),
-    ], ids=["segment_negative", "segment_bool", "segment_float", "partition_negative",
-            "partition_bool", "delete_out_of_range", "delete_bool", "apex_out_of_range",
-            "apex_float"])
+        pytest.param(lambda: SegmentId.of(-1, 2, 4), id="segment_negative"),
+        pytest.param(lambda: SegmentId.of(True, 2, 4), id="segment_bool"),
+        pytest.param(lambda: SegmentId.of(0, 2.0, 4), id="segment_float"),
+        pytest.param(lambda: SegmentId.of("1", 2, 4), id="segment_str"),
+        pytest.param(lambda: SegmentId.of(0, None, 4), id="segment_none"),
+        pytest.param(lambda: SegmentId.of(0, 4, 4), id="segment_out_of_range"),
+        # a SegmentId instance is checked like any pair
+        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(-1, 2)]),
+                     id="classify_negative"),
+        pytest.param(lambda: classify_class(gen_convex(4), [(0, 1), SegmentId(0, 4)]),
+                     id="classify_out_of_range"),
+        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(True, 2)]),
+                     id="classify_bool"),
+        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(1.0, 2)]),
+                     id="classify_float"),
+        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId("1", 2)]),
+                     id="classify_str"),
+        pytest.param(lambda: classify_class(gen_convex(4), [(None, 2)]), id="classify_none"),
+        pytest.param(lambda: Partition((0, -1), (2,)), id="partition_negative"),
+        pytest.param(lambda: Partition((0, False), (2,)), id="partition_bool"),
+        pytest.param(lambda: Partition((0, 1.0), (2,)), id="partition_float"),
+        pytest.param(lambda: Partition((0, "1"), (2,)), id="partition_str"),
+        pytest.param(lambda: Partition((0, None), (2,)), id="partition_none"),
+        pytest.param(lambda: delete_points(gen_convex(4), [4]), id="delete_out_of_range"),
+        pytest.param(lambda: delete_points(gen_convex(4), [True]), id="delete_bool"),
+        pytest.param(lambda: delete_points(gen_convex(4), [1.0]), id="delete_float"),
+        pytest.param(lambda: delete_points(gen_convex(4), ["1"]), id="delete_str"),
+        pytest.param(lambda: delete_points(gen_convex(4), [None]), id="delete_none"),
+        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
+                                                [4]), id="apex_out_of_range"),
+        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
+                                                [1.0]), id="apex_float"),
+        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
+                                                [True]), id="apex_bool"),
+        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
+                                                ["1"]), id="apex_str"),
+        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
+                                                [None]), id="apex_none"),
+    ])
     def test_index_arguments_checked_alike(self, make):
-        with pytest.raises(ValueError, match="must be an integer (>= 0|in 0..3)"):
+        name = "(segment endpoint|partition index|deleted point|apex)"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer (>= 0|in 0..3), got"):
             make()
 
 
@@ -349,8 +382,11 @@ class TestThrackleBound:
             thrackle_edge_bound_ok(2, [1])
         with pytest.raises(ValueError):
             thrackle_edge_bound_ok(5, [0])
-        for n, sizes in ((True, [1]), (5.0, [1]), (5, [True]), (5, [1.0])):
-            with pytest.raises(ValueError, match="must be an integer"):
+        for n, sizes, name in ((True, [1], "n"), (5.0, [1], "n"), ("5", [1], "n"),
+                               (None, [1], "n"), (5, [True], "thrackle class size"),
+                               (5, [1.0], "thrackle class size"), (5, ["1"], "thrackle class size"),
+                               (5, [None], "thrackle class size")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 thrackle_edge_bound_ok(n, sizes)
 
 
@@ -374,11 +410,13 @@ class TestColoringJson:
         assert coloring_from_json(data) == c
 
     @pytest.mark.parametrize("rows, message", [
-        ([[1, 0, 0], [0, 4, 1], [0, 2, 2]], r"segment SegmentId\(i=0, j=4\) out of range for 3 points"),
+        ([[1, 0, 0], [0, 4, 1], [0, 2, 2]],
+         r"coloring JSON colors\[1\] endpoint must be an integer in 0\.\.2, got 4"),
         ([[1, 0, 0], [2, 0, 1], [0, 1, 2]], r"segment SegmentId\(i=0, j=1\) assigned twice"),
         ([[2, 1, 0], [0, 1, 1]], r"coloring of 3 points misses segment \(0, 2\)"),
         ([[2, 1, 0], [0, 1, 1], [2, 0, 2], [1, 1, 0]], r"degenerate segment \(1, 1\)"),
-        ([[1, 0, 0], [2, 0, -1], [2, 1, 1]], "non-negative ints"),
+        ([[1, 0, 0], [2, 0, -1], [2, 1, 1]],
+         r"coloring JSON colors\[1\]\[2\] must be an integer >= 0, got -1"),
         ([[1, 0, 0], [2, 0, 2], [2, 1, 0]], r"exactly 0\.\.1"),
     ], ids=["out_of_range", "duplicate", "missing", "degenerate", "negative_color", "color_gap"])
     def test_json_names_bad_segments(self, rows, message):

@@ -31,13 +31,14 @@ from helpers import oracle_collinear, oracle_disjoint, pairwise_disjoint_matrix
 
 class TestSegmentId:
     def test_of_normalizes_order(self):
-        assert SegmentId.of(3, 1) == SegmentId(1, 3)
+        assert SegmentId.of(3, 1, 4) == SegmentId(1, 3)
 
     def test_rejects_degenerate_and_negative(self):
-        with pytest.raises(ValueError):
-            SegmentId.of(2, 2)
-        with pytest.raises(ValueError):
-            SegmentId.of(-1, 2)
+        with pytest.raises(ValueError, match=r"degenerate segment \(2, 2\)"):
+            SegmentId.of(2, 2, 4)
+        for a in (-1, 4, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..3, got"):
+                SegmentId.of(a, 2, 4)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rank_matches_lexicographic_position(self, n):
@@ -47,8 +48,10 @@ class TestSegmentId:
             assert segment_rank(seg, n) == pos
 
     def test_rank_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            segment_rank(SegmentId(0, 4), 4)
+        for seg in (SegmentId(0, 4), SegmentId(-1, 2), SegmentId(0.5, 2), SegmentId(True, 2),
+                    SegmentId("1", 2), SegmentId(None, 2)):
+            with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..3, got"):
+                segment_rank(seg, 4)
 
 
 @st.composite
@@ -200,16 +203,18 @@ class TestBuildGraph:
         assert g.adj == (0,) * 6 and isinstance(g.adj, tuple)
         assert hash(g) == hash(DisjointnessGraph(4, (0,) * 6))
 
-    @pytest.mark.parametrize("n_points", [True, -1, 4.0, "4"])
+    @pytest.mark.parametrize("n_points", [True, -1, 4.0, "4", None])
     def test_rejects_bad_point_count(self, n_points):
         with pytest.raises(ValueError, match="n_points must be an integer >= 0"):
             DisjointnessGraph(n_points, ())
 
     @pytest.mark.parametrize("n_points, rows, message", [
-        (2, (0.0,), "adjacency row 0 must be an int, got 0.0"),
-        (2, (None,), "adjacency row 0 must be an int, got None"),
-        (2, ("0",), "adjacency row 0 must be an int, got '0'"),
-        (3, (False,) * 3, "adjacency row 0 must be an int, got False"),
+        (2, (0.0,), "adjacency row 0 must be an integer >= 0, got 0.0"),
+        (2, (None,), "adjacency row 0 must be an integer >= 0, got None"),
+        (2, ("0",), "adjacency row 0 must be an integer >= 0, got '0'"),
+        (3, (False,) * 3, "adjacency row 0 must be an integer >= 0, got False"),
+        (3, (0, True, 0), "adjacency row 1 must be an integer >= 0, got True"),
+        (3, (0, 0, -1), "adjacency row 2 must be an integer >= 0, got -1"),
     ])
     def test_rejects_rows_that_are_not_ints(self, n_points, rows, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -291,8 +296,8 @@ class TestHullEdgeNeighborhoods:
         segs = all_segments(ps.n)
         for side in (ps.partition.upper, ps.partition.lower):
             sub = PointSet(tuple(ps.points[i] for i in side))
-            hull = ([SegmentId.of(side[0], side[1])] if len(side) == 2
-                    else [SegmentId.of(side[e.i], side[e.j]) for e in convex_hull_edges(sub)])
+            hull = ([SegmentId.of(side[0], side[1], ps.n)] if len(side) == 2
+                    else [SegmentId.of(side[e.i], side[e.j], ps.n) for e in convex_hull_edges(sub)])
             for e in hull:
                 u = segment_rank(e, ps.n)
                 for v, s in enumerate(segs):
@@ -382,11 +387,18 @@ class TestExports:
         good = graph_to_json(build_graph(gen_convex(4)))
         for data, message in (
                 ({"vertices": 6, "edges": []}, "graph JSON has no 'n_points' field"),
-                (dict(good, n_points="4"), "graph JSON field 'n_points' must be an int, got '4'"),
-                (dict(good, n_points=-1), "graph JSON field 'n_points' must be an integer >= 0, got -1"),
-                (dict(good, vertices=None), "graph JSON field 'vertices' must be an int, got None"),
+                *((dict(good, n_points=bad),
+                   f"graph JSON field 'n_points' must be an integer >= 0, got {bad!r}")
+                  for bad in ("4", -1, True, 4.0, None)),
+                *((dict(good, vertices=bad),
+                   f"graph JSON field 'vertices' must be an integer >= 0, got {bad!r}")
+                  for bad in (None, -6, True, 6.0, "6")),
                 (dict(good, edges={"0": 5}), "graph JSON field 'edges' must be a list, got {'0': 5}"),
                 (dict(good, edges=[[0, 5], [2]]), "graph JSON edges[1] must be a list of 2 ints, got [2]"),
+                *((dict(good, edges=[[0, 5], [2, bad]]),
+                   f"graph JSON edges[1][1] must be an integer, got {bad!r}")
+                  for bad in (True, 5.0, "5", None)),
+                (dict(good, edges=[[0, 5], [2, 6]]), "edge [2, 6] is not an in-range pair with u < v"),
                 ("graph", "graph JSON must be an object, got 'graph'")):
             with pytest.raises(ValueError) as exc:
                 graph_from_json(data)
@@ -396,3 +408,5 @@ class TestExports:
         g = build_graph(gen_convex(4))
         with pytest.raises(ValueError):
             export_graph(g, "graphml")
+        with pytest.raises(ValueError, match="unknown graph format None"):
+            export_graph(g, None)

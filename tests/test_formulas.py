@@ -81,16 +81,20 @@ class TestDoubleChainChi:
         assert double_chain_chi(k, l) == expected
 
     def test_rejects_small_l(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^l must be an integer >= 3, got 2$"):
             double_chain_chi(1, 2)
 
     def test_rejects_k_above_l(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^l must be an integer >= 5, got 4$"):
             double_chain_chi(5, 4)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
             double_chain_chi(0, 5)
+        for k, l, name in ((True, 5, "k"), (1.0, 5, "k"), ("1", 5, "k"), (None, 5, "k"),
+                           (1, True, "l"), (1, 5.0, "l"), (1, "5", "l"), (1, None, "l")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+                double_chain_chi(k, l)
 
     @given(st.integers(1, 500), st.integers(3, 500))
     def test_step_in_l_is_f_step(self, k, l):
@@ -138,10 +142,16 @@ except RuntimeError as exc:
 class TestCheckInt:
     def test_exclusive_high(self):
         check = formulas_mod._check_int
-        check(0, "i", 0, 3)
-        check(2, "i", 0, 3)
-        for bad in (-1, 3, True, 1.0):
-            with pytest.raises(ValueError, match=r"i must be an integer in 0\.\.2, got"):
+        assert check(0, "i", 0, 3) == 0
+        assert check(2, "i", 0, 3) == 2
+        for bad in (-1, 3, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match=r"^i must be an integer in 0\.\.2, got"):
                 check(bad, "i", 0, 3)
-        with pytest.raises(ValueError, match="i must be an integer >= 0, got -1"):
-            check(-1, "i", 0)
+        for bad in (-1, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match=f"^i must be an integer >= 0, got {bad!r}$"):
+                check(bad, "i", 0)
+        # low=None: any int, negative or huge, and still no bool
+        assert check(-10**30, "i", None) == -10**30
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match=f"^i must be an integer, got {bad!r}$"):
+                check(bad, "i", None)

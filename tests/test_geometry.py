@@ -66,8 +66,10 @@ class TestOrientation:
             is Orientation.CLOCKWISE
 
     def test_point_rejects_floats(self):
-        with pytest.raises(TypeError):
-            Point(0.5, 1)
+        for x, y, name in ((0.5, 1, "x"), (1, 1.0, "y"), (True, 1, "x"), (1, "1", "y"),
+                           (None, 1, "x")):
+            with pytest.raises(ValueError, match=f"^point {name} must be an integer, got"):
+                Point(x, y)
 
 
 class TestSegmentsDisjoint:
@@ -95,6 +97,9 @@ class TestSegmentsDisjoint:
             segments_disjoint((0, 5), (1, 2), ps)
         with pytest.raises(ValueError):
             segments_disjoint((0, 0), (1, 2), ps)
+        for bad in (-1, 3, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..2, got"):
+                segments_disjoint((0, 1), (bad, 2), ps)
 
     @given(st.lists(st.integers(-50, 50), min_size=4, max_size=8, unique=True))
     def test_symmetric(self, xs):
@@ -165,12 +170,16 @@ class TestGenDoubleChain:
         assert gen_double_chain(3, 5) == gen_double_chain(3, 5)
 
     def test_rejects_k_above_l(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^l must be an integer >= 4, got 3$"):
             gen_double_chain(4, 3)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
             gen_double_chain(0, 3)
+        for k, l, name in ((True, 3, "k"), (1.0, 3, "k"), ("1", 3, "k"), (None, 3, "k"),
+                           (1, True, "l"), (1, 3.0, "l"), (1, "3", "l"), (1, None, "l")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got"):
+                gen_double_chain(k, l)
 
     def test_failed_validation_raises(self, monkeypatch):
         # the chord-height bound makes this unreachable; the check must still fire

@@ -558,3 +558,11 @@ class TestConjectureScan:
             conjecture_scan(3, trials=1, seed=0)
         with pytest.raises(ValueError):
             conjecture_scan(9, trials=1, seed=0)
+
+    def test_rejects_non_int_seed(self, tmp_path):
+        # an unseeded scan cannot be reproduced; any int seed, even a negative one, is fine
+        for seed in (None, True, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+                conjecture_scan(4, trials=1, seed=seed, out_dir=tmp_path)
+        assert conjecture_scan(4, trials=1, seed=-1, out_dir=tmp_path).conjecture_holds
+        assert list(tmp_path.iterdir()) == []
