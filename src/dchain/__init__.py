@@ -31,7 +31,6 @@ from .disjointness import (
     segment_rank,
 )
 from .experiments import (
-    ConvexRow,
     ScanReport,
     SweepRow,
     conjecture_scan,

@@ -95,26 +95,20 @@ def _cmd_formulas(args) -> int:
 
 def _cmd_chi(args) -> int:
     ps = load_points(args.points)
-    g = build_graph(ps)
-    result = chromatic_number_exact(g, max_ms=args.budget_ms)
-    if not result.is_exact:
-        _emit_json({
-            "status": "indeterminate",
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-            "witness": coloring_to_json(result.witness),
-            "nodes": result.nodes,
-            "ms": result.ms,
-        }, args.out)
-        _note(f"budget exhausted after {result.nodes} nodes; "
-              f"chi is in [{result.lower_bound}, {result.upper_bound}]")
-        return EXIT_INDETERMINATE
+    result = chromatic_number_exact(build_graph(ps), max_ms=args.budget_ms)
     _emit_json({
+        "status": result.status,
         "chi": result.chi,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
         "witness": coloring_to_json(result.witness),
         "nodes": result.nodes,
         "ms": result.ms,
     }, args.out)
+    if not result.is_exact:
+        _note(f"budget exhausted after {result.nodes} nodes; "
+              f"chi is in [{result.lower_bound}, {result.upper_bound}]")
+        return EXIT_INDETERMINATE
     _note(f"chi = {result.chi} ({result.nodes} nodes, {result.ms:.1f} ms)")
     return EXIT_OK
 
@@ -143,19 +137,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.convex:
-        rows = convex_sweep(args.max_sum)
-        header = ["n", "chi", "expected", "match"]
-        table = [[r.n, r.chi, r.expected, str(r.match).lower()] for r in rows]
-        where, law = [f"n={r.n}" for r in rows], "chi = f(n)"
+        rows, names, law = convex_sweep(args.max_sum), ["n"], "chi = f(n)"
     else:
-        rows = double_chain_sweep(args.max_sum)
-        header = ["k", "l", "chi", "expected", "match"]
-        table = [[r.k, r.l, r.chi, r.expected, str(r.match).lower()] for r in rows]
-        where, law = [f"k={r.k}, l={r.l}" for r in rows], "chi = k + f(l)"
-    _emit_text(_csv_text(header, table), args.out)
-    bad = [i for i, r in enumerate(rows) if not r.match]
+        rows, names, law = double_chain_sweep(args.max_sum), ["k", "l"], "chi = k + f(l)"
+    table = [[*r.point, r.result.chi, r.expected, str(r.match).lower()] for r in rows]
+    _emit_text(_csv_text([*names, "chi", "expected", "match"], table), args.out)
+    bad = [r for r in rows if not r.match]
     if bad:
-        _note(f"{len(bad)} grid points disagree with the prediction, first at ({where[bad[0]]})")
+        where = ", ".join(f"{name}={x}" for name, x in zip(names, bad[0].point))
+        _note(f"{len(bad)} grid points disagree with the prediction, first at ({where})")
         return EXIT_VIOLATION
     _note(f"all {len(rows)} grid points match {law}")
     return EXIT_OK

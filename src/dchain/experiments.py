@@ -17,7 +17,7 @@ from .coloring import Coloring, verify_coloring
 from .disjointness import all_segments, build_graph, segment_rank
 from .formulas import _check_int, double_chain_chi, f_of
 from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
-from .solver import chromatic_number_exact, enumerate_optimal_colorings
+from .solver import ChiResult, chromatic_number_exact, enumerate_optimal_colorings
 
 # the optimal-coloring census grows too fast to exhaust beyond this n
 SINGLETON_CAP = 6
@@ -25,8 +25,12 @@ SINGLETON_CAP = 6
 ConvexProvider = Callable[[PointSet], Coloring]
 
 
+def _solve(ps: PointSet) -> ChiResult:
+    return chromatic_number_exact(build_graph(ps))
+
+
 def _exact_convex_provider(cap: PointSet) -> Coloring:
-    result = chromatic_number_exact(build_graph(cap))
+    result = _solve(cap)
     if not result.is_exact:
         raise RuntimeError("exact solve of the cap configuration was cut off")
     return result.witness
@@ -91,48 +95,31 @@ def singleton_class_check(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SweepRow:
-    k: int
-    l: int
-    chi: int
+    """One sweep point: `point` is (k, l) on the double-chain grid or (n,) in
+    convex position, `result` its exact solve, `expected` the closed form."""
+
+    point: tuple[int, ...]
+    result: ChiResult
     expected: int
 
     @property
     def match(self) -> bool:
-        return self.chi == self.expected
+        return self.result.chi == self.expected
 
 
 def double_chain_sweep(max_sum: int) -> list[SweepRow]:
     """Exact chi of every canonical double chain with 1 <= k <= l, l >= 3 and
     k + l <= max_sum, paired with the closed-form prediction k + f(l)."""
     _check_int(max_sum, "max_sum", 4)
-    rows = []
-    for k in range(1, max_sum // 2 + 1):
-        for l in range(max(k, 3), max_sum - k + 1):
-            result = chromatic_number_exact(build_graph(gen_double_chain(k, l)))
-            rows.append(SweepRow(k, l, result.chi, double_chain_chi(k, l)))
-    return rows
+    return [SweepRow((k, l), _solve(gen_double_chain(k, l)), double_chain_chi(k, l))
+            for k in range(1, max_sum // 2 + 1) for l in range(max(k, 3), max_sum - k + 1)]
 
 
-@dataclass(frozen=True)
-class ConvexRow:
-    n: int
-    chi: int
-    expected: int
-
-    @property
-    def match(self) -> bool:
-        return self.chi == self.expected
-
-
-def convex_sweep(n_max: int) -> list[ConvexRow]:
+def convex_sweep(n_max: int) -> list[SweepRow]:
     """Exact chi of the canonical convex n-point set against f(n), for
     4 <= n <= n_max."""
     _check_int(n_max, "n_max", 4)
-    rows = []
-    for n in range(4, n_max + 1):
-        result = chromatic_number_exact(build_graph(gen_convex(n)))
-        rows.append(ConvexRow(n, result.chi, f_of(n)))
-    return rows
+    return [SweepRow((n,), _solve(gen_convex(n)), f_of(n)) for n in range(4, n_max + 1)]
 
 
 def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
@@ -161,7 +148,7 @@ class ScanReport:
     n: int
     trials: int
     f_value: int
-    min_chi: int | None
+    min_chi: int
     counterexample_paths: tuple[str, ...]
     forced_chis: dict[str, int]
     resamples: int
@@ -174,11 +161,11 @@ class ScanReport:
 
 def conjecture_scan(n: int, trials: int, seed: int, *,
                     out_dir: str | Path | None = None) -> ScanReport:
-    """Solve exact chi for the canonical convex and double-chain sets and for
-    seeded random general-position sets, and compare each against f(n). Any
-    set with chi < f(n) is written to disk as a points JSON file and
-    reported; running out of rejection-sampling attempts is reported via the
-    `exhausted` flag.
+    """Solve exact chi for the canonical convex and double-chain sets, then
+    for seeded random general-position sets as they are drawn, and compare
+    each against f(n). Any set with chi < f(n) is written to disk as a points
+    JSON file and reported; running out of rejection-sampling attempts is
+    reported via the `exhausted` flag.
     """
     _check_int(n, "n", 4, 9)
     _check_int(trials, "trials", 0)
@@ -186,12 +173,23 @@ def conjecture_scan(n: int, trials: int, seed: int, *,
     rng = random.Random(seed)
     target = f_of(n)
     directory = Path(out_dir) if out_dir is not None else Path.cwd()
+    bad: list[str] = []
+
+    def solve(label: str, ps: PointSet) -> int:
+        # solve one drawn set, archiving it if it beats f(n)
+        chi = _solve(ps).chi
+        if chi < target:
+            directory.mkdir(parents=True, exist_ok=True)
+            path = directory / f"counterexample_n{n}_seed{seed}_{label}.json"
+            save_points(ps, path)
+            bad.append(str(path))
+        return chi
 
     k = n // 2
-    samples: list[tuple[str, PointSet]] = [
-        ("convex", gen_convex(n)),
-        (f"double_chain_{k}_{n - k}", gen_double_chain(k, n - k)),
-    ]
+    forced = {"convex": solve("convex", gen_convex(n))}
+    chain = f"double_chain_{k}_{n - k}"
+    forced[chain] = solve(chain, gen_double_chain(k, n - k))
+    min_chi = min(forced.values())
     resamples = 0
     exhausted = False
     for t in range(trials):
@@ -200,20 +198,5 @@ def conjecture_scan(n: int, trials: int, seed: int, *,
         if ps is None:
             exhausted = True
             break
-        samples.append((f"random_{t}", ps))
-
-    min_chi: int | None = None
-    forced: dict[str, int] = {}
-    bad: list[str] = []
-    for label, ps in samples:
-        chi = chromatic_number_exact(build_graph(ps)).chi
-        if not label.startswith("random_"):
-            forced[label] = chi
-        if min_chi is None or chi < min_chi:
-            min_chi = chi
-        if chi < target:
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"counterexample_n{n}_seed{seed}_{label}.json"
-            save_points(ps, path)
-            bad.append(str(path))
+        min_chi = min(min_chi, solve(f"random_{t}", ps))
     return ScanReport(n, trials, target, min_chi, tuple(bad), forced, resamples, exhausted)

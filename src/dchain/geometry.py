@@ -120,7 +120,9 @@ class SegmentId(NamedTuple):
     @classmethod
     def of(cls, a: int, b: int, n_points: int, name: str = "segment endpoint") -> "SegmentId":
         """The segment between points a and b of an n_points-point set; a
-        ValueError naming `name` unless both are indices 0..n_points-1."""
+        ValueError naming `name` unless both are indices 0..n_points-1, and
+        one naming n_points unless it is an integer >= 0."""
+        _check_int(n_points, "n_points", 0)
         _check_int(a, name, 0, n_points)
         _check_int(b, name, 0, n_points)
         if a == b:

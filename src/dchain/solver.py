@@ -65,8 +65,9 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
         forb[c] = adj[v]
         unc ^= 1 << v
     # a vertex's saturation never exceeds `used`, which stays below best_k;
-    # lift the uncolored neighbors of each clique color by one level
-    lev = [0] * (best_k + 1)
+    # lift the uncolored neighbors of each clique color by one level. A level
+    # index never exceeds used + 1 <= best_k - 1, so best_k levels suffice
+    lev = [0] * best_k
     lev[0] = unc
     for c in range(used):
         rise = forb[c] & unc
@@ -133,7 +134,9 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
             while stack:
                 frame = stack[-1]
                 pbit, level, used, c, sforb, unc, slev = frame
-                while c < used and sforb[c] & pbit:
+                # a snapshot is 0 at every color >= used, and
+                # c <= used + 1 < len(sforb), so this stops by c = used
+                while sforb[c] & pbit:
                     c += 1
                 if c < used:
                     if used >= best_k:

@@ -76,7 +76,7 @@ def sweep_grid(max_sum: int, l_min: int = 3):
 
 def test_criterion_1_double_chain_chi_equals_prediction():
     rows = double_chain_sweep(9)
-    mismatches = [(r.k, r.l, r.chi, r.expected) for r in rows if not r.match]
+    mismatches = [(*r.point, r.result.chi, r.expected) for r in rows if not r.match]
     report(1, "double-chain sweep k+l<=9", not mismatches,
            f"{len(rows)} grid points" + (f", mismatches {mismatches}" if mismatches else ""))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dchain import f_of, gen_double_chain, save_points
+from dchain import double_chain_chi, f_of, gen_double_chain, save_points
 from dchain.cli import main
 
 
@@ -118,8 +118,21 @@ class TestChiAndVerify:
         code, out, _ = run(capsys, "chi", "--points", str(pts), "--budget-ms", "0")
         assert code == 3
         data = json.loads(out)
-        assert data["status"] == "indeterminate"
+        assert data["status"] == "indeterminate" and data["chi"] is None
         assert data["lower_bound"] <= data["upper_bound"]
+
+    def test_chi_json_has_one_shape(self, tmp_path, capsys):
+        # exact and indeterminate solves write the same keys in the same order
+        pts = tmp_path / "pts.json"
+        save_points(gen_double_chain(4, 5), pts)
+        keys = ["status", "chi", "lower_bound", "upper_bound", "witness", "nodes", "ms"]
+        code, out, _ = run(capsys, "chi", "--points", str(pts))
+        data = json.loads(out)
+        assert code == 0 and list(data) == keys
+        assert (data["status"], data["chi"]) == ("exact", 7)
+        assert data["lower_bound"] == data["upper_bound"] == 7
+        code, out, _ = run(capsys, "chi", "--points", str(pts), "--budget-ms", "0")
+        assert code == 3 and list(json.loads(out)) == keys
 
     def test_invalid_budget_is_usage_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
@@ -179,6 +192,17 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9
         assert all(r["match"] == "true" for r in rows)
+
+    def test_double_chain_mismatch_exits_1(self, capsys, monkeypatch):
+        import dchain.experiments
+
+        monkeypatch.setattr(dchain.experiments, "double_chain_chi",
+                            lambda k, l: double_chain_chi(k, l) + ((k, l) == (2, 4)))
+        code, out, err = run(capsys, "sweep", "--max-sum", "7")
+        assert code == 1
+        assert out.splitlines()[0] == "k,l,chi,expected,match"
+        assert [line for line in out.splitlines() if line.endswith("false")] == ["2,4,4,5,false"]
+        assert err == "1 grid points disagree with the prediction, first at (k=2, l=4)\n"
 
     def test_convex_mismatch_exits_1(self, capsys, monkeypatch):
         import dchain.experiments

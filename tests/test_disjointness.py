@@ -53,6 +53,14 @@ class TestSegmentId:
             with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..3, got"):
                 segment_rank(seg, 4)
 
+    @pytest.mark.parametrize("n_points", [2.5, True, -1, "3"])
+    def test_rejects_bad_point_count(self, n_points):
+        # once accepted: segment_rank((0, 1), 2.5) returned 0.0
+        for make in (lambda: SegmentId.of(0, 1, n_points), lambda: segment_rank((0, 1), n_points)):
+            with pytest.raises(ValueError,
+                               match=f"^n_points must be an integer >= 0, got {n_points!r}$"):
+                make()
+
 
 @st.composite
 def one_bit_flips(draw):

@@ -498,14 +498,28 @@ class TestSingletonClassCheck:
 class TestSweeps:
     def test_double_chain_grid_up_to_seven(self):
         rows = double_chain_sweep(7)
-        assert {(r.k, r.l) for r in rows} == {
+        assert {r.point for r in rows} == {
             (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)}
         assert all(r.match for r in rows)
 
     def test_convex_range(self):
         rows = convex_sweep(7)
-        assert [(r.n, r.chi) for r in rows] == [(4, 2), (5, 3), (6, 3), (7, 4)]
+        assert [(r.point, r.result.chi) for r in rows] == [
+            ((4,), 2), ((5,), 3), ((6,), 3), ((7,), 4)]
         assert all(r.match for r in rows)
+
+    @pytest.mark.parametrize("rows, build", [
+        (lambda: double_chain_sweep(7), gen_double_chain),
+        (lambda: convex_sweep(8), gen_convex)], ids=["double_chain", "convex"])
+    def test_rows_keep_the_solve(self, rows, build):
+        # each row carries the solve itself: status, chi, nodes and witness
+        # equal to a direct solve of the point's graph
+        for r in rows():
+            direct = chromatic_number_exact(build_graph(build(*r.point)))
+            assert r.result.status == solver_mod.EXACT
+            assert (r.result.chi, r.result.nodes, r.result.witness) == (
+                direct.chi, direct.nodes, direct.witness), r.point
+            assert r.match == (direct.chi == r.expected)
 
     @pytest.mark.parametrize("n_max", [3.5, 3, True, "7"])
     def test_convex_range_rejects_bad_bounds(self, n_max):
@@ -523,6 +537,18 @@ class TestConjectureScan:
         assert report.forced_chis["double_chain_2_3"] == double_chain_chi(2, 3)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n, trials, seed, min_chi, forced", [
+        (6, 20, 1, 3, {"convex": 3, "double_chain_3_3": 4}),
+        (7, 15, 3, 4, {"convex": 4, "double_chain_3_4": 5}),
+        (4, 5, 0, 2, {"convex": 2, "double_chain_2_2": 2}),
+        (8, 10, 2, 5, {"convex": 5, "double_chain_4_4": 6})])
+    def test_reports_pinned(self, tmp_path, n, trials, seed, min_chi, forced):
+        # recorded when every set was drawn first and solved afterwards
+        report = conjecture_scan(n, trials, seed, out_dir=tmp_path)
+        assert (report.min_chi, report.forced_chis, report.resamples, report.exhausted,
+                report.counterexample_paths) == (min_chi, forced, 0, False, ())
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_for_seed(self, tmp_path):
         a = conjecture_scan(4, trials=4, seed=9, out_dir=tmp_path)
         b = conjecture_scan(4, trials=4, seed=9, out_dir=tmp_path)
@@ -538,6 +564,16 @@ class TestConjectureScan:
             str(tmp_path / f"counterexample_n4_seed0_{label}.json") for label in labels)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             f"counterexample_n4_seed0_{label}.json" for label in labels)
+
+    def test_sets_drawn_before_exhaustion_are_solved(self, tmp_path, monkeypatch):
+        draws = iter([(gen_convex(4), 3), (None, 1_000)])
+        monkeypatch.setattr(experiments_mod, "sample_general_position", lambda rng, n: next(draws))
+        monkeypatch.setattr(experiments_mod, "f_of", lambda n: 99)
+        report = conjecture_scan(4, trials=5, seed=0, out_dir=tmp_path)
+        assert report.exhausted and report.resamples == 2 + 1_000
+        assert [Path(p).name for p in report.counterexample_paths] == [
+            f"counterexample_n4_seed0_{label}.json"
+            for label in ("convex", "double_chain_2_2", "random_0")]
 
     def test_sampler_respects_box_and_general_position(self):
         rng = random.Random(1234)
