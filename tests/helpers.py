@@ -1,9 +1,9 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
-quadratic greedy DSATUR, a recursive DSATUR branch and bound, a
-Fraction-based segment intersection test, an all-triples collinearity
-check, an edge-scan coloring check and an all-chords, all-triples
-double-chain check. All deliberately avoid the code paths they are used to
-check."""
+quadratic greedy DSATUR and a recursive DSATUR branch and bound (both with
+saturation ties by id, or by degree then id), a Fraction-based segment
+intersection test, an all-triples collinearity check, an edge-scan coloring
+check and an all-chords, all-triples double-chain check. All deliberately
+avoid the code paths they are used to check."""
 
 from __future__ import annotations
 
@@ -51,18 +51,31 @@ def naive_chromatic(g: DisjointnessGraph) -> int:
     raise AssertionError("unreachable: every graph is V-colorable")
 
 
-def oracle_dsatur(g: DisjointnessGraph) -> list[int]:
+def tie_order(g: DisjointnessGraph, by_degree: bool) -> list[int]:
+    """The vertices in the order that breaks saturation ties: by descending
+    degree, then ascending id, or by id alone. Degrees are counted bit by
+    bit from the adjacency rows."""
+    v_count = g.n_vertices
+    if not by_degree:
+        return list(range(v_count))
+    degree = [sum(g.adj[v] >> u & 1 for u in range(v_count)) for v in range(v_count)]
+    return sorted(range(v_count), key=lambda v: (-degree[v], v))
+
+
+def oracle_dsatur(g: DisjointnessGraph, by_degree: bool = False) -> list[int]:
     """Greedy DSATUR colors in vertex-rank order by plain scans of the
     adjacency rows: each step picks the uncolored vertex whose colored
-    neighbors show the most distinct colors (ties to the smallest id) and
-    gives it the smallest color none of them has. O(V) per step."""
+    neighbors show the most distinct colors (ties to the smallest id, or with
+    `by_degree` to the highest degree, then the smallest id) and gives it the
+    smallest color none of them has. O(V) per step."""
     v_count = g.n_vertices
     adj = g.adj
+    ties = tie_order(g, by_degree)
     colors = [-1] * v_count
     seen = [set() for _ in range(v_count)]  # colors on colored neighbors
     for _ in range(v_count):
         pick = -1
-        for v in range(v_count):
+        for v in ties:
             if colors[v] < 0 and (pick < 0 or len(seen[v]) > len(seen[pick])):
                 pick = v
         c = 0
@@ -79,30 +92,35 @@ class _OutOfNodes(Exception):
     pass
 
 
-def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None = None
-                            ) -> tuple[bool, int, int, list[int]]:
+def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None = None,
+                            by_degree: bool = True) -> tuple[bool, int, int, list[int]]:
     """(exact, nodes, color count, vertex colors) of a plain recursive DSATUR
-    branch and bound, written from the rule the exact solver documents:
+    branch and bound, written from the rule the exact solver documents. Ties
+    in saturation go to the highest degree, then the smallest id; with
+    `by_degree=False` they go to the smallest id alone. Call this tie order
+    the order of the vertices:
 
-    - the members of `clique` take colors 0, 1, ... in id order;
-    - the incumbent is oracle_dsatur's coloring, and the search runs only
-      when it uses more colors than the clique has members;
+    - the members of `clique` take colors 0, 1, ... in that order;
+    - the incumbent is oracle_dsatur's coloring under the same ties, and the
+      search runs only when it uses more colors than the clique has members;
     - every node entered counts; entering node max_nodes + 1 ends the search
       with exact False and the incumbent of that moment;
     - a node with every vertex colored is a new incumbent. Otherwise it
       branches on the uncolored vertex whose colored neighbors show the most
-      distinct colors (ties to the smallest id): each used color none of them
-      has, in ascending order, while the used colors are fewer than the
-      incumbent's, then one new color while used + 1 is fewer.
+      distinct colors, the first in that order among equals: each used
+      color none of them has, in ascending order, while the used colors are
+      fewer than the incumbent's, then one new color while used + 1 is
+      fewer.
 
-    Saturation is recounted from `colors` at every node: no masks, and
-    nothing from dchain.solver."""
+    Saturation is recounted from `colors` at every node: no masks, no
+    relabelling, and nothing from dchain.solver."""
     v_count = g.n_vertices
     nbrs = [[u for u in range(v_count) if g.adj[v] >> u & 1] for v in range(v_count)]
+    ties = tie_order(g, by_degree)
     colors = [-1] * v_count
-    for c, v in enumerate(sorted(clique)):
+    for c, v in enumerate(v for v in ties if v in clique):
         colors[v] = c
-    best = oracle_dsatur(g)
+    best = oracle_dsatur(g, by_degree)
     best_k = max(best, default=-1) + 1
     nodes = 0
 
@@ -112,7 +130,7 @@ def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None 
         if max_nodes is not None and nodes > max_nodes:
             raise _OutOfNodes
         pick, seen = -1, set()
-        for v in range(v_count):
+        for v in ties:
             if colors[v] < 0:
                 around = {colors[u] for u in nbrs[v] if colors[u] >= 0}
                 if pick < 0 or len(around) > len(seen):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dchain import (
+    Coloring,
     DisjointnessGraph,
     Point,
     PointSet,
@@ -106,6 +107,39 @@ def hand_built_graphs(seed, count):
                 rows[v] |= 1 << u
         graphs.append(DisjointnessGraph(n, tuple(rows)))
     return graphs + [DisjointnessGraph(4, (0,) * 6), later_seed_graph()]
+
+
+def id_order_solve(g, max_nodes=None):
+    """The exact solve with saturation ties to the smallest segment rank,
+    driven through solver._search on the rows as built: the greedy first
+    dive, then the search from sorted(clique). Returns
+    ([status, lower_bound, upper_bound, nodes], vertex colors)."""
+    lower, clique = clique_lower(g)
+    best_k, colors, _, _ = solver_mod._search(g.adj, [], g.n_vertices + 1, None, None, None, True)
+    nodes, aborted = 0, False
+    if best_k > lower:
+        best_k, colors, nodes, aborted = solver_mod._search(g.adj, sorted(clique), best_k, colors,
+                                                            max_nodes, None, False)
+    assert verify_coloring(g, Coloring(g.n_points, colors)).proper
+    if aborted:
+        return ["indeterminate", lower, best_k, nodes], colors
+    return ["exact", best_k, best_k, nodes], colors
+
+
+def pin_cases(pins):
+    """(pin, graph) for the chain or convex set each solver pin names."""
+    for pin in pins:
+        ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
+        yield pin, build_graph(ps)
+
+
+def budget_pin_cases(pins):
+    """(pin, graph) for the 53 budget-pin cases, in the pin files' order."""
+    cases = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
+    cases += random_configs(8, 50, 2024)
+    assert len(pins) == len(cases) == 53
+    for pin, ps in zip(pins, cases):
+        yield pin, build_graph(ps)
 
 
 class TestDsatur:
@@ -232,7 +266,7 @@ class TestExactChi:
 
     def test_time_budget_indeterminate(self):
         # the deadline is read only when nodes & 0xFF == 0, so a zero budget
-        # on a search of millions of nodes ends on entering node 256
+        # on a search of thousands of nodes ends on entering node 256
         g = build_graph(gen_double_chain(6, 7))
         res = chromatic_number_exact(g, max_ms=0.0)
         assert res.status == "indeterminate"
@@ -253,33 +287,43 @@ class TestExactChi:
             chromatic_number_exact(build_graph(gen_convex(5)), **budget)
 
     def test_pinned_nodes_and_witnesses(self):
-        # recorded from the recursive per-vertex-saturation solver; the mask
-        # solver must branch identically, node for node
+        # recorded from the recursive per-vertex-saturation solver with ties
+        # to the smallest id; the mask search must branch identically, node
+        # for node, on the rows in segment-rank order
         pins = json.loads(Path(__file__).with_name("solver_pins.json").read_text())
         assert len(pins) == 26
-        for pin in pins:
-            ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
-            res = chromatic_number_exact(build_graph(ps))
+        for pin, g in pin_cases(pins):
+            (_, chi, _, nodes), colors = id_order_solve(g)
+            assert (nodes, chi, colors) == (pin["nodes"], pin["chi"], pin["witness"]), pin
+
+    def test_degree_order_pins(self):
+        # the public solve on the same cases, with ties by degree, then id
+        pins = json.loads(Path(__file__).with_name("solver_pins_degree.json").read_text())
+        assert len(pins) == 26
+        for pin, g in pin_cases(pins):
+            res = chromatic_number_exact(g)
             assert (res.nodes, res.chi, res.witness.colors) == \
                 (pin["nodes"], pin["chi"], tuple(pin["witness"])), pin
 
     def test_budget_cutoffs_match_pins(self):
-        # (status, lower, upper, nodes) at each node budget, recorded before
-        # the search stopped pushing frames it would pop at once: skipping
-        # them must leave every cutoff where it was
+        # [status, lower, upper, nodes] at each node budget of the id-order
+        # search, recorded before it stopped pushing frames it would pop at
+        # once: skipping them must leave every cutoff where it was
         pins = json.loads(Path(__file__).with_name("budget_pins.json").read_text())
-        cases = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
-        cases += random_configs(8, 50, 2024)
-        assert len(pins) == len(cases) == 53
-        for pin, ps in zip(pins, cases):
-            g = build_graph(ps)
+        for pin, g in budget_pin_cases(pins):
+            for budget, expected in pin["budgets"].items():
+                assert id_order_solve(g, int(budget))[0] == expected, (pin["case"], budget)
+
+    def test_degree_order_budget_cutoffs(self):
+        pins = json.loads(Path(__file__).with_name("budget_pins_degree.json").read_text())
+        for pin, g in budget_pin_cases(pins):
             for budget, expected in pin["budgets"].items():
                 r = chromatic_number_exact(g, max_nodes=int(budget))
                 assert [r.status, r.lower_bound, r.upper_bound, r.nodes] == expected, \
                     (pin["case"], budget)
 
     def test_search_deeper_than_recursion_limit(self):
-        g = build_graph(gen_convex(14))  # 91 vertices, 84 of them left to the search
+        g = build_graph(gen_double_chain(6, 7))  # 78 vertices, 72 of them left to the search
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -354,7 +398,8 @@ except RuntimeError as exc:
 def oracle_cases():
     """Every chain with k + l <= 9, convex 4..10, 300 seeded random
     4..8-point sets and 200 hand-built graphs (hand_built_graphs), each with
-    its greedy clique."""
+    its greedy clique; then the ten chains with k + l = 10..11, whose
+    degree-order searches hold most of the nodes."""
     sets = [gen_double_chain(k, l) for k in range(1, 5) for l in range(k, 10 - k)]
     sets += [gen_convex(n) for n in range(4, 11)]
     rng = random.Random(909)
@@ -364,16 +409,25 @@ def oracle_cases():
             ps, _ = sample_general_position(rng, rng.randint(4, 8), box=rng.choice([60, 10_000]))
         sets.append(ps)
     graphs = [build_graph(ps) for ps in sets] + hand_built_graphs(910, 198)
+    graphs += [build_graph(gen_double_chain(k, s - k)) for s in (10, 11)
+               for k in range(1, s // 2 + 1)]
     return [(g, clique_lower(g)[1]) for g in graphs]
+
+
+# the oracle recounts saturation in Python at every node, and the chains with
+# k + l = 10..11 take 94,554 nodes by id against 7,212 by degree, so the id
+# order is checked on the cases before them
+ID_ORDER_CASES = 527
 
 
 class TestAgainstOracle:
     """The engine against a recursive DSATUR branch and bound written from
     its documented rule (tests/helpers.py): equal node counts, chi and
-    witnesses, and equal cutoffs under node budgets."""
+    witnesses, and equal cutoffs under node budgets. The public solve breaks
+    saturation ties by degree, then id; the `_search` id path, by id."""
 
     def test_exact_solves_match(self, oracle_cases):
-        assert len(oracle_cases) == 527
+        assert len(oracle_cases) == 537
         total = 0
         for g, clique in oracle_cases:
             res = chromatic_number_exact(g)
@@ -382,6 +436,16 @@ class TestAgainstOracle:
             assert (res.nodes, res.chi, res.witness.colors) == (nodes, chi, tuple(colors))
             total += nodes
         assert total > 10_000  # the search is exercised, not skipped by the presolve
+
+    def test_id_order_search_matches(self, oracle_cases):
+        total = 0
+        for g, clique in oracle_cases[:ID_ORDER_CASES]:
+            (status, _, chi, nodes), colors = id_order_solve(g)
+            exact, o_nodes, o_chi, o_colors = oracle_branch_and_bound(g, clique, by_degree=False)
+            assert exact and status == "exact"
+            assert (nodes, chi, colors) == (o_nodes, o_chi, o_colors)
+            total += nodes
+        assert total > 10_000
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 17])
     def test_node_budget_cutoffs_match(self, oracle_cases, budget):
@@ -392,6 +456,12 @@ class TestAgainstOracle:
             assert (res.is_exact, res.nodes, res.upper_bound, res.witness.colors) == \
                 (exact, nodes, upper, tuple(colors))
             assert res.lower_bound == (upper if exact else len(clique))
+            cut += not exact
+            (status, lower, upper, nodes), colors = id_order_solve(g, budget)
+            exact, o_nodes, o_upper, o_colors = oracle_branch_and_bound(
+                g, clique, max_nodes=budget, by_degree=False)
+            assert (status == "exact", nodes, upper, colors) == (exact, o_nodes, o_upper, o_colors)
+            assert lower == (upper if exact else len(clique))
             cut += not exact
         assert cut > 0
 
