@@ -77,9 +77,11 @@ def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
     cls = [0] * c.color_count
     for u, col in enumerate(c.colors):
         cls[col] |= 1 << u
-    # u ascending, then v ascending: the lexicographic order of g.edges()
+    # u ascending, then v ascending: the lexicographic order of g.edges();
+    # a bit walk only for the rows that hold a conflict
     bad = tuple((u, v) for u, col in enumerate(c.colors)
-                for v in _bits(g.adj[u] & (cls[col] >> (u + 1) << (u + 1))))
+                if (clash := g.adj[u] & (cls[col] >> (u + 1) << (u + 1)))
+                for v in _bits(clash))
     return VerifyReport(bad)
 
 

@@ -255,14 +255,19 @@ def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
     kind = fmt.strip().lower() if isinstance(fmt, str) else fmt
     if kind == "dimacs":
         # one bytes object per adjacency row, none per edge, so the transient
-        # peak stays near twice the output size
-        ids = [b"%d" % (v + 1) for v in range(g.n_vertices)]
-        out = bytearray(b"p edge %d %d\n" % (g.n_vertices, g.edge_count))
+        # peak stays near twice the output size. Each row is read as its bit
+        # string (cells[w] is bit w, as in the symmetry check), and one
+        # comprehension picks the ids of the set bits above the diagonal.
+        v_count = g.n_vertices
+        ids = [b"%d" % (v + 1) for v in range(v_count)]
+        out = bytearray(b"p edge %d %d\n" % (v_count, g.edge_count))
+        spec = f"0{v_count}b"
         for u, row in enumerate(g.adj):
-            above = row >> (u + 1)
+            cells = format(row, spec)[::-1]
+            above = [ids[w] for w, c in enumerate(cells[u + 1:], u + 1) if c == "1"]
             if above:
                 head = b"e " + ids[u] + b" "
-                out += head + (b"\n" + head).join([ids[u + 1 + v] for v in _bits(above)]) + b"\n"
+                out += head + (b"\n" + head).join(above) + b"\n"
         return bytes(out)
     if kind == "json":
         return (json.dumps(graph_to_json(g)) + "\n").encode("ascii")

@@ -279,11 +279,13 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     position. Above/below are strict: collinear counts as failure, and a
     vertical chain line fails outright since no point is strictly below it.
 
-    When (a) holds, (c) is checked against the k - 1 consecutive cup chords
-    only, and likewise (d) when (b) holds; when (a)-(d) all hold, (e) follows
-    without a collinearity search. So a valid C_{k,l} costs O(k*l). Either
-    shortcut is exact (same pass/fail as checking every chord and triple);
-    a failure witness is then a consecutive chord and a point beyond it.
+    When (a) holds and no two cup points share an x value, (c) is checked
+    against the first and last consecutive cup chords only, and likewise (d)
+    when (b) holds; when (a)-(d) all hold, (e) follows without a collinearity
+    search. So a valid C_{k,l} costs O(k+l). Each shortcut is exact (same
+    pass/fail as checking every chord and triple). A failing set is walked
+    along its k - 1 (or l - 1) consecutive chords, and the witness is the
+    first consecutive chord and a point not strictly beyond it.
     """
     if ps.partition is None:
         raise ValueError("validate_double_chain requires a partitioned point set")
@@ -313,10 +315,38 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     # consecutive chord line is strictly below every chord line. The cap is
     # the mirror image. Equal x values are adjacent in lex order, so the
     # vertical test on consecutive pairs still finds every equal-x pair.
+    #
+    # Why the two outer chords suffice. Let L_i be the line of consecutive
+    # chord (i, i+1), with slope s_i. Lines L_i and L_{i+1} meet at u_{i+1},
+    # so L_i(x) - L_{i+1}(x) = (s_i - s_{i+1})(x - x_{i+1}). On a cup
+    # s_i < s_{i+1}, so this is negative exactly when x > x_{i+1}; the
+    # x_{i+1} increase with i, so at any x the values L_0(x), ...,
+    # L_{m-2}(x) rise and then fall, and their minimum is L_0(x) or
+    # L_{m-2}(x). A point strictly below both outer chord lines is then
+    # strictly below every consecutive chord line, and so below every chord
+    # line. On a cap the values fall and then rise, and the maximum is at
+    # an end. So when the chain has no equal x values, checking the two
+    # outer chords gives the same pass/fail in O(k + l); only a failing
+    # set runs the consecutive loop, which names the first witness.
     def separated(chain_idx: list[int], others: list[int], name: str,
                   below: bool, convex: bool) -> ConditionCheck:
+        def first_not_beyond(a: int, b: int) -> int | None:
+            ax, ay = xs[a], ys[a]
+            dx = xs[b] - ax
+            dy = ys[b] - ay
+            for p in others:
+                d = dx * (ys[p] - ay) - dy * (xs[p] - ax)
+                if (d >= 0) if below else (d <= 0):
+                    return p
+            return None
+
         m = len(chain_idx)
         if convex:
+            # no equal x values: the two outer chords decide (proof above)
+            if len({xs[i] for i in chain_idx}) == m and (m < 2 or (
+                    first_not_beyond(*chain_idx[:2]) is None
+                    and first_not_beyond(*chain_idx[-2:]) is None)):
+                return ConditionCheck(name, True)
             pairs = [(u, u + 1) for u in range(m - 1)]
         else:
             pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
@@ -324,13 +354,9 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
             a, b = chain_idx[u], chain_idx[v]
             if xs[a] == xs[b]:
                 return ConditionCheck(name, False, (a, b, others[0]))
-            ax, ay = xs[a], ys[a]
-            dx = xs[b] - ax
-            dy = ys[b] - ay
-            for p in others:
-                d = dx * (ys[p] - ay) - dy * (xs[p] - ax)
-                if (d >= 0) if below else (d <= 0):
-                    return ConditionCheck(name, False, (a, b, p))
+            p = first_not_beyond(a, b)
+            if p is not None:
+                return ConditionCheck(name, False, (a, b, p))
         return ConditionCheck(name, True)
 
     cup = chain(up, CONDITION_NAMES[0], up_open=True)

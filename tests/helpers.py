@@ -224,19 +224,19 @@ def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tupl
     return not bad, bad
 
 
-def _turn(pts, a: int, b: int, c: int) -> int:
+def turn(pts, a: int, b: int, c: int) -> int:
     (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _strictly_beyond(pts, a: int, b: int, p: int, below: bool) -> bool:
+def strictly_beyond(pts, a: int, b: int, p: int, below: bool) -> bool:
     """p strictly below (or above) the line through a and b; never for a
     vertical line, which has no below or above."""
     if pts[a][0] == pts[b][0]:
         return False
     if pts[a][0] > pts[b][0]:
         a, b = b, a
-    d = _turn(pts, a, b, p)
+    d = turn(pts, a, b, p)
     return d < 0 if below else d > 0
 
 
@@ -250,15 +250,15 @@ def oracle_violates(ps: PointSet, name: str, witness) -> bool:
     if name in ("upper_is_cup", "lower_is_cap"):
         side, sign = (up, 1) if name == "upper_is_cup" else (low, -1)
         a, b, c = sorted(witness, key=lambda i: pts[i])
-        return set(witness) <= side and sign * _turn(pts, a, b, c) <= 0
+        return set(witness) <= side and sign * turn(pts, a, b, c) <= 0
     if name in ("lower_below_upper_lines", "upper_above_lower_lines"):
         below = name == "lower_below_upper_lines"
         chain, others = (up, low) if below else (low, up)
         a, b, p = witness
         return a in chain and b in chain and p in others \
-            and not _strictly_beyond(pts, a, b, p, below)
+            and not strictly_beyond(pts, a, b, p, below)
     if name == "general_position":
-        return _turn(pts, *witness) == 0
+        return turn(pts, *witness) == 0
     raise ValueError(f"unknown condition {name!r}")
 
 
@@ -273,9 +273,9 @@ def oracle_validate_double_chain(ps: PointSet) -> tuple[bool, bool, bool, bool, 
     up = sorted(ps.partition.upper, key=lambda i: pts[i])
     low = sorted(ps.partition.lower, key=lambda i: pts[i])
     return (
-        all(_turn(pts, a, b, c) > 0 for a, b, c in combinations(up, 3)),
-        all(_turn(pts, a, b, c) < 0 for a, b, c in combinations(low, 3)),
-        all(_strictly_beyond(pts, a, b, p, True) for a, b in combinations(up, 2) for p in low),
-        all(_strictly_beyond(pts, a, b, p, False) for a, b in combinations(low, 2) for p in up),
-        all(_turn(pts, a, b, c) != 0 for a, b, c in combinations(range(ps.n), 3)),
+        all(turn(pts, a, b, c) > 0 for a, b, c in combinations(up, 3)),
+        all(turn(pts, a, b, c) < 0 for a, b, c in combinations(low, 3)),
+        all(strictly_beyond(pts, a, b, p, True) for a, b in combinations(up, 2) for p in low),
+        all(strictly_beyond(pts, a, b, p, False) for a, b in combinations(low, 2) for p in up),
+        all(turn(pts, a, b, c) != 0 for a, b, c in combinations(range(ps.n), 3)),
     )

@@ -28,7 +28,8 @@ from dchain import (
 )
 import dchain.geometry
 from dchain.geometry import CONDITION_NAMES, ConditionCheck, DoubleChainReport
-from helpers import oracle_disjoint, oracle_validate_double_chain, oracle_violates
+from helpers import (oracle_disjoint, oracle_validate_double_chain, oracle_violates,
+                     strictly_beyond, turn)
 
 coord = st.integers(-1000, 1000)
 
@@ -258,16 +259,87 @@ def small_box_chain(rng: random.Random) -> PointSet | None:
                     Partition(tuple(new[i] for i in up), tuple(new[i] for i in low)))
 
 
+def small_box_corpus() -> list[PointSet]:
+    """The seeded small-box sets: 4000 draws from seed 4711, coincident
+    points dropped."""
+    rng = random.Random(4711)
+    return [ps for ps in (small_box_chain(rng) for _ in range(4000)) if ps is not None]
+
+
+# cup and cap sizes of the canonical chains that nudged_canonical_chains
+# perturbs: sides of 1 and 2 points, and of 3..15
+CANONICAL_SIDES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 8), (8, 1), (2, 6), (6, 2),
+                   (3, 3), (3, 15), (15, 3), (4, 11), (7, 9), (12, 5), (15, 15))
+
+
+def canonical_chain(k: int, l: int) -> PointSet:
+    """A valid chain with a k-point cup and an l-point cap: gen_double_chain
+    for k <= l, else the mirror image (x, -y) of gen_double_chain(l, k),
+    whose cap becomes the cup."""
+    if k <= l:
+        return gen_double_chain(k, l)
+    base = gen_double_chain(l, k)
+    return PointSet(tuple(Point(p.x, -p.y) for p in base.points),
+                    Partition(base.partition.lower, base.partition.upper))
+
+
+def nudged_canonical_chains() -> list[PointSet]:
+    """Canonical chains with one point moved, each side listed left to right.
+
+    - The leftmost or rightmost point of one chain goes onto a consecutive
+      chord line of the other, at its own x, or one unit above or below it.
+      The chord's chain stays convex, so the outer-chord test decides.
+    - A chain point goes onto the line through its two neighbours (the next
+      two at an end), or one unit off it: a bend.
+    - An end point takes the x of its neighbour: a vertical chord.
+    Canonical chord lines have integer slopes, so "onto" is exact.
+    """
+    out = []
+    for k, l in CANONICAL_SIDES:
+        base = canonical_chain(k, l)
+        pts = base.points
+        up, low = base.partition.upper, base.partition.lower
+        lines = []  # (moved point, chord ends a and b)
+        for chain, others in ((up, low), (low, up)):
+            for a, b in zip(chain, chain[1:]):
+                for p in {others[0], others[-1]}:
+                    lines.append((p, a, b))
+            if len(chain) >= 3:
+                lines += [(p, *((chain[1], chain[2]) if t == 0 else
+                                (chain[-3], chain[-2]) if t == len(chain) - 1 else
+                                (chain[t - 1], chain[t + 1])))
+                          for t, p in enumerate(chain)]
+        moves = []
+        for p, a, b in sorted(lines):
+            pa, pb, x = pts[a], pts[b], pts[p].x
+            rise, run = (pb.y - pa.y) * (x - pa.x), pb.x - pa.x
+            assert rise % run == 0
+            moves += [(p, Point(x, pa.y + rise // run + dy)) for dy in (-1, 0, 1)]
+        for chain in (up, low):
+            if len(chain) >= 2:
+                moves.append((chain[0], Point(pts[chain[1]].x, pts[chain[0]].y)))
+                moves.append((chain[-1], Point(pts[chain[-2]].x, pts[chain[-1]].y)))
+        for p, moved in moves:
+            new = pts[:p] + (moved,) + pts[p + 1:]
+            if len(set(new)) == len(new):
+                out.append(PointSet(new, base.partition))
+    return out
+
+
+def report_digest(reports) -> str:
+    """sha256 over the name, pass/fail and witness of every check."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update((repr([(c.name, c.passed, c.witness) for c in report.checks]) + "\n").encode())
+    return digest.hexdigest()
+
+
 class TestValidatorAgainstOracle:
     def test_small_box_sets_match_all_chords_oracle(self):
         # pass/fail of every condition equals the all-chords, all-triples
         # oracle, and every failure witness is a real violation
-        rng = random.Random(4711)
         seen = Counter()
-        for _ in range(4000):
-            ps = small_box_chain(rng)
-            if ps is None:
-                continue
+        for ps in small_box_corpus():
             report = validate_double_chain(ps)
             got = tuple(c.passed for c in report.checks)
             assert got == oracle_validate_double_chain(ps), ps
@@ -288,6 +360,53 @@ class TestValidatorAgainstOracle:
         for case in ("valid", "cup with equal x", "cap with equal x",
                      "cup, points above a chord", "cap, points below a chord"):
             assert seen[case] >= 50, (case, seen)
+
+    def test_nudged_canonical_chains_match_all_chords_oracle(self):
+        # chains of up to 15 points a side, where the outer chords are two of
+        # up to 14; the oracle also confirms on each convex chain that a
+        # condition fails exactly when some point is not strictly beyond one
+        # of the two outer chords
+        seen = Counter()
+        for ps in nudged_canonical_chains():
+            report = validate_double_chain(ps)
+            got = tuple(c.passed for c in report.checks)
+            assert got == oracle_validate_double_chain(ps), ps
+            for c in report.checks:
+                if not c.passed:
+                    assert oracle_violates(ps, c.name, c.witness), (ps, c)
+            seen["valid"] += report.ok
+            pts = [(p.x, p.y) for p in ps.points]
+            for below, chain, others, convex, passed in (
+                    (True, ps.partition.upper, ps.partition.lower, got[0], got[2]),
+                    (False, ps.partition.lower, ps.partition.upper, got[1], got[3])):
+                chain = sorted(chain, key=lambda i: pts[i])
+                if not convex or len({pts[i][0] for i in chain}) < len(chain) or len(chain) < 3:
+                    continue
+                chords = ((chain[0], chain[1]), (chain[-2], chain[-1]))
+                outer = [{p for p in others if not strictly_beyond(pts, a, b, p, below)}
+                         for a, b in chords]
+                assert passed == (not outer[0] and not outer[1]), (ps, below)
+                seen["fails the first outer chord only"] += bool(outer[0]) and not outer[1]
+                seen["fails the last outer chord only"] += bool(outer[1]) and not outer[0]
+                seen["fails only on outer chord lines"] += not passed and all(
+                    turn(pts, a, b, p) == 0 for (a, b), bad in zip(chords, outer) for p in bad)
+        for case in ("valid", "fails the first outer chord only",
+                     "fails the last outer chord only", "fails only on outer chord lines"):
+            assert seen[case] >= 10, (case, seen)
+
+
+class TestReportPins:
+    """Every check's name, pass/fail and witness, pinned by sha256 over two
+    corpora, recorded with the validator that tested every consecutive
+    chord."""
+
+    def test_small_box_reports(self):
+        digest = report_digest(validate_double_chain(ps) for ps in small_box_corpus())
+        assert digest == "1b94b9fc7566ad9ef663a7ed149ddb1d023c040a27883971253d7fcd4c08a52c"
+
+    def test_nudged_canonical_reports(self):
+        digest = report_digest(validate_double_chain(ps) for ps in nudged_canonical_chains())
+        assert digest == "7e14161594cb8e3045204fd5f015e7c7063bd23c6de67a66dfcb9fc8cc3acc68"
 
 
 class TestHullCrossingFreedom:
