@@ -4,9 +4,6 @@ constructive coloring, an exact branch-and-bound chromatic solver, and the
 experiments that hold the solver against the closed forms."""
 
 from .coloring import (
-    STAR,
-    THRACKLE,
-    ClassKind,
     Coloring,
     VerifyReport,
     classify_class,

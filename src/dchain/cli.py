@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .coloring import coloring_to_json, load_coloring, verify_coloring, verify_report_to_json
@@ -96,15 +97,7 @@ def _cmd_formulas(args) -> int:
 def _cmd_chi(args) -> int:
     ps = load_points(args.points)
     result = chromatic_number_exact(build_graph(ps), max_ms=args.budget_ms)
-    _emit_json({
-        "status": result.status,
-        "chi": result.chi,
-        "lower_bound": result.lower_bound,
-        "upper_bound": result.upper_bound,
-        "witness": coloring_to_json(result.witness),
-        "nodes": result.nodes,
-        "ms": result.ms,
-    }, args.out)
+    _emit_json({**vars(result), "witness": coloring_to_json(result.witness)}, args.out)
     if not result.is_exact:
         _note(f"budget exhausted after {result.nodes} nodes; "
               f"chi is in [{result.lower_bound}, {result.upper_bound}]")
@@ -165,25 +158,16 @@ def _cmd_prop4(args) -> int:
 def _cmd_conjecture(args) -> int:
     out_dir = Path(args.out).parent if args.out else None
     report = conjecture_scan(args.n, args.trials, args.seed, out_dir=out_dir)
-    _emit_json({
-        "n": report.n,
-        "trials": report.trials,
-        "f": report.f_value,
-        "min_chi": report.min_chi,
-        "counterexamples": list(report.counterexample_paths),
-        "forced": report.forced_chis,
-        "resamples": report.resamples,
-        "exhausted": report.exhausted,
-    }, args.out)
-    if report.counterexample_paths:
-        _note(f"counterexample(s) with chi < f({report.n}) = {report.f_value} archived: "
-              f"{', '.join(report.counterexample_paths)}")
+    _emit_json(vars(report), args.out)
+    if report.counterexamples:
+        _note(f"counterexample(s) with chi < f({report.n}) = {report.f} archived: "
+              f"{', '.join(report.counterexamples)}")
         return EXIT_VIOLATION
     if report.exhausted:
         _note("rejection sampling ran out of attempts before finishing the scan")
         return EXIT_INDETERMINATE
     _note(f"no counterexample in {report.trials} random sets: "
-          f"min chi {report.min_chi} >= f({report.n}) = {report.f_value}")
+          f"min chi {report.min_chi} >= f({report.n}) = {report.f}")
     return EXIT_OK
 
 
@@ -193,56 +177,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Disjointness graphs of double-chain and convex point sets: "
                     "generation, exact coloring, and verification sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but conjecture, whose --out also places counterexamples
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default stdout)")
+    command = partial(sub.add_parser, parents=[out])
 
-    p = sub.add_parser("gen", help="write a points JSON file (convex or double chain)")
+    p = command("gen", help="write a points JSON file (convex or double chain)")
     p.add_argument("--n", type=int, help="convex point count")
     p.add_argument("--k", type=int, help="cup size of a double chain")
     p.add_argument("--l", type=int, help="cap size of a double chain")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("graph", help="build the disjointness graph of a points file")
+    p = command("graph", help="build the disjointness graph of a points file")
     p.add_argument("--points", required=True, help="points JSON file")
     p.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("formulas", help="CSV table of n, g(n), f(n) for n = 1..N")
+    p = command("formulas", help="CSV table of n, g(n), f(n) for n = 1..N")
     p.add_argument("--n", type=int, required=True, help="table upper bound N")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_formulas)
 
-    p = sub.add_parser("chi", help="exact chromatic number of a points file's graph")
+    p = command("chi", help="exact chromatic number of a points file's graph")
     p.add_argument("--points", required=True, help="points JSON file")
     p.add_argument("--budget-ms", type=float, default=None,
                    help="time budget; exhaustion exits 3 with bounds only")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_chi)
 
-    p = sub.add_parser("color", help="constructive proper coloring of a double chain")
+    p = command("color", help="constructive proper coloring of a double chain")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("verify", help="check a coloring file against a points file")
+    p = command("verify", help="check a coloring file against a points file")
     p.add_argument("--points", required=True, help="points JSON file")
     p.add_argument("--coloring", required=True, help="coloring JSON file")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="CSV of exact chi vs k + f(l) over the double-chain grid, "
-                                     "or vs f(n) over convex n = 4..N with --convex")
+    p = command("sweep", help="CSV of exact chi vs k + f(l) over the double-chain grid, "
+                              "or vs f(n) over convex n = 4..N with --convex")
     p.add_argument("--max-sum", type=int, required=True,
                    help="largest k + l to test (with --convex, the largest n)")
     p.add_argument("--convex", action="store_true",
                    help="sweep convex n-point sets against f(n) instead")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("prop4", help="exhaustive single-segment-class check for convex n")
+    p = command("prop4", help="exhaustive single-segment-class check for convex n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_prop4)
 
     p = sub.add_parser("conjecture", help="randomized scan for chi below f(n)")

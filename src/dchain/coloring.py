@@ -1,6 +1,6 @@
 """Colorings of disjointness graphs: proper-coloring verification, star and
-thrackle class structure, star apex removal, and the thrackle edge-count
-bound.
+thrackle classes (a class is its apex, or None for a thrackle), star apex
+removal, and the thrackle edge-count bound.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from typing import Iterable
 from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
 from .formulas import _check_int
 from .geometry import PointSet, _json_field, _json_ints, delete_points
-
-STAR = "star"
-THRACKLE = "thrackle"
 
 
 @dataclass(frozen=True)
@@ -65,15 +62,18 @@ class VerifyReport:
         return not self.violations
 
 
+def _check_covers(c: Coloring, n_points: int, what: str) -> None:
+    if c.n_points != n_points:
+        raise ValueError(f"coloring covers {c.n_points} points but the {what} has {n_points}")
+
+
 def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
     """Proper iff no adjacent (disjoint-segment) pair shares a color.
 
     Every offending vertex-id pair is listed. Colorings over a different
     point count than the graph's are rejected outright.
     """
-    if c.n_points != g.n_points:
-        raise ValueError(
-            f"coloring covers {c.n_points} points but the graph has {g.n_points}")
+    _check_covers(c, g.n_points, "graph")
     cls = [0] * c.color_count
     for u, col in enumerate(c.colors):
         cls[col] |= 1 << u
@@ -85,26 +85,9 @@ def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
     return VerifyReport(bad)
 
 
-@dataclass(frozen=True)
-class ClassKind:
-    """A color class is a star (all segments through one apex) or a thrackle."""
-
-    kind: str
-    apex: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (STAR, THRACKLE):
-            raise ValueError(f"kind must be {STAR!r} or {THRACKLE!r}, got {self.kind!r}")
-        if (self.kind == STAR) != (self.apex is not None):
-            raise ValueError("stars carry an apex, thrackles do not")
-
-
-def classify_class(ps: PointSet, segments: Iterable) -> ClassKind:
-    """Star if some point lies on every segment of the class, else thrackle.
-
-    A single-segment class admits both endpoints as apex; the smaller point
-    index is reported.
-    """
+def classify_class(ps: PointSet, segments: Iterable) -> int | None:
+    """The apex of a star class, the smallest point on every segment of the
+    class (the smaller endpoint of a single segment), or None for a thrackle."""
     segs = [SegmentId.of(a, b, ps.n) for a, b in segments]
     if not segs:
         raise ValueError("cannot classify an empty class")
@@ -112,11 +95,12 @@ def classify_class(ps: PointSet, segments: Iterable) -> ClassKind:
     for s in segs[1:]:
         common &= {s.i, s.j}
         if not common:
-            return ClassKind(THRACKLE)
-    return ClassKind(STAR, min(common))
+            return None
+    return min(common)
 
 
-def classify_coloring(ps: PointSet, c: Coloring) -> dict[int, ClassKind]:
+def classify_coloring(ps: PointSet, c: Coloring) -> dict[int, int | None]:
+    _check_covers(c, ps.n, "point set")
     return {color: classify_class(ps, segs) for color, segs in sorted(c.classes().items())}
 
 
@@ -134,8 +118,7 @@ def remove_star_apices(ps: PointSet, coloring: Coloring,
         _check_int(a, "apex", 0, ps.n)
     if len(set(apex_list)) != len(apex_list):
         raise ValueError(f"duplicate apices in {apex_list}")
-    if coloring.n_points != ps.n:
-        raise ValueError("coloring does not cover this point set")
+    _check_covers(coloring, ps.n, "point set")
     if not verify_coloring(build_graph(ps), coloring).proper:
         raise ValueError("input coloring is not proper")
     classes = coloring.classes()

@@ -143,20 +143,20 @@ def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Summary of a randomized chi-versus-f(n) scan."""
+    """A randomized chi-versus-f(n) scan; `dchain conjecture` writes its fields in order."""
 
     n: int
     trials: int
-    f_value: int
+    f: int
     min_chi: int
-    counterexample_paths: tuple[str, ...]
-    forced_chis: dict[str, int]
+    counterexamples: tuple[str, ...]
+    forced: dict[str, int]
     resamples: int
     exhausted: bool
 
     @property
     def conjecture_holds(self) -> bool:
-        return not self.counterexample_paths
+        return not self.counterexamples
 
 
 def conjecture_scan(n: int, trials: int, seed: int, *,

@@ -97,12 +97,10 @@ class PointSet:
             raise ValueError("a point set needs at least one point")
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
-        if self.partition is not None:
-            part = self.partition
+        part = self.partition
+        if part is not None:
             if not isinstance(part, Partition):
-                up, low = part
-                part = Partition(up, low)
-                object.__setattr__(self, "partition", part)
+                raise ValueError(f"partition must be a Partition or None, got {part!r}")
             if sorted(part.upper + part.lower) != list(range(len(pts))):
                 raise ValueError("partition must cover every point index exactly once")
 

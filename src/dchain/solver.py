@@ -29,7 +29,8 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class ChiResult:
-    """Outcome of an exact solve; indeterminate results carry proven bounds only."""
+    """Outcome of an exact solve; indeterminate results carry proven bounds only.
+    `dchain chi` writes its fields in order, the witness as coloring JSON."""
 
     status: str
     chi: int | None

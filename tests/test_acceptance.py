@@ -11,7 +11,6 @@ import pytest
 
 from dchain import (
     PointSet,
-    STAR,
     build_graph,
     chromatic_number_exact,
     classify_coloring,
@@ -142,10 +141,10 @@ def test_criterion_5_formula_identities_up_to_a_million():
 def _distinct_apex_stars(ps, coloring):
     apices = []
     seen = set()
-    for color, kind in sorted(classify_coloring(ps, coloring).items()):
-        if kind.kind == STAR and kind.apex not in seen:
-            seen.add(kind.apex)
-            apices.append(kind.apex)
+    for color, apex in sorted(classify_coloring(ps, coloring).items()):
+        if apex is not None and apex not in seen:
+            seen.add(apex)
+            apices.append(apex)
     return apices
 
 
@@ -183,9 +182,9 @@ def test_criterion_7_thrackle_classes_fit_edge_budget():
         if n <= 6:
             colorings.extend(enumerate_optimal_colorings(g, res.chi))
         for coloring in colorings:
-            kinds = classify_coloring(ps, coloring)
+            apices = classify_coloring(ps, coloring)
             sizes = [len(segs) for color, segs in coloring.classes().items()
-                     if kinds[color].kind != STAR]
+                     if apices[color] is None]
             if not thrackle_edge_bound_ok(n, sizes):
                 bad.append((n, sizes))
     report(7, "thrackle classes within k*n - C(k,2) edges, n<=8", not bad,
@@ -295,12 +294,12 @@ def test_criterion_10_no_random_set_beats_the_convex_bound(tmp_path):
     results = []
     for n in range(4, 9):
         rep = conjecture_scan(n, trials=200, seed=20260811 + n, out_dir=tmp_path / str(n))
-        ok = rep.conjecture_holds and not rep.exhausted and rep.min_chi >= rep.f_value
-        ok = ok and rep.forced_chis["convex"] == f_of(n)
+        ok = rep.conjecture_holds and not rep.exhausted and rep.min_chi >= rep.f
+        ok = ok and rep.forced["convex"] == f_of(n)
         k = n // 2
         if n - k >= 3:
-            ok = ok and rep.forced_chis[f"double_chain_{k}_{n - k}"] == double_chain_chi(k, n - k)
-        results.append((n, rep.min_chi, rep.f_value, ok))
+            ok = ok and rep.forced[f"double_chain_{k}_{n - k}"] == double_chain_chi(k, n - k)
+        results.append((n, rep.min_chi, rep.f, ok))
         if not ok:
             report(10, "randomized scan", False, f"scan failed at n={n}: {rep}")
     report(10, "200-trial scans find no chi below f(n), n=4..8", True,

@@ -63,6 +63,13 @@ class TestGraph:
         data = json.loads(out)
         assert data["vertices"] == 6 and data["edges"] == [[0, 5], [1, 4], [2, 3]]
 
+    def test_dimacs_to_file(self, tmp_path, capsys):
+        pts, target = tmp_path / "pts.json", tmp_path / "graph.dimacs"
+        run(capsys, "gen", "--n", "4", "--out", str(pts))
+        code, out, _ = run(capsys, "graph", "--points", str(pts), "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == b"p edge 6 2\ne 1 6\ne 3 4\n"
+
 
 class TestFormulas:
     def test_table(self, capsys):
@@ -348,6 +355,15 @@ class TestProp4:
         code, _, err = run(capsys, "prop4", "--n", "12")
         assert code == 2
 
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        import dchain.cli
+
+        monkeypatch.setattr(dchain.cli, "singleton_class_check", lambda n: False)
+        code, out, err = run(capsys, "prop4", "--n", "5")
+        assert code == 1
+        assert json.loads(out) == {"n": 5, "holds": False}
+        assert "two single-segment classes at n=5" in err
+
 
 class TestConjecture:
     def test_small_scan(self, tmp_path, capsys):
@@ -356,6 +372,8 @@ class TestConjecture:
                            "--seed", "5", "--out", str(report_path))
         assert code == 0
         report = json.loads(report_path.read_text())
+        assert list(report) == ["n", "trials", "f", "min_chi", "counterexamples", "forced",
+                                "resamples", "exhausted"]
         assert report["min_chi"] >= report["f"] == f_of(4)
         assert report["counterexamples"] == []
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dchain import (
-    STAR,
-    THRACKLE,
     Coloring,
     Partition,
     SegmentId,
@@ -198,22 +196,25 @@ class TestVerifyColoring:
 class TestClassify:
     def test_common_endpoint_star(self):
         ps = gen_convex(5)
-        kind = classify_class(ps, [(0, 1), (0, 2), (0, 4)])
-        assert kind.kind == STAR and kind.apex == 0
+        assert classify_class(ps, [(0, 1), (0, 2), (0, 4)]) == 0
 
     def test_triangle_is_thrackle(self):
         ps = gen_convex(4)
-        kind = classify_class(ps, [(0, 1), (1, 2), (0, 2)])
-        assert kind.kind == THRACKLE and kind.apex is None
+        assert classify_class(ps, [(0, 1), (1, 2), (0, 2)]) is None
 
     def test_singleton_reports_smaller_endpoint(self):
         ps = gen_convex(4)
-        kind = classify_class(ps, [(3, 1)])
-        assert kind.kind == STAR and kind.apex == 1
+        assert classify_class(ps, [(3, 1)]) == 1
 
     def test_rejects_empty_class(self):
         with pytest.raises(ValueError):
             classify_class(gen_convex(4), [])
+
+    def test_coloring_rejects_another_point_count(self):
+        # every segment of the 4-point coloring names a point of the 9-point set
+        with pytest.raises(ValueError,
+                           match="^coloring covers 4 points but the point set has 9$"):
+            classify_coloring(gen_convex(9), construct_double_chain_coloring(1, 3))
 
 
 class TestConstruction:
@@ -235,12 +236,12 @@ class TestConstruction:
         k, l = 3, 4
         ps = gen_double_chain(k, l)
         c = construct_double_chain_coloring(k, l)
-        kinds = classify_coloring(ps, c)
+        apices = classify_coloring(ps, c)
         upper = set(ps.partition.upper)
         for color, segs in c.classes().items():
             touches_cup = any(s.i in upper or s.j in upper for s in segs)
             if touches_cup:
-                assert kinds[color].kind == STAR and kinds[color].apex in upper
+                assert apices[color] in upper
             else:
                 assert all(s.i not in upper and s.j not in upper for s in segs)
 
@@ -257,6 +258,10 @@ class TestConstruction:
         g = build_graph(gen_double_chain(k, l))
         assert verify_coloring(g, c).proper
         assert c.color_count == provider_counts[0] + k
+
+    def test_rejects_provider_without_a_coloring(self):
+        with pytest.raises(ValueError, match="^provider must return a coloring of the cap"):
+            construct_double_chain_coloring(2, 4, lambda cap: dsatur_upper(build_graph(cap)).colors)
 
     def test_rejects_improper_provider(self):
         def bad_provider(cap):
@@ -363,6 +368,19 @@ class TestRemoveStarApices:
         with pytest.raises(ValueError, match="not proper"):
             remove_star_apices(ps, c, [0])
 
+    def test_rejects_another_point_count(self):
+        with pytest.raises(ValueError,
+                           match="^coloring covers 4 points but the point set has 5$"):
+            remove_star_apices(gen_convex(5), construct_double_chain_coloring(1, 3), [0])
+
+    def test_rejects_a_class_that_vanishes_unclaimed(self):
+        # apex 0 claims the single-segment class {(0, 1)} and apex 1 the star
+        # at 1; deleting both points also empties the star at 0
+        c = flat_coloring(4, {(0, 1): 0, (0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 2, (2, 3): 3})
+        with pytest.raises(ValueError,
+                           match=r"^colors \[1\] vanished but were not selected star classes$"):
+            remove_star_apices(gen_convex(4), c, [0, 1])
+
 
 class TestThrackleBound:
     def test_single_class_at_boundary(self):
@@ -454,9 +472,9 @@ class TestColoringPins:
         for label, ps in cases:
             witness = chromatic_number_exact(build_graph(ps)).witness
             apices = []
-            for _, kind in sorted(classify_coloring(ps, witness).items()):
-                if kind.kind == STAR and kind.apex not in apices:
-                    apices.append(kind.apex)
+            for _, apex in sorted(classify_coloring(ps, witness).items()):
+                if apex is not None and apex not in apices:
+                    apices.append(apex)
             new_ps, induced = remove_star_apices(ps, witness, apices)
             got[label] = _sha(json.dumps([apices, pointset_to_json(new_ps),
                                           coloring_to_json(induced)]))

@@ -200,6 +200,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=re.escape(f"not symmetric at {pair}")):
             DisjointnessGraph(g.n_points, tuple(rows))
 
+    @pytest.mark.parametrize("rows, message", [
+        ((0,), "expected 3 vertices for 3 points, got 1"),
+        ((8, 0, 0), "adjacency row 0 has bits outside the vertex range"),
+    ], ids=["row_count", "bit_above_range"])
+    def test_graph_validation_rejects_bad_row_shape(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DisjointnessGraph(3, rows)
+
     def test_graph_validation_rejects_self_loop(self):
         with pytest.raises(ValueError):
             DisjointnessGraph(3, (0b001, 0b000, 0b000))
@@ -292,6 +300,10 @@ class TestConvexHullEdges:
     def test_rejects_fewer_than_three(self):
         with pytest.raises(ValueError):
             convex_hull_edges(PointSet((Point(0, 0), Point(1, 2))))
+
+    def test_rejects_collinear_points(self):
+        with pytest.raises(ValueError, match="^point set is not in general position$"):
+            convex_hull_edges(PointSet((Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5))))
 
 
 class TestHullEdgeNeighborhoods:

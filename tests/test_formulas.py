@@ -113,6 +113,11 @@ class TestFormulaTable:
         with pytest.raises(ValueError):
             FormulaResult(5, 3, 9)
 
+    def test_result_refuses_an_unbracketed_g(self):
+        # f = n - g + 1 holds, but C(2, 2) <= 5 < C(3, 2) does not
+        with pytest.raises(ValueError, match="^g=2 is not bracketed by binomials at n=5$"):
+            FormulaResult(5, 2, 4)
+
 
 def test_cross_checks_survive_python_O():
     script = """

@@ -124,6 +124,18 @@ class TestSegmentsDisjoint:
         assert segments_disjoint((0, 2), (1, 3), ps) is False  # overlap
         assert segments_disjoint((0, 1), (2, 3), ps) is True   # gap on one line
 
+    @pytest.mark.parametrize("coords", [
+        # the second endpoint of the first segment lies on the other segment
+        [(0, 5), (1, 0), (0, 0), (2, 0)],
+        # the first, then the second endpoint of the other segment lies on the first
+        [(0, 0), (2, 0), (1, 0), (1, 5)],
+        [(0, 0), (2, 0), (1, 5), (1, 0)],
+    ], ids=["own_second", "other_first", "other_second"])
+    def test_each_touching_endpoint_intersects(self, coords):
+        # one collinear endpoint in each set, so one touching test decides
+        ps = PointSet(tuple(Point(x, y) for x, y in coords))
+        assert segments_disjoint((0, 1), (2, 3), ps) is False
+
 
 class TestGeneralPosition:
     def test_parabola_is_general(self):
@@ -207,6 +219,21 @@ class TestValidateDoubleChain:
     def test_partition_rejects_empty_side(self):
         with pytest.raises(ValueError):
             Partition((0, 1, 2), ())
+
+    @pytest.mark.parametrize("upper, lower", [((0, 0), (1,)), ((0, 1), (1, 2))],
+                             ids=["repeated", "shared"])
+    def test_partition_rejects_repeated_or_shared_index(self, upper, lower):
+        with pytest.raises(ValueError, match="^partition sides must be disjoint and free of"):
+            Partition(upper, lower)
+
+    def test_point_set_partition_must_cover_every_index(self):
+        with pytest.raises(ValueError, match="^partition must cover every point index"):
+            PointSet(gen_convex(4).points, Partition((0,), (1, 2)))
+
+    @pytest.mark.parametrize("part", [((0, 1), (2, 3)), [[0, 1], [2, 3]], {"U": [0, 1]}])
+    def test_point_set_partition_must_be_a_partition(self, part):
+        with pytest.raises(ValueError, match="^partition must be a Partition or None, got"):
+            PointSet(gen_convex(4).points, part)
 
     def test_cup_violation_witnessed(self):
         good = gen_double_chain(3, 4)
@@ -470,6 +497,10 @@ class TestDeletionClosure:
         ps = gen_double_chain(1, 3)
         smaller, _ = delete_points(ps, [0])
         assert smaller.partition is None
+
+    def test_rejects_deleting_every_point(self):
+        with pytest.raises(ValueError, match="^cannot delete every point$"):
+            delete_points(gen_convex(3), [0, 1, 2])
 
 
 class TestPointsJson:

@@ -602,9 +602,9 @@ class TestConjectureScan:
         report = conjecture_scan(5, trials=5, seed=3, out_dir=tmp_path)
         assert report.conjecture_holds
         assert not report.exhausted
-        assert report.min_chi >= report.f_value == f_of(5)
-        assert report.forced_chis["convex"] == f_of(5)
-        assert report.forced_chis["double_chain_2_3"] == double_chain_chi(2, 3)
+        assert report.min_chi >= report.f == f_of(5)
+        assert report.forced["convex"] == f_of(5)
+        assert report.forced["double_chain_2_3"] == double_chain_chi(2, 3)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n, trials, seed, min_chi, forced", [
@@ -615,8 +615,8 @@ class TestConjectureScan:
     def test_reports_pinned(self, tmp_path, n, trials, seed, min_chi, forced):
         # recorded when every set was drawn first and solved afterwards
         report = conjecture_scan(n, trials, seed, out_dir=tmp_path)
-        assert (report.min_chi, report.forced_chis, report.resamples, report.exhausted,
-                report.counterexample_paths) == (min_chi, forced, 0, False, ())
+        assert (report.min_chi, report.forced, report.resamples, report.exhausted,
+                report.counterexamples) == (min_chi, forced, 0, False, ())
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_for_seed(self, tmp_path):
@@ -630,7 +630,7 @@ class TestConjectureScan:
         report = conjecture_scan(4, trials=1, seed=0, out_dir=tmp_path)
         assert not report.conjecture_holds
         labels = ["convex", "double_chain_2_2", "random_0"]
-        assert report.counterexample_paths == tuple(
+        assert report.counterexamples == tuple(
             str(tmp_path / f"counterexample_n4_seed0_{label}.json") for label in labels)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             f"counterexample_n4_seed0_{label}.json" for label in labels)
@@ -641,7 +641,7 @@ class TestConjectureScan:
         monkeypatch.setattr(experiments_mod, "f_of", lambda n: 99)
         report = conjecture_scan(4, trials=5, seed=0, out_dir=tmp_path)
         assert report.exhausted and report.resamples == 2 + 1_000
-        assert [Path(p).name for p in report.counterexample_paths] == [
+        assert [Path(p).name for p in report.counterexamples] == [
             f"counterexample_n4_seed0_{label}.json"
             for label in ("convex", "double_chain_2_2", "random_0")]
 
@@ -651,6 +651,10 @@ class TestConjectureScan:
         assert ps is not None and attempts >= 1
         assert all(0 <= p.x <= 50 and 0 <= p.y <= 50 for p in ps.points)
         assert is_general_position(ps)
+
+    def test_sampler_reports_exhaustion(self):
+        # the box [0, 1]^2 holds only four integer points, so no draw of five succeeds
+        assert sample_general_position(random.Random(0), 5, box=1, max_attempts=3) == (None, 3)
 
     @pytest.mark.parametrize("kwargs", [
         {"n": -1}, {"n": 0}, {"n": True}, {"n": 4.0}, {"n": 4, "box": 0}, {"n": 4, "box": 50.0},
