@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .formulas import FormulaResult, double_chain_chi, f_of, f_step, formula_table, g_of
 from .geometry import (
-    Orientation,
     Partition,
     Point,
     PointSet,

@@ -242,6 +242,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:
+        # every command declares --out: refuse an unwritable one before any work
+        if args.out and Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out} is a directory")
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValueError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
         return args.func(args)
     # RecursionError: JSON input nested deeper than the decoder can follow
     except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:

@@ -13,8 +13,8 @@ from math import comb
 from typing import Iterator
 
 from .formulas import _check_int
-from .geometry import (Orientation, PointSet, SegmentId, _json_field, _json_ints,
-                       is_general_position, orientation)
+from .geometry import (PointSet, SegmentId, _json_field, _json_ints, is_general_position,
+                       orientation)
 
 
 @lru_cache(maxsize=8)
@@ -198,8 +198,7 @@ def convex_hull_edges(ps: PointSet) -> list[SegmentId]:
     def half(seq: list[int]) -> list[int]:
         hull: list[int] = []
         for idx in seq:
-            while len(hull) >= 2 and orientation(
-                    pts[hull[-2]], pts[hull[-1]], pts[idx]) is not Orientation.COUNTERCLOCKWISE:
+            while len(hull) >= 2 and orientation(pts[hull[-2]], pts[hull[-1]], pts[idx]) <= 0:
                 hull.pop()
             hull.append(idx)
         return hull

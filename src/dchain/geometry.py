@@ -11,20 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .formulas import _check_chain, _check_int
-
-
-class Orientation(Enum):
-    """Turn direction of an ordered point triple (p, q, r)."""
-
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -46,19 +37,10 @@ def _as_point(obj) -> Point:
     return Point(x, y)
 
 
-def _cross(p: Point, q: Point, r: Point) -> int:
-    # twice the signed area of the triangle (p, q, r)
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Twice the signed area of the triangle (p, q, r), exactly: positive for
+    a counterclockwise turn, 0 when collinear, negative for clockwise."""
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Sign of the exact triangle determinant: COLLINEAR iff it is zero."""
-    d = _cross(p, q, r)
-    if d > 0:
-        return Orientation.COUNTERCLOCKWISE
-    if d < 0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
 
 
 @dataclass(frozen=True)
@@ -148,12 +130,11 @@ def segments_disjoint(a: Sequence[int], b: Sequence[int], ps: PointSet) -> bool:
         return False
     pts = ps.points
     p1, p2, q1, q2 = pts[i], pts[j], pts[k], pts[l]
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 \
-            and ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0:
+    d1 = orientation(q1, q2, p1)
+    d2 = orientation(q1, q2, p2)
+    d3 = orientation(p1, p2, q1)
+    d4 = orientation(p1, p2, q2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return False  # proper crossing
     # collinear touching; unreachable in general position but kept for safety
     if d1 == 0 and _in_box(q1, q2, p1):
@@ -240,11 +221,15 @@ def gen_double_chain(k: int, l: int) -> PointSet:
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """One validated double-chain condition, with a witness on failure."""
+    """One validated double-chain condition: it fails exactly when it has a
+    witness, the index triple that breaks it."""
 
     name: str
-    passed: bool
     witness: tuple[int, ...] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -253,10 +238,10 @@ class DoubleChainReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.witness is None for c in self.checks)
 
     def failed(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.passed]
+        return [c for c in self.checks if c.witness is not None]
 
 
 CONDITION_NAMES = (
@@ -299,8 +284,8 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
             a, b, c = order[t], order[t + 1], order[t + 2]
             d = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
             if (d <= 0) if up_open else (d >= 0):
-                return ConditionCheck(name, False, (a, b, c))
-        return ConditionCheck(name, True)
+                return ConditionCheck(name, (a, b, c))
+        return ConditionCheck(name)
 
     # Why consecutive chords suffice on a convex chain. Let (a) hold and let
     # the consecutive cup chords be non-vertical; as U is lex-sorted, x then
@@ -344,18 +329,18 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
             if len({xs[i] for i in chain_idx}) == m and (m < 2 or (
                     first_not_beyond(*chain_idx[:2]) is None
                     and first_not_beyond(*chain_idx[-2:]) is None)):
-                return ConditionCheck(name, True)
+                return ConditionCheck(name)
             pairs = [(u, u + 1) for u in range(m - 1)]
         else:
             pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
         for u, v in pairs:
             a, b = chain_idx[u], chain_idx[v]
             if xs[a] == xs[b]:
-                return ConditionCheck(name, False, (a, b, others[0]))
+                return ConditionCheck(name, (a, b, others[0]))
             p = first_not_beyond(a, b)
             if p is not None:
-                return ConditionCheck(name, False, (a, b, p))
-        return ConditionCheck(name, True)
+                return ConditionCheck(name, (a, b, p))
+        return ConditionCheck(name)
 
     cup = chain(up, CONDITION_NAMES[0], up_open=True)
     cap = chain(low, CONDITION_NAMES[1], up_open=False)
@@ -370,7 +355,7 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
         collinear = None
     else:
         collinear = find_collinear_triple(ps)
-    general = ConditionCheck(CONDITION_NAMES[4], collinear is None, collinear)
+    general = ConditionCheck(CONDITION_NAMES[4], collinear)
     return DoubleChainReport((cup, cap, above, beneath, general))
 
 

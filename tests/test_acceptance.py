@@ -10,6 +10,7 @@ from math import comb, isqrt
 import pytest
 
 from dchain import (
+    Coloring,
     PointSet,
     build_graph,
     chromatic_number_exact,
@@ -108,6 +109,16 @@ def test_criterion_4_optimal_colorings_have_at_most_one_singleton_class():
     bad = [n for n in (4, 5, 6) if not singleton_class_check(n)]
     report(4, "single-segment class unique in optimal colorings, n=4,5,6", not bad,
            f"exhaustive census" + (f", failures at n={bad}" if bad else ""))
+
+
+def test_criterion_4_two_singleton_classes_break_the_check(monkeypatch):
+    # an optimal-looking coloring of the 6 segments on 4 points whose
+    # classes 0 and 1 hold one segment each: the census must answer False
+    two_singles = Coloring(4, (0, 1, 2, 2, 2, 2))
+    monkeypatch.setattr(experiments_mod, "enumerate_optimal_colorings",
+                        lambda g, chi: iter([two_singles]))
+    holds = singleton_class_check(4)
+    report(4, "two single-segment classes are caught", holds is False, f"returned {holds}")
 
 
 def test_criterion_5_formula_identities_up_to_a_million():

@@ -401,6 +401,28 @@ class TestUsage:
         code, _, _ = run(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, work", [
+        (["chi", "--points", "p.json"], "chromatic_number_exact"),
+        (["conjecture", "--n", "6", "--trials", "20", "--seed", "1"], "conjecture_scan"),
+    ], ids=["chi", "conjecture"])
+    def test_unwritable_out_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    argv, work):
+        import dchain.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(dchain.cli, work, never)
+        save_points(gen_double_chain(2, 3), tmp_path / "p.json")
+        monkeypatch.chdir(tmp_path)
+        for out, why in (("nodir/r.json", "nodir is not a directory"),
+                         ("p.json/r.json", "p.json is not a directory"),
+                         (".", ". is a directory")):
+            code, stdout, err = run(capsys, *argv, "--out", out)
+            assert code == 2 and stdout == ""
+            assert err.endswith(f"{why}\n") and err.count("\n") == 1, err
+        assert not (tmp_path / "nodir").exists()
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

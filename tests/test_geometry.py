@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dchain import (
-    Orientation,
     Partition,
     Point,
     PointSet,
@@ -40,31 +39,24 @@ def parabola_set(xs):
 
 class TestOrientation:
     def test_unit_triangle_ccw(self):
-        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) is Orientation.COUNTERCLOCKWISE
+        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) > 0
 
     def test_collinear(self):
-        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) is Orientation.COLLINEAR
+        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
 
     def test_swapped_cw(self):
-        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) is Orientation.CLOCKWISE
+        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) < 0
 
     @given(coord, coord, coord, coord, coord, coord)
     def test_antisymmetry(self, px, py, qx, qy, rx, ry):
         p, q, r = Point(px, py), Point(qx, qy), Point(rx, ry)
-        a = orientation(p, q, r)
-        b = orientation(p, r, q)
-        if a is Orientation.COLLINEAR:
-            assert b is Orientation.COLLINEAR
-        else:
-            assert a.value == -b.value
+        assert orientation(p, q, r) == -orientation(p, r, q)
 
     def test_huge_coordinates_stay_exact(self):
         # a one-unit nudge at a scale where doubles would round to collinear
         big = 10 ** 30
-        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big, 2)) \
-            is Orientation.COLLINEAR
-        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big + 1, 2)) \
-            is Orientation.CLOCKWISE
+        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big, 2)) == 0
+        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big + 1, 2)) < 0
 
     def test_point_rejects_floats(self):
         for x, y, name in ((0.5, 1, "x"), (1, 1.0, "y"), (True, 1, "x"), (1, "1", "y"),
@@ -125,12 +117,13 @@ class TestSegmentsDisjoint:
         assert segments_disjoint((0, 1), (2, 3), ps) is True   # gap on one line
 
     @pytest.mark.parametrize("coords", [
-        # the second endpoint of the first segment lies on the other segment
+        # the first, then the second endpoint of the first segment lies on the other
+        [(1, 0), (0, 5), (0, 0), (2, 0)],
         [(0, 5), (1, 0), (0, 0), (2, 0)],
         # the first, then the second endpoint of the other segment lies on the first
         [(0, 0), (2, 0), (1, 0), (1, 5)],
         [(0, 0), (2, 0), (1, 5), (1, 0)],
-    ], ids=["own_second", "other_first", "other_second"])
+    ], ids=["own_first", "own_second", "other_first", "other_second"])
     def test_each_touching_endpoint_intersects(self, coords):
         # one collinear endpoint in each set, so one touching test decides
         ps = PointSet(tuple(Point(x, y) for x, y in coords))
@@ -196,7 +189,7 @@ class TestGenDoubleChain:
 
     def test_failed_validation_raises(self, monkeypatch):
         # the chord-height bound makes this unreachable; the check must still fire
-        failing = DoubleChainReport((ConditionCheck(CONDITION_NAMES[2], False, (0, 1, 2)),))
+        failing = DoubleChainReport((ConditionCheck(CONDITION_NAMES[2], (0, 1, 2)),))
         monkeypatch.setattr(dchain.geometry, "validate_double_chain", lambda ps: failing)
         with pytest.raises(RuntimeError, match="lower_below_upper_lines"):
             gen_double_chain(2, 3)
