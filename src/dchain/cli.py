@@ -42,13 +42,6 @@ def _emit_json(obj, out: str | None) -> None:
     _emit_text(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _emit_bytes(data: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("ascii"))
-
-
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -82,7 +75,7 @@ def _cmd_gen(args) -> int:
 def _cmd_graph(args) -> int:
     ps = load_points(args.points)
     g = build_graph(ps)
-    _emit_bytes(export_graph(g, args.format), args.out)
+    _emit_text(export_graph(g, args.format).decode("ascii"), args.out)
     _note(f"built disjointness graph: {g.n_vertices} vertices, {g.edge_count} edges")
     return EXIT_OK
 

@@ -193,7 +193,7 @@ def convex_hull_edges(ps: PointSet) -> list[SegmentId]:
     if not is_general_position(ps):
         raise ValueError("point set is not in general position")
     pts = ps.points
-    order = sorted(range(ps.n), key=lambda i: (pts[i].x, pts[i].y))
+    order = sorted(range(ps.n), key=pts.__getitem__)
 
     def half(seq: list[int]) -> list[int]:
         hull: list[int] = []

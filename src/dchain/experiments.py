@@ -62,7 +62,7 @@ def construct_double_chain_coloring(k: int, l: int,
     for s, col in zip(all_segments(cap.n), base.colors):
         colors[segment_rank((lower[s.i], lower[s.j]), ps.n)] = col
     next_color = base.color_count
-    for u in sorted(ps.partition.upper, key=lambda i: (ps.points[i].x, ps.points[i].y)):
+    for u in sorted(ps.partition.upper, key=ps.points.__getitem__):
         for w in range(ps.n):
             if w != u:
                 r = segment_rank((u, w), ps.n)

@@ -18,23 +18,12 @@ from typing import Iterable, NamedTuple, Sequence
 from .formulas import _check_chain, _check_int
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A plane point with exact integer coordinates."""
+class Point(NamedTuple):
+    """A plane point (x, y), ordered as (x, y). Unchecked until it enters a
+    PointSet, which checks that both coordinates are integers."""
 
     x: int
     y: int
-
-    def __post_init__(self) -> None:
-        _check_int(self.x, "point x", None)
-        _check_int(self.y, "point y", None)
-
-
-def _as_point(obj) -> Point:
-    if isinstance(obj, Point):
-        return obj
-    x, y = obj
-    return Point(x, y)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -43,24 +32,13 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Index split of a point set into the upper chain (cup) and lower chain (cap)."""
+class Partition(NamedTuple):
+    """Index split of a point set into the upper chain (cup) and lower chain
+    (cap). Unchecked until it enters a PointSet, which stores both sides as
+    tuples."""
 
     upper: tuple[int, ...]
     lower: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        up = tuple(self.upper)
-        low = tuple(self.lower)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", low)
-        for idx in up + low:
-            _check_int(idx, "partition index", 0)
-        if not up or not low:
-            raise ValueError("both sides of a partition must be non-empty")
-        if len(set(up)) != len(up) or len(set(low)) != len(low) or set(up) & set(low):
-            raise ValueError("partition sides must be disjoint and free of duplicates")
 
 
 @dataclass(frozen=True)
@@ -71,9 +49,11 @@ class PointSet:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        # from a list: a tuple built from a generator is resized to fit, then
-        # sits in CPython's tuple free lists until a full garbage collection
-        pts = tuple([_as_point(p) for p in self.points])
+        # the one check of a point set, whatever built it. From a list: a
+        # tuple built from a generator is resized to fit, then sits in
+        # CPython's tuple free lists until a full garbage collection
+        pts = tuple([Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
+                     for x, y in self.points])
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("a point set needs at least one point")
@@ -83,8 +63,18 @@ class PointSet:
         if part is not None:
             if not isinstance(part, Partition):
                 raise ValueError(f"partition must be a Partition or None, got {part!r}")
-            if sorted(part.upper + part.lower) != list(range(len(pts))):
+            up = tuple(part.upper)
+            low = tuple(part.lower)
+            for idx in up + low:
+                _check_int(idx, "partition index", 0)
+            if not up or not low:
+                raise ValueError("both sides of a partition must be non-empty")
+            # the indices are ints, so sides whose concatenation sorts to
+            # 0..n-1 are a permutation of it: no index repeats within a side
+            # or is shared between them
+            if sorted(up + low) != list(range(len(pts))):
                 raise ValueError("partition must cover every point index exactly once")
+            object.__setattr__(self, "partition", Partition(up, low))
 
     @property
     def n(self) -> int:
@@ -185,7 +175,7 @@ def is_general_position(ps: PointSet) -> bool:
 def gen_convex(n: int) -> PointSet:
     """n integer points in convex and general position: (i, i*i) for i < n."""
     _check_int(n, "n")
-    return PointSet([Point(i, i * i) for i in range(n)])
+    return PointSet([(i, i * i) for i in range(n)])
 
 
 def gen_double_chain(k: int, l: int) -> PointSet:
@@ -211,7 +201,7 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     # m > rs - (r + s) x - x^2 <= b^2 + 2ab. So every chord of one chain
     # clears every point of the other.
     m = max(a * a, b * b) + 2 * a * b + 1
-    pts = [Point(x, x * x + m) for x in xs_up] + [Point(x, -x * x) for x in xs_low]
+    pts = [(x, x * x + m) for x in xs_up] + [(x, -x * x) for x in xs_low]
     ps = PointSet(pts, Partition(range(k), range(k, k + l)))
     failed = validate_double_chain(ps).failed()
     if failed:
@@ -275,8 +265,8 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     pts = ps.points
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    up = sorted(ps.partition.upper, key=lambda i: (xs[i], ys[i]))
-    low = sorted(ps.partition.lower, key=lambda i: (xs[i], ys[i]))
+    up = sorted(ps.partition.upper, key=pts.__getitem__)
+    low = sorted(ps.partition.lower, key=pts.__getitem__)
 
     def chain(order: list[int], name: str, up_open: bool) -> ConditionCheck:
         # cup: consecutive lex-sorted triples turn counterclockwise; cap: clockwise
@@ -425,7 +415,7 @@ def pointset_from_json(data: dict) -> PointSet:
     ill-typed field."""
     doc = "points JSON"
     rows = _json_field(data, "points", list, doc)
-    points = [Point(*_json_ints(p, 2, f"{doc} points[{i}]")) for i, p in enumerate(rows)]
+    points = [_json_ints(p, 2, f"{doc} points[{i}]") for i, p in enumerate(rows)]
     n = _json_field(data, "n", int, doc)
     if n != len(points):
         raise ValueError(f"point count {n!r} does not match {len(points)} points")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dchain import (
     Coloring,
     Partition,
+    PointSet,
     SegmentId,
     all_segments,
     build_graph,
@@ -304,11 +305,16 @@ class TestValidators:
         pytest.param(lambda: classify_class(gen_convex(4), [SegmentId("1", 2)]),
                      id="classify_str"),
         pytest.param(lambda: classify_class(gen_convex(4), [(None, 2)]), id="classify_none"),
-        pytest.param(lambda: Partition((0, -1), (2,)), id="partition_negative"),
-        pytest.param(lambda: Partition((0, False), (2,)), id="partition_bool"),
-        pytest.param(lambda: Partition((0, 1.0), (2,)), id="partition_float"),
-        pytest.param(lambda: Partition((0, "1"), (2,)), id="partition_str"),
-        pytest.param(lambda: Partition((0, None), (2,)), id="partition_none"),
+        pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, -1), (2,))),
+                     id="partition_negative"),
+        pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, False), (2,))),
+                     id="partition_bool"),
+        pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, 1.0), (2,))),
+                     id="partition_float"),
+        pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, "1"), (2,))),
+                     id="partition_str"),
+        pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, None), (2,))),
+                     id="partition_none"),
         pytest.param(lambda: delete_points(gen_convex(4), [4]), id="delete_out_of_range"),
         pytest.param(lambda: delete_points(gen_convex(4), [True]), id="delete_bool"),
         pytest.param(lambda: delete_points(gen_convex(4), [1.0]), id="delete_float"),

@@ -62,7 +62,10 @@ class TestOrientation:
         for x, y, name in ((0.5, 1, "x"), (1, 1.0, "y"), (True, 1, "x"), (1, "1", "y"),
                            (None, 1, "x")):
             with pytest.raises(ValueError, match=f"^point {name} must be an integer, got"):
-                Point(x, y)
+                PointSet([(x, y)])
+        # a bare Point is unchecked until it enters a PointSet
+        with pytest.raises(ValueError, match="^point x must be an integer, got 0.5$"):
+            PointSet([Point(0.5, 1), (2, 3)])
 
 
 class TestSegmentsDisjoint:
@@ -210,18 +213,23 @@ class TestValidateDoubleChain:
             validate_double_chain(gen_convex(5))
 
     def test_partition_rejects_empty_side(self):
-        with pytest.raises(ValueError):
-            Partition((0, 1, 2), ())
+        with pytest.raises(ValueError, match="^both sides of a partition must be non-empty$"):
+            PointSet(gen_convex(3).points, Partition((0, 1, 2), ()))
 
     @pytest.mark.parametrize("upper, lower", [((0, 0), (1,)), ((0, 1), (1, 2))],
                              ids=["repeated", "shared"])
     def test_partition_rejects_repeated_or_shared_index(self, upper, lower):
-        with pytest.raises(ValueError, match="^partition sides must be disjoint and free of"):
-            Partition(upper, lower)
+        # as many indices as points: only the cover check can refuse them
+        points = gen_convex(len(upper) + len(lower)).points
+        with pytest.raises(ValueError, match="^partition must cover every point index exactly once$"):
+            PointSet(points, Partition(upper, lower))
 
     def test_point_set_partition_must_cover_every_index(self):
         with pytest.raises(ValueError, match="^partition must cover every point index"):
             PointSet(gen_convex(4).points, Partition((0,), (1, 2)))
+        ps = PointSet(gen_convex(4).points, Partition(range(2), [2, 3]))
+        assert ps.partition == Partition((0, 1), (2, 3))
+        assert type(ps.partition.upper) is tuple and type(ps.partition.lower) is tuple
 
     @pytest.mark.parametrize("part", [((0, 1), (2, 3)), [[0, 1], [2, 3]], {"U": [0, 1]}])
     def test_point_set_partition_must_be_a_partition(self, part):
