@@ -36,7 +36,8 @@ class Coloring:
         if len(colors) != expected:
             raise ValueError(f"expected {expected} vertex colors, got {len(colors)}")
         for col in colors:
-            _check_int(col, "color", 0)
+            if type(col) is not int or col < 0:
+                _check_int(col, "color", 0)
         # count distinct non-negative ids are exactly 0..count-1 iff none reaches count
         count = len(set(colors))
         if colors and max(colors) >= count:

@@ -24,6 +24,16 @@ def all_segments(n_points: int) -> tuple[SegmentId, ...]:
     return tuple(SegmentId(i, j) for i in range(n_points) for j in range(i + 1, n_points))
 
 
+@lru_cache(maxsize=8)
+def _touching(n_points: int) -> tuple[int, ...]:
+    """`touch[r]`: the rank mask of the segments sharing an endpoint with segment r, r included."""
+    inc = [0] * n_points  # ranks of the segments through each point
+    for r, (a, b) in enumerate(all_segments(n_points)):
+        inc[a] |= 1 << r
+        inc[b] |= 1 << r
+    return tuple(inc[a] | inc[b] for a, b in all_segments(n_points))
+
+
 def segment_rank(seg: SegmentId, n_points: int) -> int:
     """Position of seg, in either endpoint order, in lexicographic order;
     this is its vertex id in D(P)."""
@@ -54,40 +64,35 @@ class DisjointnessGraph:
         v = comb(self.n_points, 2)
         if len(adj) != v:
             raise ValueError(f"expected {v} vertices for {self.n_points} points, got {len(adj)}")
-        full = (1 << v) - 1
         for u, row in enumerate(adj):
-            _check_int(row, f"adjacency row {u}", 0)
-            if row & ~full:
+            if type(row) is not int or row < 0:
+                _check_int(row, f"adjacency row {u}", 0)
+            if row >> v:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"vertex {u} has a self-loop")
-        # cells[u * v + w] is bit w of row u, so column w reads cells[w::v]:
-        # one string comparison per vertex, none per edge
+        # cells[u * v + w] is bit w of row u, so column w reads cells[w::v]; the
+        # rows are symmetric iff the joined columns are cells: one comparison
         spec = f"0{v}b"
         cells = "".join([format(row, spec)[::-1] for row in adj])
-        for w in range(v):
-            column, row = cells[w::v], cells[w * v:(w + 1) * v]
-            if column != row:
-                # w is the first asymmetric vertex, so the first differing u is above it
-                u = next(u for u in range(v) if column[u] != row[u])
-                raise ValueError(f"adjacency is not symmetric at ({w}, {u})")
+        if "".join([cells[w::v] for w in range(v)]) != cells:
+            for w in range(v):
+                column, row = cells[w::v], cells[w * v:(w + 1) * v]
+                if column != row:
+                    # w is the first asymmetric vertex, so the first differing u is above it
+                    u = next(u for u in range(v) if column[u] != row[u])
+                    raise ValueError(f"adjacency is not symmetric at ({w}, {u})")
         # Segments sharing an endpoint are never disjoint, so no clique has
         # more than n // 2 members. The rows are symmetric, so testing each
         # segment against the lower-ranked ones through its endpoints covers
         # every pair: O(V) big-int operations.
-        n = self.n_points
-        inc = [0] * n  # ranks seen so far of the segments through each point
-        r = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                clash = adj[r] & (inc[a] | inc[b])
-                if clash:
-                    w = clash.bit_length() - 1
-                    raise ValueError(f"vertex {r}, segment {(a, b)}, is adjacent to vertex {w}, "
-                                     f"segment {tuple(all_segments(n)[w])}, sharing an endpoint")
-                inc[a] |= 1 << r
-                inc[b] |= 1 << r
-                r += 1
+        for r, (row, touch) in enumerate(zip(adj, _touching(self.n_points))):
+            clash = row & touch & ((1 << r) - 1)
+            if clash:
+                w = clash.bit_length() - 1
+                segs = all_segments(self.n_points)
+                raise ValueError(f"vertex {r}, segment {tuple(segs[r])}, is adjacent to "
+                                 f"vertex {w}, segment {tuple(segs[w])}, sharing an endpoint")
 
     @property
     def n_vertices(self) -> int:
@@ -117,53 +122,51 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
     or by crossing properly: an endpoint on the other segment would make
     three points collinear. So the collinear-touching branch of
     `segments_disjoint` cannot fire here, and each row is "no shared
-    endpoint and no proper crossing", computed from side masks:
+    endpoint (`_touching`) and no proper crossing", computed from side masks:
     `left[a][b]` has bit p set iff point p lies strictly left of the directed
-    line a -> b. Segments (i, j) and (k, l) cross iff k, l lie on opposite
-    sides of line ij and i, j on opposite sides of line kl; the second half
-    is l in `left[k][i] ^ left[k][j]`. The partners l > k of point k have
-    the consecutive ranks base[k] + (l - k - 1), so one shift per k turns
-    the point mask into a segment mask. O(n^3) cross products and O(n^3)
-    big-int operations in all. The same cross products decide general
-    position, so a set with three collinear points raises ValueError.
+    line a -> b; (a, b, c), (b, c, a) and (c, a, b) turn the same way, so one
+    cross product per triple a < b < c sets three of them. Segments (i, j)
+    and (k, l) cross iff k, l lie on opposite sides of line ij and i, j on
+    opposite sides of line kl; the second half is l in `left[k][i] ^
+    left[k][j]`. The partners l > k of point k have the consecutive ranks
+    base[k] + (l - k - 1), so one shift per k turns the point mask into a
+    segment mask. C(n, 3) cross products and O(n^3) big-int operations in
+    all; a zero product, three collinear points, raises ValueError.
     """
     n = ps.n
     if n < 2:
         raise ValueError("a disjointness graph needs at least two points")
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
-    everyone = (1 << n) - 1
     left = [[0] * n for _ in range(n)]
-    inc = [0] * n  # ranks of the segments incident to each point
-    r = 0  # rank of segment (a, b): the pairs a < b come in rank order
     for a in range(n):
         ax, ay = xs[a], ys[a]
+        left_a = left[a]
+        abit = 1 << a
         for b in range(a + 1, n):
             dx, dy = xs[b] - ax, ys[b] - ay
-            # p is left of a -> b iff dx * (y_p - ay) - dy * (x_p - ax) > 0,
-            # and on the line iff it is 0
+            # c is left of a -> b iff dx * (y_c - ay) - dy * (x_c - ax) > 0
             c0 = dx * ay - dy * ax
-            m = on = 0
-            for p in range(n):
-                t = dx * ys[p] - dy * xs[p]
-                if t > c0:
-                    m |= 1 << p
-                elif t == c0:
-                    on |= 1 << p
-            # General position, decided here: any three points include a pair
-            # a < b, and the third is collinear with them iff it lies on the
-            # line a -> b. So the set is in general position iff no line
-            # through a pair holds a point other than its own two.
-            if on != 1 << a | 1 << b:
-                raise ValueError("point set is not in general position")
-            left[a][b] = m
-            left[b][a] = everyone & ~(m | on)  # strictly right of a -> b
-            bit = 1 << r
-            inc[a] |= bit
-            inc[b] |= bit
-            r += 1
+            left_b = left[b]
+            bbit = 1 << b
+            m = r = 0  # the points c > b left and right of a -> b
+            for c in range(b + 1, n):
+                t = dx * ys[c] - dy * xs[c]
+                if t > c0:  # (a, b, c) turns counterclockwise
+                    m |= 1 << c
+                    left_b[c] |= abit
+                    left[c][a] |= bbit
+                elif t < c0:
+                    r |= 1 << c
+                    left[c][b] |= abit
+                    left_a[c] |= bbit
+                else:
+                    raise ValueError("point set is not in general position")
+            left_a[b] |= m
+            left_b[a] |= r
     base = [k * (2 * n - k - 1) // 2 for k in range(n)]  # rank of segment (k, k + 1)
     full = (1 << comb(n, 2)) - 1
+    touch = _touching(n)
     rows = []
     for i in range(n):
         left_i = left[i]
@@ -178,7 +181,7 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
                 hit = (far & (lk[i] ^ lk[j])) >> (k + 1)
                 if hit:
                     cross |= hit << base[k]
-            rows.append(full & ~(inc[i] | inc[j] | cross))
+            rows.append(full & ~(touch[len(rows)] | cross))
     return DisjointnessGraph(n, tuple(rows))
 
 

@@ -140,18 +140,16 @@ def segments_disjoint(a: Sequence[int], b: Sequence[int], ps: PointSet) -> bool:
 
 def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
     """First collinear index triple (sorted) or None, by O(n^2) slope hashing."""
-    pts = ps.points
-    n = len(pts)
-    if n < 3:
-        return None
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    for a in range(n):
+    n = ps.n
+    xs = [p.x for p in ps.points]
+    ys = [p.y for p in ps.points]
+    # Step a scans only b > a, yet finds the first triple of a scan of all
+    # b != a: if a collision at a pairs some o < a with p, then a and p lie
+    # on one line through o, and step o would already have returned them.
+    for a in range(n - 2):
         ax, ay = xs[a], ys[a]
         seen: dict[tuple[int, int], int] = {}
-        for b in range(n):
-            if b == a:
-                continue
+        for b in range(a + 1, n):
             dx = xs[b] - ax
             dy = ys[b] - ay
             g = gcd(dx, dy)
@@ -161,8 +159,7 @@ def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
                 dx, dy = -dx, -dy
             other = seen.get((dx, dy))
             if other is not None:
-                t = sorted((a, other, b))
-                return (t[0], t[1], t[2])
+                return a, other, b  # a < other < b
             seen[(dx, dy)] = b
     return None
 

@@ -16,7 +16,6 @@ scans that compare it with them live in `experiments`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import Iterator
 
@@ -193,10 +192,10 @@ def dsatur_upper(g: DisjointnessGraph) -> Coloring:
 
     It runs on the rows as built, not relabelled by degree as in
     `chromatic_number_exact`, so its colors can differ from the exact solve's
-    incumbent. Relabelling costs more than the dive it would order: at
-    (12, 12), V = 276, the relabel takes 3.4 ms against a 0.55 ms dive
-    (Python 3.11, 2-core VM), and the certification of large chains calls
-    this on (k, 12) with no search after it.
+    incumbent. Relabelling would cost about as much again as the dive it
+    would order: at (12, 12), V = 276, the relabel takes 0.43 ms against a
+    0.39 ms dive (Python 3.11, 2-core VM), and the certification of large
+    chains calls this on (k, 12) with no search after it.
     """
     _, colors, _, _ = _search(g.adj, [], len(g.adj) + 1, None, None, None, True)
     return Coloring(g.n_points, colors)
@@ -262,21 +261,19 @@ def _degree_order(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     """(rows, new_id): the adjacency rows relabelled so that vertex i of
     `rows` is the i-th vertex by (-degree, id) (`_by_degree`, the order
     `clique_lower` tries its seeds in), and `new_id[v]` is the new label of
-    vertex v.
-
-    Each row is permuted as its binary string, by one C-level `itemgetter`
-    call: bit j of a row is character V - 1 - j of the string, and new bit i
-    is old bit order[i]."""
+    vertex v. The rows must be symmetric, as a `DisjointnessGraph` checks:
+    new bit j of row i is bit order[j] of row order[i], so bit order[i] of
+    row order[j], and new row i is column order[i] read in reverse new order.
+    One string holds the rows in that order (bit b of a row is character
+    V - 1 - b of its string), and each new row is one strided slice of it."""
     v_count = len(adj)
-    if v_count < 2:
-        return adj, list(range(v_count))  # nothing to permute
     order = _by_degree(adj)
     new_id = [0] * v_count
     for i, v in enumerate(order):
         new_id[v] = i
-    pick = itemgetter(*[v_count - 1 - v for v in reversed(order)])
     width = f"0{v_count}b"
-    return tuple(int("".join(pick(format(adj[v], width))), 2) for v in order), new_id
+    cells = "".join([format(adj[v], width) for v in reversed(order)])
+    return tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
 
 
 def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None,

@@ -27,8 +27,8 @@ from dchain import (
 )
 import dchain.geometry
 from dchain.geometry import CONDITION_NAMES, ConditionCheck, DoubleChainReport
-from helpers import (oracle_disjoint, oracle_validate_double_chain, oracle_violates,
-                     strictly_beyond, turn)
+from helpers import (oracle_collinear, oracle_disjoint, oracle_validate_double_chain,
+                     oracle_violates, strictly_beyond, turn)
 
 coord = st.integers(-1000, 1000)
 
@@ -141,6 +141,27 @@ class TestGeneralPosition:
         ps = PointSet((Point(0, 0), Point(1, 1), Point(2, 2), Point(5, 0)))
         assert is_general_position(ps) is False
         assert find_collinear_triple(ps) == (0, 1, 2)
+
+    def test_witnesses_pinned_on_a_small_grid(self):
+        # 500 seeded sets of 3..9 points in [0, 6]^2, where collinear
+        # triples are common; the witnesses were recorded with a scan of
+        # every b != a at each step a
+        rng = random.Random(6)
+        grid = [(x, y) for x in range(7) for y in range(7)]
+        digest = hashlib.sha256()
+        found = 0
+        for _ in range(500):
+            coords = rng.sample(grid, rng.randint(3, 9))
+            witness = find_collinear_triple(PointSet(coords))
+            assert (witness is None) == (oracle_collinear(coords) is None), coords
+            if witness is not None:
+                found += 1
+                assert list(witness) == sorted(set(witness)), coords
+                assert turn(coords, *witness) == 0, coords
+            digest.update((json.dumps(witness) + "\n").encode())
+        assert 100 <= found <= 400, found
+        assert digest.hexdigest() == \
+            "21ece932faef11db7d3d24d97c944ee22f3c1fef263c6aa3f0e160d8ba9cae33"
 
     def test_tiny_sets_vacuous(self):
         assert is_general_position(PointSet((Point(0, 0),))) is True

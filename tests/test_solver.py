@@ -37,7 +37,7 @@ from dchain import (
     singleton_class_check,
     verify_coloring,
 )
-from helpers import naive_chromatic, oracle_branch_and_bound, oracle_dsatur
+from helpers import naive_chromatic, oracle_branch_and_bound, oracle_dsatur, tie_order
 
 import dchain.experiments as experiments_mod
 import dchain.solver as solver_mod
@@ -213,6 +213,26 @@ class TestCliqueLower:
             assert len(set(ends)) == len(ends), g.n_points
 
 
+class TestDegreeOrder:
+    def test_rows_match_the_bitwise_definition(self):
+        # seeded 8-point sets, the chains (6, 6) and (12, 12), and convex
+        # n = 2, 3 and 13 (V = 1 and V = 3 among them)
+        sets = random_configs(8, 20, 2026)
+        sets += [gen_double_chain(6, 6), gen_double_chain(12, 12)]
+        sets += [gen_convex(n) for n in (2, 3, 13)]
+        for ps in sets:
+            g = build_graph(ps)
+            v_count = g.n_vertices
+            rows, new_id = solver_mod._degree_order(g.adj)
+            order = tie_order(g, by_degree=True)
+            assert len(rows) == v_count
+            assert [new_id[v] for v in order] == list(range(v_count))
+            for i in range(v_count):
+                row = g.adj[order[i]]
+                assert [rows[i] >> j & 1 for j in range(v_count)] == \
+                    [row >> order[j] & 1 for j in range(v_count)], (ps.n, i)
+
+
 class TestExactChi:
     def test_smallest_double_chain(self):
         assert chromatic_number_exact(build_graph(gen_double_chain(1, 3))).chi == 2
@@ -246,6 +266,25 @@ class TestExactChi:
         for ps in configs:
             g = build_graph(ps)
             assert chromatic_number_exact(g).chi == naive_chromatic(g)
+
+    def test_small_random_solves_pinned(self):
+        # 200 sampled 8-point sets through the build, the relabel and the
+        # search, as the random scan solves them: attempts, rows, chi, node
+        # count and witness of each, recorded before the per-triple side
+        # masks, the cached endpoint masks and the strided relabel
+        rng = random.Random(0)
+        digest = hashlib.sha256()
+        total = 0
+        for _ in range(200):
+            ps, attempts = sample_general_position(rng, 8)
+            g = build_graph(ps)
+            res = chromatic_number_exact(g)
+            total += res.nodes
+            line = json.dumps([attempts, list(g.adj), res.chi, res.nodes, list(res.witness.colors)])
+            digest.update((line + "\n").encode())
+        assert total == 15865
+        assert digest.hexdigest() == \
+            "10547b34fe58d160eec9c153a7d408687906a238d0ab3c4e3929fb7424085a81"
 
     def test_deterministic_nodes_and_witness(self):
         g = build_graph(gen_double_chain(2, 4))
