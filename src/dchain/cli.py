@@ -89,7 +89,7 @@ def _cmd_formulas(args) -> int:
 
 def _cmd_chi(args) -> int:
     ps = load_points(args.points)
-    result = chromatic_number_exact(build_graph(ps), max_ms=args.budget_ms)
+    result = chromatic_number_exact(build_graph(ps), max_nodes=args.max_nodes)
     _emit_json({**vars(result), "witness": coloring_to_json(result.witness)}, args.out)
     if not result.is_exact:
         _note(f"budget exhausted after {result.nodes} nodes; "
@@ -192,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("chi", help="exact chromatic number of a points file's graph")
     p.add_argument("--points", required=True, help="points JSON file")
-    p.add_argument("--budget-ms", type=float, default=None,
-                   help="time budget; exhaustion exits 3 with bounds only")
+    p.add_argument("--max-nodes", type=int, default=None,
+                   help="search node budget; exhaustion exits 3 with bounds only")
     p.set_defaults(func=_cmd_chi)
 
     p = command("color", help="constructive proper coloring of a double chain")

@@ -45,8 +45,7 @@ class ChiResult:
 
 
 def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: list[int] | None,
-            max_nodes: int | None, deadline: float | None,
-            first_leaf: bool) -> tuple[int, list[int] | None, int, bool]:
+            max_nodes: int | None, first_leaf: bool) -> tuple[int, list[int] | None, int, bool]:
     """DSATUR branch and bound below `best_k` colors from `clique`, precolored
     0, 1, ... in the order given; returns (best_k, best_colors, nodes, aborted).
 
@@ -111,9 +110,6 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
         # enter a node
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            aborted = True
-            break
-        if deadline is not None and nodes & 0xFF == 0 and perf_counter() > deadline:
             aborted = True
             break
         c = -1
@@ -197,7 +193,7 @@ def dsatur_upper(g: DisjointnessGraph) -> Coloring:
     0.39 ms dive (Python 3.11, 2-core VM), and the certification of large
     chains calls this on (k, 12) with no search after it.
     """
-    _, colors, _, _ = _search(g.adj, [], len(g.adj) + 1, None, None, None, True)
+    _, colors, _, _ = _search(g.adj, [], len(g.adj) + 1, None, None, True)
     return Coloring(g.n_points, colors)
 
 
@@ -276,8 +272,7 @@ def _degree_order(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     return tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
 
 
-def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None,
-                           max_ms: float | None = None) -> ChiResult:
+def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None) -> ChiResult:
     """Exact chromatic number with an optimal-coloring witness.
 
     Branch and bound in DSATUR order (see `_search`) on the vertices relabelled
@@ -287,32 +282,26 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     greedy clique of `clique_lower`, mapped to the new labels, is precolored
     with distinct colors in new-label order. The witness is mapped back to
     segment ranks and verified against `g`. The search is deterministic for
-    a fixed graph. When a node or time budget runs out the result is
-    INDETERMINATE and carries the best proven bounds, never a guessed value.
-
-    `max_nodes` must be a positive int and `max_ms` a finite number >= 0;
-    anything else (NaN included, which no clock reading exceeds) raises
-    ValueError rather than running without the budget.
+    a fixed graph. A search that enters node `max_nodes + 1` stops there:
+    the result is INDETERMINATE, counts that node in `nodes`, and carries
+    the best proven bounds, never a guessed value. `max_nodes` must be a
+    positive int; anything else raises ValueError rather than running
+    without the budget.
     """
     if max_nodes is not None:
         _check_int(max_nodes, "max_nodes")
-    if max_ms is not None and (not isinstance(max_ms, (int, float)) or isinstance(max_ms, bool)
-                               or not 0 <= max_ms < float("inf")):
-        raise ValueError(f"max_ms must be a finite number >= 0, got {max_ms!r}")
     t0 = perf_counter()
     lower, clique = clique_lower(g)
     # the relabelled rows go straight to _search: a DisjointnessGraph would
     # check the endpoint rule in segment-rank order and refuse them
     rows, new_id = _degree_order(g.adj)
     # the greedy incumbent: dsatur_upper's first dive, on the relabelled rows
-    best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None, None, True)
+    best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
     nodes = 0
     aborted = False
     if best_k > lower:
-        deadline = None if max_ms is None else t0 + max_ms / 1000.0
         best_k, best_colors, nodes, aborted = _search(
-            rows, sorted(new_id[v] for v in clique), best_k, best_colors, max_nodes, deadline,
-            False)
+            rows, sorted(new_id[v] for v in clique), best_k, best_colors, max_nodes, False)
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring(g.n_points, [best_colors[i] for i in new_id])

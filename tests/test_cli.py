@@ -110,19 +110,23 @@ class TestChiAndVerify:
         assert [1, 4] in verdict["violations"]
 
     def test_identical_runs_reproduce_identical_outputs(self, tmp_path, capsys):
-        pts = tmp_path / "pts.json"
-        run(capsys, "gen", "--k", "2", "--l", "4", "--out", str(pts))
-        first = run(capsys, "chi", "--points", str(pts))
-        second = run(capsys, "chi", "--points", str(pts))
-        a, b = json.loads(first[1]), json.loads(second[1])
-        a.pop("ms"), b.pop("ms")  # wall time is the one non-reproducible field
-        assert first[0] == second[0] == 0
-        assert a == b
+        # an exact solve, and a budgeted one that stops on entering node 256
+        for (k, l), budget, code, nodes in [((2, 4), [], 0, 9),
+                                            ((6, 7), ["--max-nodes", "255"], 3, 256)]:
+            pts = tmp_path / f"c{k}{l}.json"
+            run(capsys, "gen", "--k", str(k), "--l", str(l), "--out", str(pts))
+            first = run(capsys, "chi", "--points", str(pts), *budget)
+            second = run(capsys, "chi", "--points", str(pts), *budget)
+            a, b = json.loads(first[1]), json.loads(second[1])
+            a.pop("ms"), b.pop("ms")  # wall time is the one non-reproducible field
+            assert first[0] == second[0] == code
+            assert a["nodes"] == nodes
+            assert a == b
 
     def test_chi_budget_exhaustion_exits_3(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
         save_points(gen_double_chain(4, 5), pts)
-        code, out, _ = run(capsys, "chi", "--points", str(pts), "--budget-ms", "0")
+        code, out, _ = run(capsys, "chi", "--points", str(pts), "--max-nodes", "1")
         assert code == 3
         data = json.loads(out)
         assert data["status"] == "indeterminate" and data["chi"] is None
@@ -138,16 +142,20 @@ class TestChiAndVerify:
         assert code == 0 and list(data) == keys
         assert (data["status"], data["chi"]) == ("exact", 7)
         assert data["lower_bound"] == data["upper_bound"] == 7
-        code, out, _ = run(capsys, "chi", "--points", str(pts), "--budget-ms", "0")
+        code, out, _ = run(capsys, "chi", "--points", str(pts), "--max-nodes", "1")
         assert code == 3 and list(json.loads(out)) == keys
 
     def test_invalid_budget_is_usage_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
         save_points(gen_double_chain(2, 3), pts)
-        for budget in ("nan", "-5", "inf"):
-            code, out, err = run(capsys, "chi", "--points", str(pts), "--budget-ms", budget)
+        for budget in ("0", "-5"):
+            code, out, err = run(capsys, "chi", "--points", str(pts), "--max-nodes", budget)
             assert code == 2, budget
-            assert out == "" and "max_ms" in err
+            assert out == "" and "max_nodes must be an integer >= 1" in err
+        # not an int: argparse refuses it
+        code, out, err = run(capsys, "chi", "--points", str(pts), "--max-nodes", "1.5")
+        assert code == 2
+        assert out == "" and "invalid int value: '1.5'" in err
 
     def test_non_integer_coordinate_is_usage_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"

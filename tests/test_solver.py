@@ -115,11 +115,11 @@ def id_order_solve(g, max_nodes=None):
     dive, then the search from sorted(clique). Returns
     ([status, lower_bound, upper_bound, nodes], vertex colors)."""
     lower, clique = clique_lower(g)
-    best_k, colors, _, _ = solver_mod._search(g.adj, [], g.n_vertices + 1, None, None, None, True)
+    best_k, colors, _, _ = solver_mod._search(g.adj, [], g.n_vertices + 1, None, None, True)
     nodes, aborted = 0, False
     if best_k > lower:
         best_k, colors, nodes, aborted = solver_mod._search(g.adj, sorted(clique), best_k, colors,
-                                                            max_nodes, None, False)
+                                                            max_nodes, False)
     assert verify_coloring(g, Coloring(g.n_points, colors)).proper
     if aborted:
         return ["indeterminate", lower, best_k, nodes], colors
@@ -303,11 +303,11 @@ class TestExactChi:
         assert verify_coloring(g, res.witness).proper
         assert res.witness.color_count == res.upper_bound
 
-    def test_time_budget_indeterminate(self):
-        # the deadline is read only when nodes & 0xFF == 0, so a zero budget
-        # on a search of thousands of nodes ends on entering node 256
+    def test_node_budget_stops_a_long_search(self):
+        # the (6, 7) search takes thousands of nodes; a budget of 255 ends it
+        # on entering node 256
         g = build_graph(gen_double_chain(6, 7))
-        res = chromatic_number_exact(g, max_ms=0.0)
+        res = chromatic_number_exact(g, max_nodes=255)
         assert res.status == "indeterminate"
         assert res.chi is None
         assert res.nodes == 256
@@ -316,8 +316,8 @@ class TestExactChi:
         assert res.witness.color_count == res.upper_bound
 
     @pytest.mark.parametrize("budget", [
-        {"max_ms": float("nan")}, {"max_ms": -1.0}, {"max_ms": float("inf")},
-        {"max_ms": float("-inf")}, {"max_ms": "5"}, {"max_ms": True},
+        {"max_nodes": float("nan")}, {"max_nodes": -1.0}, {"max_nodes": float("inf")},
+        {"max_nodes": float("-inf")}, {"max_nodes": "5"}, {"max_nodes": False},
         {"max_nodes": 0}, {"max_nodes": -3}, {"max_nodes": 1.5}, {"max_nodes": True},
         {"max_nodes": "10"},
     ])
