@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, compress
 from math import comb
 from typing import Iterator
 
@@ -24,14 +25,21 @@ def all_segments(n_points: int) -> tuple[SegmentId, ...]:
     return tuple(SegmentId(i, j) for i in range(n_points) for j in range(i + 1, n_points))
 
 
-@lru_cache(maxsize=8)
-def _touching(n_points: int) -> tuple[int, ...]:
-    """`touch[r]`: the rank mask of the segments sharing an endpoint with segment r, r included."""
-    inc = [0] * n_points  # ranks of the segments through each point
+@lru_cache(maxsize=32)
+def _segment_masks(n_points: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
+                                           tuple[int, ...]]:
+    """(bit, inc, touch) as rank masks: `bit[a][b]` is `1 << r` for segment r =
+    (a, b), a < b (0 for b <= a); `inc[p]` holds the segments through point p;
+    `touch[r]` those sharing an endpoint with r, r included. 32 entries: a
+    sweep cycles through its point counts, which a small LRU misses every time."""
+    bit = [[0] * n_points for _ in range(n_points)]
+    inc = [0] * n_points
     for r, (a, b) in enumerate(all_segments(n_points)):
+        bit[a][b] = 1 << r
         inc[a] |= 1 << r
         inc[b] |= 1 << r
-    return tuple(inc[a] | inc[b] for a, b in all_segments(n_points))
+    touch = tuple(inc[a] | inc[b] for a, b in all_segments(n_points))
+    return tuple(map(tuple, bit)), tuple(inc), touch
 
 
 def segment_rank(seg: SegmentId, n_points: int) -> int:
@@ -86,7 +94,7 @@ class DisjointnessGraph:
         # more than n // 2 members. The rows are symmetric, so testing each
         # segment against the lower-ranked ones through its endpoints covers
         # every pair: O(V) big-int operations.
-        for r, (row, touch) in enumerate(zip(adj, _touching(self.n_points))):
+        for r, (row, touch) in enumerate(zip(adj, _segment_masks(self.n_points)[2])):
             clash = row & touch & ((1 << r) - 1)
             if clash:
                 w = clash.bit_length() - 1
@@ -119,70 +127,66 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
     """Disjointness graph of ps; vertex numbering is segment rank order.
 
     In general position two closed segments meet only by sharing an endpoint
-    or by crossing properly: an endpoint on the other segment would make
-    three points collinear. So the collinear-touching branch of
-    `segments_disjoint` cannot fire here, and each row is "no shared
-    endpoint (`_touching`) and no proper crossing", computed from side masks:
-    `left[a][b]` has bit p set iff point p lies strictly left of the directed
-    line a -> b; (a, b, c), (b, c, a) and (c, a, b) turn the same way, so one
-    cross product per triple a < b < c sets three of them. Segments (i, j)
-    and (k, l) cross iff k, l lie on opposite sides of line ij and i, j on
-    opposite sides of line kl; the second half is l in `left[k][i] ^
-    left[k][j]`. The partners l > k of point k have the consecutive ranks
-    base[k] + (l - k - 1), so one shift per k turns the point mask into a
-    segment mask. C(n, 3) cross products and O(n^3) big-int operations in
-    all; a zero product, three collinear points, raises ValueError.
+    or by crossing properly (an endpoint on the other segment would make
+    three points collinear), and they cross properly iff the line of each
+    separates the endpoints of the other. With `inc[p]` the segments through
+    p, as rank masks, two families of masks give both halves:
+    - `sep[i][j]`, the XOR of `inc[p]` over the points p strictly left of
+      i -> j. Its bit t = (k, l) is [k left] xor [l left]. If t shares no
+      endpoint with s = (i, j), neither k nor l is on the line (three points
+      would be collinear), so "not left" is "right" and the bit is set iff
+      line ij separates k and l: the xor is exact in general position;
+    - `side[p]`, the segments (a, b), a < b, with p strictly left of a -> b.
+      By the same argument, for t sharing no endpoint with s, bit t of
+      `side[i] ^ side[j]` is set iff line t separates i and j.
+    Where t shares an endpoint with s, one point lies on both lines and the
+    bits mean nothing, so `touch[s]` masks those t out, s itself included:
+    row s is `full & ~(touch[s] | (sep[i][j] & (side[i] ^ side[j])))`. One
+    cross product per triple a < b < c fills both families, as (a, b, c),
+    (b, c, a) and (c, a, b) turn the same way. Counterclockwise puts c left
+    of a -> b and a left of b -> c: `sep[a][b] ^= inc[c]`, `sep[b][c] ^=
+    inc[a]`, `side[c] |= bit(ab)`, `side[a] |= bit(bc)`. Clockwise puts only
+    b left of a -> c: `sep[a][c] ^= inc[b]`, `side[b] |= bit(ac)`. Each
+    (point, line) pair meets in one triple. A zero product (three collinear
+    points) raises ValueError at the first such triple, in lexicographic order.
     """
     n = ps.n
     if n < 2:
         raise ValueError("a disjointness graph needs at least two points")
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
-    left = [[0] * n for _ in range(n)]
+    bit, inc, touch = _segment_masks(n)
+    sep = [[0] * n for _ in range(n)]  # sep[a][b], a < b
+    side = [0] * n
     for a in range(n):
         ax, ay = xs[a], ys[a]
-        left_a = left[a]
-        abit = 1 << a
+        bit_a, inc_a, sep_a = bit[a], inc[a], sep[a]
+        side_a = 0
         for b in range(a + 1, n):
             dx, dy = xs[b] - ax, ys[b] - ay
             # c is left of a -> b iff dx * (y_c - ay) - dy * (x_c - ax) > 0
             c0 = dx * ay - dy * ax
-            left_b = left[b]
-            bbit = 1 << b
-            m = r = 0  # the points c > b left and right of a -> b
+            bit_b, inc_b, sep_b = bit[b], inc[b], sep[b]
+            ab = bit_a[b]
+            sep_ab = side_b = 0
             for c in range(b + 1, n):
                 t = dx * ys[c] - dy * xs[c]
                 if t > c0:  # (a, b, c) turns counterclockwise
-                    m |= 1 << c
-                    left_b[c] |= abit
-                    left[c][a] |= bbit
+                    sep_ab ^= inc[c]
+                    sep_b[c] ^= inc_a
+                    side[c] |= ab
+                    side_a |= bit_b[c]
                 elif t < c0:
-                    r |= 1 << c
-                    left[c][b] |= abit
-                    left_a[c] |= bbit
+                    sep_a[c] ^= inc_b
+                    side_b |= bit_a[c]
                 else:
                     raise ValueError("point set is not in general position")
-            left_a[b] |= m
-            left_b[a] |= r
-    base = [k * (2 * n - k - 1) // 2 for k in range(n)]  # rank of segment (k, k + 1)
+            sep_a[b] ^= sep_ab
+            side[b] |= side_b
+        side[a] |= side_a
     full = (1 << comb(n, 2)) - 1
-    touch = _touching(n)
-    rows = []
-    for i in range(n):
-        left_i = left[i]
-        for j in range(i + 1, n):
-            lij, rij = left_i[j], left[j][i]
-            cross = 0
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                lk = left[k]
-                far = rij if lij >> k & 1 else lij
-                hit = (far & (lk[i] ^ lk[j])) >> (k + 1)
-                if hit:
-                    cross |= hit << base[k]
-            rows.append(full & ~(touch[len(rows)] | cross))
-    return DisjointnessGraph(n, tuple(rows))
+    return DisjointnessGraph(n, tuple([full & ~(near | (sep[i][j] & (side[i] ^ side[j])))
+                                       for (i, j), near in zip(combinations(range(n), 2), touch)]))
 
 
 def convex_hull_edges(ps: PointSet) -> list[SegmentId]:
@@ -258,15 +262,16 @@ def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
     if kind == "dimacs":
         # one bytes object per adjacency row, none per edge, so the transient
         # peak stays near twice the output size. Each row is read as its bit
-        # string (cells[w] is bit w, as in the symmetry check), and one
-        # comprehension picks the ids of the set bits above the diagonal.
+        # string (cells[w] is bit w, as in the symmetry check), and the part
+        # above the diagonal, as 0/1 bytes, selects the ids with `compress`.
         v_count = g.n_vertices
         ids = [b"%d" % (v + 1) for v in range(v_count)]
         out = bytearray(b"p edge %d %d\n" % (v_count, g.edge_count))
         spec = f"0{v_count}b"
+        zero_one = bytes.maketrans(b"01", b"\0\1")
         for u, row in enumerate(g.adj):
             cells = format(row, spec)[::-1]
-            above = [ids[w] for w, c in enumerate(cells[u + 1:], u + 1) if c == "1"]
+            above = list(compress(ids[u + 1:], cells[u + 1:].encode().translate(zero_one)))
             if above:
                 head = b"e " + ids[u] + b" "
                 out += head + (b"\n" + head).join(above) + b"\n"

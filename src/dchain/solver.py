@@ -209,6 +209,11 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     vertex, by descending degree (ties to the smallest id), seeds a greedy
     growth, and the first largest clique is kept; pairwise adjacency is
     re-validated."""
+    return _clique_lower(g, _by_degree(g.adj))
+
+
+def _clique_lower(g: DisjointnessGraph, order: list[int]) -> tuple[int, frozenset[int]]:
+    """`clique_lower` with its seeds in `order`, the solve's one `_by_degree` sort."""
     adj = g.adj
 
     def grow(seed: int) -> list[int]:
@@ -237,7 +242,7 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     ceiling = g.n_points // 2
 
     best_members: list[int] = []
-    for seed in _by_degree(adj):
+    for seed in order:
         grown = grow(seed)
         if len(grown) > len(best_members):
             best_members = grown
@@ -253,17 +258,16 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     return len(members), frozenset(members)
 
 
-def _degree_order(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+def _degree_order(adj: tuple[int, ...], order: list[int]) -> tuple[tuple[int, ...], list[int]]:
     """(rows, new_id): the adjacency rows relabelled so that vertex i of
-    `rows` is the i-th vertex by (-degree, id) (`_by_degree`, the order
-    `clique_lower` tries its seeds in), and `new_id[v]` is the new label of
+    `rows` is vertex `order[i]`, the i-th by (-degree, id) (`_by_degree`, the
+    order `clique_lower` tries its seeds in), and `new_id[v]` is the new label of
     vertex v. The rows must be symmetric, as a `DisjointnessGraph` checks:
     new bit j of row i is bit order[j] of row order[i], so bit order[i] of
     row order[j], and new row i is column order[i] read in reverse new order.
     One string holds the rows in that order (bit b of a row is character
     V - 1 - b of its string), and each new row is one strided slice of it."""
     v_count = len(adj)
-    order = _by_degree(adj)
     new_id = [0] * v_count
     for i, v in enumerate(order):
         new_id[v] = i
@@ -291,10 +295,11 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     if max_nodes is not None:
         _check_int(max_nodes, "max_nodes")
     t0 = perf_counter()
-    lower, clique = clique_lower(g)
+    order = _by_degree(g.adj)
+    lower, clique = _clique_lower(g, order)
     # the relabelled rows go straight to _search: a DisjointnessGraph would
     # check the endpoint rule in segment-rank order and refuse them
-    rows, new_id = _degree_order(g.adj)
+    rows, new_id = _degree_order(g.adj, order)
     # the greedy incumbent: dsatur_upper's first dive, on the relabelled rows
     best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
     nodes = 0

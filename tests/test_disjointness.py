@@ -154,6 +154,42 @@ class TestBuildGraph:
             built += 1
         assert built >= 250 and refused >= 50, (built, refused)
 
+    def test_larger_box_sets_match_rational_oracle(self):
+        # n = 10..16 in [0, 40]^2: the masks span up to 120 rank bits, and
+        # about half the sets hold a collinear triple, which must be refused
+        rng = random.Random(20171)
+        built = refused = 0
+        for trial in range(105):
+            n = 10 + trial % 7
+            coords = list({(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(n)})
+            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            if oracle_collinear(coords) is not None:
+                with pytest.raises(ValueError, match="not in general position"):
+                    build_graph(ps)
+                refused += 1
+                continue
+            g = build_graph(ps)
+            mat = pairwise_disjoint_matrix(ps, lambda a, b, p: oracle_disjoint(p, a, b))
+            assert [[g.adjacent(u, v) for v in range(g.n_vertices)]
+                    for u in range(g.n_vertices)] == mat, coords
+            built += 1
+        assert built >= 45 and refused >= 45, (built, refused)
+
+    def test_sampled_sets_match_pin(self):
+        # sha256 of the hex rows of sample_general_position(Random(s), n) for
+        # n = 4..16 and s = 0..19, recorded from the n x n left-table build
+        digest = hashlib.sha256()
+        edges = 0
+        for n in range(4, 17):
+            for s in range(20):
+                ps, _ = sample_general_position(random.Random(s), n)
+                g = build_graph(ps)
+                edges += g.edge_count
+                digest.update((",".join(format(r, "x") for r in g.adj) + "\n").encode("ascii"))
+        assert edges == 285099
+        assert digest.hexdigest() == \
+            "cb3e2f4dea75ba74cd1b49588edfd17e77c6018f1dd39e1a1963711a073f2cce"
+
     def test_refuses_exactly_the_collinear_sets(self):
         # half the sets get a planted collinear triple whose third point lies
         # beyond the segment of the other two, at a random position in the

@@ -223,7 +223,7 @@ class TestDegreeOrder:
         for ps in sets:
             g = build_graph(ps)
             v_count = g.n_vertices
-            rows, new_id = solver_mod._degree_order(g.adj)
+            rows, new_id = solver_mod._degree_order(g.adj, solver_mod._by_degree(g.adj))
             order = tie_order(g, by_degree=True)
             assert len(rows) == v_count
             assert [new_id[v] for v in order] == list(range(v_count))
