@@ -80,16 +80,14 @@ class DisjointnessGraph:
             if row >> u & 1:
                 raise ValueError(f"vertex {u} has a self-loop")
         # cells[u * v + w] is bit w of row u, so column w reads cells[w::v]; the
-        # rows are symmetric iff the joined columns are cells: one comparison
+        # rows are symmetric iff the joined columns are cells: one comparison.
+        # Where they first differ, at w * v + u, bit u of row w is not bit w of row u
         spec = f"0{v}b"
         cells = "".join([format(row, spec)[::-1] for row in adj])
-        if "".join([cells[w::v] for w in range(v)]) != cells:
-            for w in range(v):
-                column, row = cells[w::v], cells[w * v:(w + 1) * v]
-                if column != row:
-                    # w is the first asymmetric vertex, so the first differing u is above it
-                    u = next(u for u in range(v) if column[u] != row[u])
-                    raise ValueError(f"adjacency is not symmetric at ({w}, {u})")
+        columns = "".join([cells[w::v] for w in range(v)])
+        if columns != cells:
+            w, u = divmod(next(i for i, (a, b) in enumerate(zip(columns, cells)) if a != b), v)
+            raise ValueError(f"adjacency is not symmetric at ({w}, {u})")
         # Segments sharing an endpoint are never disjoint, so no clique has
         # more than n // 2 members. The rows are symmetric, so testing each
         # segment against the lower-ranked ones through its endpoints covers

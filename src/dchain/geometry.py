@@ -139,7 +139,12 @@ def segments_disjoint(a: Sequence[int], b: Sequence[int], ps: PointSet) -> bool:
 
 
 def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
-    """First collinear index triple (sorted) or None, by O(n^2) slope hashing."""
+    """A collinear index triple a < b < c, or None, by O(n^2) slope hashing.
+
+    Not the lexicographic first: the smallest a that starts one, then the
+    smallest c with some b between them on line ac, and that b. On
+    (0,0), (1,1), (5,0), (10,0), (1,7), (2,2) it is (0, 2, 3), not (0, 1, 5).
+    """
     n = ps.n
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
@@ -200,44 +205,29 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     m = max(a * a, b * b) + 2 * a * b + 1
     pts = [(x, x * x + m) for x in xs_up] + [(x, -x * x) for x in xs_low]
     ps = PointSet(pts, Partition(range(k), range(k, k + l)))
-    failed = validate_double_chain(ps).failed()
-    if failed:
-        raise RuntimeError(f"generated ({k}, {l}) double chain fails {failed[0].name}")
+    report = validate_double_chain(ps)
+    if not report.ok:
+        raise RuntimeError(f"generated ({k}, {l}) double chain fails {report.failed()[0]}")
     return ps
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    """One validated double-chain condition: it fails exactly when it has a
-    witness, the index triple that breaks it."""
+class DoubleChainReport(NamedTuple):
+    """The witness triple of each double-chain condition, (a)-(e) in order,
+    or None where the condition holds."""
 
-    name: str
-    witness: tuple[int, ...] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-
-@dataclass(frozen=True)
-class DoubleChainReport:
-    checks: tuple[ConditionCheck, ...]
+    upper_is_cup: tuple[int, int, int] | None
+    lower_is_cap: tuple[int, int, int] | None
+    lower_below_upper_lines: tuple[int, int, int] | None
+    upper_above_lower_lines: tuple[int, int, int] | None
+    general_position: tuple[int, int, int] | None
 
     @property
     def ok(self) -> bool:
-        return all(c.witness is None for c in self.checks)
+        return all(w is None for w in self)
 
-    def failed(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if c.witness is not None]
-
-
-CONDITION_NAMES = (
-    "upper_is_cup",
-    "lower_is_cap",
-    "lower_below_upper_lines",
-    "upper_above_lower_lines",
-    "general_position",
-)
+    def failed(self) -> list[str]:
+        """The names of the failing conditions, in order."""
+        return [name for name, w in zip(self._fields, self) if w is not None]
 
 
 def validate_double_chain(ps: PointSet) -> DoubleChainReport:
@@ -265,14 +255,14 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     up = sorted(ps.partition.upper, key=pts.__getitem__)
     low = sorted(ps.partition.lower, key=pts.__getitem__)
 
-    def chain(order: list[int], name: str, up_open: bool) -> ConditionCheck:
+    def chain(order: list[int], up_open: bool) -> tuple[int, int, int] | None:
         # cup: consecutive lex-sorted triples turn counterclockwise; cap: clockwise
         for t in range(len(order) - 2):
             a, b, c = order[t], order[t + 1], order[t + 2]
             d = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
             if (d <= 0) if up_open else (d >= 0):
-                return ConditionCheck(name, (a, b, c))
-        return ConditionCheck(name)
+                return a, b, c
+        return None
 
     # Why consecutive chords suffice on a convex chain. Let (a) hold and let
     # the consecutive cup chords be non-vertical; as U is lex-sorted, x then
@@ -298,8 +288,8 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     # an end. So when the chain has no equal x values, checking the two
     # outer chords gives the same pass/fail in O(k + l); only a failing
     # set runs the consecutive loop, which names the first witness.
-    def separated(chain_idx: list[int], others: list[int], name: str,
-                  below: bool, convex: bool) -> ConditionCheck:
+    def separated(chain_idx: list[int], others: list[int], below: bool,
+                  convex: bool) -> tuple[int, int, int] | None:
         def first_not_beyond(a: int, b: int) -> int | None:
             ax, ay = xs[a], ys[a]
             dx = xs[b] - ax
@@ -316,34 +306,33 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
             if len({xs[i] for i in chain_idx}) == m and (m < 2 or (
                     first_not_beyond(*chain_idx[:2]) is None
                     and first_not_beyond(*chain_idx[-2:]) is None)):
-                return ConditionCheck(name)
+                return None
             pairs = [(u, u + 1) for u in range(m - 1)]
         else:
             pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
         for u, v in pairs:
             a, b = chain_idx[u], chain_idx[v]
             if xs[a] == xs[b]:
-                return ConditionCheck(name, (a, b, others[0]))
+                return a, b, others[0]
             p = first_not_beyond(a, b)
             if p is not None:
-                return ConditionCheck(name, (a, b, p))
-        return ConditionCheck(name)
+                return a, b, p
+        return None
 
-    cup = chain(up, CONDITION_NAMES[0], up_open=True)
-    cap = chain(low, CONDITION_NAMES[1], up_open=False)
-    above = separated(up, low, CONDITION_NAMES[2], below=True, convex=cup.passed)
-    beneath = separated(low, up, CONDITION_NAMES[3], below=False, convex=cap.passed)
+    cup = chain(up, up_open=True)
+    cap = chain(low, up_open=False)
+    above = separated(up, low, below=True, convex=cup is None)
+    beneath = separated(low, up, below=False, convex=cap is None)
     # Why (a)-(d) imply (e). By the argument above x increases strictly
     # along each chain and its slopes increase (cup) or decrease (cap)
     # strictly, so no three points of one chain are collinear. A triple
     # that mixes the chains has two points on one chain, and (c) or (d)
     # puts the third strictly off their line. Otherwise search for a witness.
-    if cup.passed and cap.passed and above.passed and beneath.passed:
+    if cup is None and cap is None and above is None and beneath is None:
         collinear = None
     else:
         collinear = find_collinear_triple(ps)
-    general = ConditionCheck(CONDITION_NAMES[4], collinear)
-    return DoubleChainReport((cup, cap, above, beneath, general))
+    return DoubleChainReport(cup, cap, above, beneath, collinear)
 
 
 def delete_points(ps: PointSet, remove: Iterable[int]) -> tuple[PointSet, dict[int, int]]:

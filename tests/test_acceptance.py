@@ -210,7 +210,7 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
             rep = validate_double_chain(ps)
             if not rep.ok:
                 report(8, "double-chain geometry", False,
-                       f"validation failed at ({k},{l}): {[c.name for c in rep.failed()]}")
+                       f"validation failed at ({k},{l}): {rep.failed()}")
             # the all-chords, all-triples oracle agrees on the smaller chains
             if l <= 20 and oracle_validate_double_chain(ps) != (True,) * 5:
                 report(8, "double-chain geometry", False,

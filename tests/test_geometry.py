@@ -26,7 +26,7 @@ from dchain import (
     validate_double_chain,
 )
 import dchain.geometry
-from dchain.geometry import CONDITION_NAMES, ConditionCheck, DoubleChainReport
+from dchain.geometry import DoubleChainReport
 from helpers import (oracle_collinear, oracle_disjoint, oracle_validate_double_chain,
                      oracle_violates, strictly_beyond, turn)
 
@@ -138,9 +138,13 @@ class TestGeneralPosition:
         assert is_general_position(parabola_set(range(6))) is True
 
     def test_collinear_detected(self):
-        ps = PointSet((Point(0, 0), Point(1, 1), Point(2, 2), Point(5, 0)))
-        assert is_general_position(ps) is False
-        assert find_collinear_triple(ps) == (0, 1, 2)
+        for coords, witness in (
+                ([(0, 0), (1, 1), (2, 2), (5, 0)], (0, 1, 2)),
+                # not the lexicographic first, (0, 1, 5): the smallest c for a = 0
+                ([(0, 0), (1, 1), (5, 0), (10, 0), (1, 7), (2, 2)], (0, 2, 3))):
+            ps = PointSet(coords)
+            assert is_general_position(ps) is False
+            assert find_collinear_triple(ps) == witness
 
     def test_witnesses_pinned_on_a_small_grid(self):
         # 500 seeded sets of 3..9 points in [0, 6]^2, where collinear
@@ -213,7 +217,7 @@ class TestGenDoubleChain:
 
     def test_failed_validation_raises(self, monkeypatch):
         # the chord-height bound makes this unreachable; the check must still fire
-        failing = DoubleChainReport((ConditionCheck(CONDITION_NAMES[2], (0, 1, 2)),))
+        failing = DoubleChainReport(None, None, (0, 1, 2), None, None)
         monkeypatch.setattr(dchain.geometry, "validate_double_chain", lambda ps: failing)
         with pytest.raises(RuntimeError, match="lower_below_upper_lines"):
             gen_double_chain(2, 3)
@@ -262,26 +266,26 @@ class TestValidateDoubleChain:
         pts = list(good.points)
         pts[1] = Point(pts[1].x, pts[1].y + 10 ** 6)  # middle cup point far above
         report = validate_double_chain(PointSet(tuple(pts), good.partition))
-        check = report.checks[0]
-        assert check.name == "upper_is_cup" and not check.passed
-        assert check.witness == (0, 1, 2)
+        assert report == ((0, 1, 2), None, (0, 1, 3), None, None)
+        assert report.failed() == ["upper_is_cup", "lower_below_upper_lines"]
+        assert DoubleChainReport._fields == (
+            "upper_is_cup", "lower_is_cap", "lower_below_upper_lines",
+            "upper_above_lower_lines", "general_position")
 
     def test_cup_point_dropped_below_cap_lines_witnessed(self):
         good = gen_double_chain(2, 3)
         pts = list(good.points)
         pts[0] = Point(pts[0].x, -10 ** 6)
         report = validate_double_chain(PointSet(tuple(pts), good.partition))
-        bad = next(c for c in report.checks if c.name == "upper_above_lower_lines")
-        assert not bad.passed
-        assert bad.witness is not None and bad.witness[2] == 0
+        bad = report.upper_above_lower_lines
+        assert bad is not None and bad[2] == 0
 
     def test_collinear_triple_fails_general_position(self):
         # cap points (-2,-4), (0,0), (2,4) lie on one line
         pts = (Point(-1, 6), Point(1, 6), Point(-2, -4), Point(0, 0), Point(2, 4))
         report = validate_double_chain(PointSet(pts, Partition((0, 1), (2, 3, 4))))
         assert not report.ok
-        gp = next(c for c in report.checks if c.name == "general_position")
-        assert not gp.passed and gp.witness == (2, 3, 4)
+        assert report.general_position == (2, 3, 4)
 
 
 def small_box_chain(rng: random.Random) -> PointSet | None:
@@ -376,10 +380,11 @@ def nudged_canonical_chains() -> list[PointSet]:
 
 
 def report_digest(reports) -> str:
-    """sha256 over the name, pass/fail and witness of every check."""
+    """sha256 over the name, pass/fail and witness of every condition."""
     digest = hashlib.sha256()
     for report in reports:
-        digest.update((repr([(c.name, c.passed, c.witness) for c in report.checks]) + "\n").encode())
+        rows = [(name, w is None, w) for name, w in zip(report._fields, report)]
+        digest.update((repr(rows) + "\n").encode())
     return digest.hexdigest()
 
 
@@ -390,12 +395,12 @@ class TestValidatorAgainstOracle:
         seen = Counter()
         for ps in small_box_corpus():
             report = validate_double_chain(ps)
-            got = tuple(c.passed for c in report.checks)
+            got = tuple(w is None for w in report)
             assert got == oracle_validate_double_chain(ps), ps
-            for c in report.checks:
-                seen[c.name, c.passed] += 1
-                if not c.passed:
-                    assert oracle_violates(ps, c.name, c.witness), (ps, c)
+            for name, w in zip(report._fields, report):
+                seen[name, w is None] += 1
+                if w is not None:
+                    assert oracle_violates(ps, name, w), (ps, name, w)
             seen["valid"] += report.ok
             for label, side, convex in (("cup", ps.partition.upper, got[0]),
                                         ("cap", ps.partition.lower, got[1])):
@@ -404,7 +409,7 @@ class TestValidatorAgainstOracle:
             seen["cup, points above a chord"] += got[0] and not got[2]
             seen["cap, points below a chord"] += got[1] and not got[3]
         # both outcomes of every condition, and both sides of each shortcut
-        for name in CONDITION_NAMES:
+        for name in DoubleChainReport._fields:
             assert seen[name, True] >= 100 and seen[name, False] >= 100, (name, seen)
         for case in ("valid", "cup with equal x", "cap with equal x",
                      "cup, points above a chord", "cap, points below a chord"):
@@ -418,11 +423,11 @@ class TestValidatorAgainstOracle:
         seen = Counter()
         for ps in nudged_canonical_chains():
             report = validate_double_chain(ps)
-            got = tuple(c.passed for c in report.checks)
+            got = tuple(w is None for w in report)
             assert got == oracle_validate_double_chain(ps), ps
-            for c in report.checks:
-                if not c.passed:
-                    assert oracle_violates(ps, c.name, c.witness), (ps, c)
+            for name, w in zip(report._fields, report):
+                if w is not None:
+                    assert oracle_violates(ps, name, w), (ps, name, w)
             seen["valid"] += report.ok
             pts = [(p.x, p.y) for p in ps.points]
             for below, chain, others, convex, passed in (
@@ -445,7 +450,7 @@ class TestValidatorAgainstOracle:
 
 
 class TestReportPins:
-    """Every check's name, pass/fail and witness, pinned by sha256 over two
+    """Every condition's name, pass/fail and witness, pinned by sha256 over two
     corpora, recorded with the validator that tested every consecutive
     chord."""
 
