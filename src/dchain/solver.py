@@ -3,10 +3,10 @@
 The workhorse is one DSATUR-ordered branch and bound over big-int vertex
 masks (per-color forbidden sets and saturation levels) on an explicit stack.
 It breaks saturation ties by the smallest vertex id. Its first dive from no
-colored vertex is the greedy DSATUR coloring, the upper bound; the exact
-solve then searches again from a greedy clique, precolored (sound symmetry
-breaking). The exact solve first relabels the vertices by (-degree, id), so
-its ties go to the highest degree, as in Brelaz's DSATUR, and maps the
+colored vertex is the greedy DSATUR coloring, the upper bound. The exact
+solve relabels the vertices by (-degree, id), so its ties go to the highest
+degree, as in Brelaz's DSATUR, searches again from a greedy clique grown in
+that same order and precolored (sound symmetry breaking), and maps the
 witness back to segment ranks. `dsatur_upper` keeps the id order. Beside the
 search sits a canonical enumerator of all optimal colorings. The engine knows
 nothing of the closed forms or the point-set generators; the sweeps and
@@ -207,8 +207,10 @@ def _by_degree(adj: tuple[int, ...]) -> list[int]:
 def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     """Deterministic greedy clique (a set of pairwise disjoint segments): each
     vertex, by descending degree (ties to the smallest id), seeds a greedy
-    growth, and the first largest clique is kept; pairwise adjacency is
-    re-validated."""
+    growth that adds the first common neighbor in that same order, and the
+    first largest clique is kept; pairwise adjacency is re-validated. The
+    order is the exact search's branching order, so the clique it precolors
+    is taken from the front of that order, as in DSATUR practice."""
     return _clique_lower(g, _by_degree(g.adj))
 
 
@@ -217,21 +219,19 @@ def _clique_lower(g: DisjointnessGraph, order: list[int]) -> tuple[int, frozense
     adj = g.adj
 
     def grow(seed: int) -> list[int]:
+        # Each step adds the first candidate in `order`. Any clique is sound
+        # to precolor 0, 1, ...: its members need distinct colors and every
+        # color permutation is equivalent, so the search stays complete and
+        # the clique's size is the lower bound. The candidates only shrink,
+        # so one pass over `order` finds every step's pick.
         members = [seed]
         cand = adj[seed]
-        while cand:
-            best = -1
-            best_deg = -1
-            rest = cand
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                d = (adj[v] & cand).bit_count()
-                if d > best_deg:
-                    best, best_deg = v, d
-            members.append(best)
-            cand &= adj[best]
+        for v in order:
+            if not cand:
+                break
+            if cand >> v & 1:
+                members.append(v)
+                cand &= adj[v]
         return members
 
     # Ceiling: DisjointnessGraph rejects rows that join segments sharing an

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
 quadratic greedy DSATUR and a recursive DSATUR branch and bound (both with
-saturation ties by id, or by degree then id), a Fraction-based segment
-intersection test, an all-triples collinearity check, an edge-scan coloring
-check and an all-chords, all-triples double-chain check. All deliberately
-avoid the code paths they are used to check."""
+saturation ties by id, or by degree then id), the greedy clique grown in
+the tie order by degree, a Fraction-based segment intersection test, an
+all-triples collinearity check, an edge-scan coloring check and an
+all-chords, all-triples double-chain check. All deliberately avoid the code
+paths they are used to check."""
 
 from __future__ import annotations
 
@@ -86,6 +87,27 @@ def oracle_dsatur(g: DisjointnessGraph, by_degree: bool = False) -> list[int]:
             if adj[pick] >> u & 1:
                 seen[u].add(c)
     return colors
+
+
+def oracle_clique(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
+    """(size, members) of the greedy clique by its stated rule, with plain
+    scans: each vertex in the tie order by degree seeds a clique, which
+    grows by the first vertex in that order joined to every member, until
+    none is left; the first largest clique over all seeds wins. Every seed
+    is grown, with no ceiling, and nothing comes from dchain.solver."""
+    ties = tie_order(g, by_degree=True)
+    best: list[int] = []
+    for seed in ties:
+        members = [seed]
+        while True:
+            joined = [v for v in ties if v not in members
+                      and all(g.adj[u] >> v & 1 for u in members)]
+            if not joined:
+                break
+            members.append(joined[0])
+        if len(members) > len(best):
+            best = members
+    return len(best), frozenset(best)
 
 
 class _OutOfNodes(Exception):

@@ -37,7 +37,8 @@ from dchain import (
     singleton_class_check,
     verify_coloring,
 )
-from helpers import naive_chromatic, oracle_branch_and_bound, oracle_dsatur, tie_order
+from helpers import (naive_chromatic, oracle_branch_and_bound, oracle_clique, oracle_dsatur,
+                     tie_order)
 
 import dchain.experiments as experiments_mod
 import dchain.solver as solver_mod
@@ -78,12 +79,14 @@ def built_graphs(seed):
 
 
 def later_seed_graph():
-    """Six points, five edges: vertices 3 and 4, segments (0, 4) and (0, 5),
-    have the largest degree, 2. The first seed, 3, has the unjoined
-    neighbors 5 and 8, so it grows to two members; seed 4 reaches the
-    ceiling 3 with the triangle 4, 6, 10."""
+    """Six points, five edges. Vertex 14, segment (4, 5), has the largest
+    degree, 3, then come 0, 1 and 6 with degree 2, then 9. The first seed,
+    14, adds its first candidate in that order, 0, whose other neighbor 9 is
+    not joined to 14, so it stops at two members, though its candidates 1
+    and 6 are joined. Seed 0 also stops at two, and seed 1 reaches the
+    ceiling 3 with the triangle 1, 6, 14."""
     rows = [0] * 15
-    for u, v in [(3, 5), (3, 8), (4, 6), (4, 10), (6, 10)]:
+    for u, v in [(14, 0), (14, 1), (14, 6), (1, 6), (0, 9)]:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return DisjointnessGraph(6, tuple(rows))
@@ -164,7 +167,7 @@ class TestDsatur:
 
 def test_presolve_matches_pins():
     # sha256 of (DSATUR colors, clique members), recorded from the
-    # vertex-scan DSATUR and the generator-driven clique growth
+    # vertex-scan DSATUR and the clique growth in branching order
     pins = json.loads(Path(__file__).with_name("presolve_pins.json").read_text())
     assert len(pins) == 101
     for pin in pins:
@@ -189,7 +192,7 @@ class TestCliqueLower:
         assert clique_lower(DisjointnessGraph(4, (0,) * 6)) == (1, frozenset({0}))
 
     def test_later_seed_reaches_the_ceiling(self):
-        assert clique_lower(later_seed_graph()) == (3, frozenset({4, 6, 10}))
+        assert clique_lower(later_seed_graph()) == (3, frozenset({1, 6, 14}))
 
     def test_members_pairwise_adjacent(self):
         g = build_graph(gen_convex(6))
@@ -203,6 +206,13 @@ class TestCliqueLower:
         size, members = clique_lower(k6_graph())
         assert size == 6
         assert members == {segment_rank(SegmentId(2 * i, 2 * i + 1), 12) for i in range(6)}
+
+    def test_matches_oracle(self):
+        # 300 seeded random 8-point sets, 300 hand-built graphs and K6
+        graphs = [build_graph(ps) for ps in random_configs(8, 300, 1981)]
+        graphs += hand_built_graphs(1982, 300) + [k6_graph()]
+        for g in graphs:
+            assert clique_lower(g) == oracle_clique(g), g.adj
 
     def test_ceiling_holds_on_built_graphs(self):
         for g in built_graphs(2017):
@@ -270,8 +280,8 @@ class TestExactChi:
     def test_small_random_solves_pinned(self):
         # 200 sampled 8-point sets through the build, the relabel and the
         # search, as the random scan solves them: attempts, rows, chi, node
-        # count and witness of each, recorded before the per-triple side
-        # masks, the cached endpoint masks and the strided relabel
+        # count and witness of each, recorded with the clique grown in the
+        # search's branching order
         rng = random.Random(0)
         digest = hashlib.sha256()
         total = 0
@@ -282,9 +292,9 @@ class TestExactChi:
             total += res.nodes
             line = json.dumps([attempts, list(g.adj), res.chi, res.nodes, list(res.witness.colors)])
             digest.update((line + "\n").encode())
-        assert total == 15865
+        assert total == 15127
         assert digest.hexdigest() == \
-            "10547b34fe58d160eec9c153a7d408687906a238d0ab3c4e3929fb7424085a81"
+            "a8a4d9f91496d9b1b11d0feceef22ace2f29dbee447552fa1aec970b369d73d8"
 
     def test_deterministic_nodes_and_witness(self):
         g = build_graph(gen_double_chain(2, 4))
@@ -437,8 +447,8 @@ except RuntimeError as exc:
 def oracle_cases():
     """Every chain with k + l <= 9, convex 4..10, 300 seeded random
     4..8-point sets and 200 hand-built graphs (hand_built_graphs), each with
-    its greedy clique; then the ten chains with k + l = 10..11, whose
-    degree-order searches hold most of the nodes."""
+    its greedy clique by oracle_clique; then the ten chains with
+    k + l = 10..11, whose degree-order searches hold most of the nodes."""
     sets = [gen_double_chain(k, l) for k in range(1, 5) for l in range(k, 10 - k)]
     sets += [gen_convex(n) for n in range(4, 11)]
     rng = random.Random(909)
@@ -450,11 +460,11 @@ def oracle_cases():
     graphs = [build_graph(ps) for ps in sets] + hand_built_graphs(910, 198)
     graphs += [build_graph(gen_double_chain(k, s - k)) for s in (10, 11)
                for k in range(1, s // 2 + 1)]
-    return [(g, clique_lower(g)[1]) for g in graphs]
+    return [(g, oracle_clique(g)[1]) for g in graphs]
 
 
 # the oracle recounts saturation in Python at every node, and the chains with
-# k + l = 10..11 take 94,554 nodes by id against 7,212 by degree, so the id
+# k + l = 10..11 take 87,721 nodes by id against 5,228 by degree, so the id
 # order is checked on the cases before them
 ID_ORDER_CASES = 527
 
@@ -464,6 +474,10 @@ class TestAgainstOracle:
     its documented rule (tests/helpers.py): equal node counts, chi and
     witnesses, and equal cutoffs under node budgets. The public solve breaks
     saturation ties by degree, then id; the `_search` id path, by id."""
+
+    def test_cliques_match(self, oracle_cases):
+        for g, clique in oracle_cases:
+            assert clique_lower(g) == (len(clique), clique), g.adj
 
     def test_exact_solves_match(self, oracle_cases):
         assert len(oracle_cases) == 537
