@@ -21,9 +21,7 @@ from .disjointness import (
     DisjointnessGraph,
     all_segments,
     build_graph,
-    convex_hull_edges,
     export_graph,
-    graph_from_json,
     graph_to_json,
     segment_rank,
 )
@@ -49,11 +47,9 @@ from .geometry import (
     gen_double_chain,
     is_general_position,
     load_points,
-    orientation,
     pointset_from_json,
     pointset_to_json,
     save_points,
-    segments_disjoint,
     validate_double_chain,
 )
 from .solver import (

@@ -14,8 +14,7 @@ from math import comb
 from typing import Iterator
 
 from .formulas import _check_int
-from .geometry import (PointSet, SegmentId, _json_field, _json_ints, is_general_position,
-                       orientation)
+from .geometry import PointSet, SegmentId
 
 
 @lru_cache(maxsize=8)
@@ -111,9 +110,6 @@ class DisjointnessGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Adjacency pairs (u, v) with u < v, in lexicographic order."""
         for u, row in enumerate(self.adj):
@@ -187,67 +183,12 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
                                        for (i, j), near in zip(combinations(range(n), 2), touch)]))
 
 
-def convex_hull_edges(ps: PointSet) -> list[SegmentId]:
-    """Hull edges in counterclockwise traversal order.
-
-    The cycle starts at the lexicographically smallest point, so the output
-    is deterministic. Requires at least three points in general position.
-    """
-    if ps.n < 3:
-        raise ValueError("hull edges need at least three points")
-    if not is_general_position(ps):
-        raise ValueError("point set is not in general position")
-    pts = ps.points
-    order = sorted(range(ps.n), key=pts.__getitem__)
-
-    def half(seq: list[int]) -> list[int]:
-        hull: list[int] = []
-        for idx in seq:
-            while len(hull) >= 2 and orientation(pts[hull[-2]], pts[hull[-1]], pts[idx]) <= 0:
-                hull.pop()
-            hull.append(idx)
-        return hull
-
-    lower = half(order)
-    upper = half(order[::-1])
-    cycle = lower[:-1] + upper[:-1]
-    return [SegmentId.of(cycle[t], cycle[(t + 1) % len(cycle)], ps.n)
-            for t in range(len(cycle))]
-
-
 def graph_to_json(g: DisjointnessGraph) -> dict:
     return {
         "n_points": g.n_points,
         "vertices": g.n_vertices,
         "edges": [[u, v] for u, v in g.edges()],
     }
-
-
-def graph_from_json(data: dict, points: PointSet | None = None) -> DisjointnessGraph:
-    """Rebuild a graph from its JSON form, validating structure.
-
-    When the source points are supplied alongside, the edge set is checked
-    against a fresh build from those points.
-    """
-    doc = "graph JSON"
-    n_points = _json_field(data, "n_points", int, doc)
-    v = comb(n_points, 2)
-    vertices = _json_field(data, "vertices", int, doc)
-    if vertices != v:
-        raise ValueError(f"vertex count {vertices!r} does not match C({n_points},2)={v}")
-    rows = [0] * v
-    for e, edge in enumerate(_json_field(data, "edges", list, doc)):
-        u, w = _json_ints(edge, 2, f"{doc} edges[{e}]")
-        if not 0 <= u < w < v:
-            raise ValueError(f"edge [{u}, {w}] is not an in-range pair with u < v")
-        if rows[u] >> w & 1:
-            raise ValueError(f"duplicate edge [{u}, {w}]")
-        rows[u] |= 1 << w
-        rows[w] |= 1 << u
-    g = DisjointnessGraph(n_points, tuple(rows))
-    if points is not None and build_graph(points) != g:
-        raise ValueError("edges do not match the disjointness graph of the supplied points")
-    return g
 
 
 def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:

@@ -6,8 +6,8 @@ so there are no rounding hazards near the triangular-number boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
 
 
 def _check_int(value: int, name: str = "n", low: int | None = 1, high: int | None = None) -> int:
@@ -66,25 +66,15 @@ def double_chain_chi(k: int, l: int) -> int:
     return k + f_of(l)
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """One row of the n, g(n), f(n) table, self-checked on construction."""
+class FormulaResult(NamedTuple):
+    """One row of the n, g(n), f(n) table. g_of and f_of check their values
+    on every call, so the row needs no check of its own."""
 
     n: int
     g: int
     f: int
 
-    def __post_init__(self) -> None:
-        if self.f != self.n - self.g + 1:
-            raise ValueError(f"f={self.f} breaks f = n - g + 1 at n={self.n}, g={self.g}")
-        if not comb(self.g, 2) <= self.n < comb(self.g + 1, 2):
-            raise ValueError(f"g={self.g} is not bracketed by binomials at n={self.n}")
-
-    @classmethod
-    def for_n(cls, n: int) -> "FormulaResult":
-        return cls(n, g_of(n), f_of(n))
-
 
 def formula_table(n_max: int) -> list[FormulaResult]:
     _check_int(n_max, "n_max")
-    return [FormulaResult.for_n(n) for n in range(1, n_max + 1)]
+    return [FormulaResult(n, g_of(n), f_of(n)) for n in range(1, n_max + 1)]

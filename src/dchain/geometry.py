@@ -1,10 +1,10 @@
-"""Exact integer plane geometry: orientation and disjointness predicates,
+"""Exact integer plane geometry: point sets, the collinearity search,
 generators for convex and double-chain point sets, and configuration
 validators.
 
-Every predicate is evaluated with arbitrary-precision integer arithmetic;
-nothing in this module touches floating point, so results are exact and
-overflow is impossible.
+Every turn is the sign of the exact cross product, in arbitrary-precision
+integer arithmetic; nothing in this module touches floating point, so
+results are exact and overflow is impossible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .formulas import _check_chain, _check_int
 
@@ -24,12 +24,6 @@ class Point(NamedTuple):
 
     x: int
     y: int
-
-
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Twice the signed area of the triangle (p, q, r), exactly: positive for
-    a counterclockwise turn, 0 when collinear, negative for clockwise."""
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
 class Partition(NamedTuple):
@@ -98,44 +92,6 @@ class SegmentId(NamedTuple):
         if a == b:
             raise ValueError(f"degenerate segment ({a}, {b})")
         return cls(a, b) if a < b else cls(b, a)
-
-
-def _in_box(a: Point, b: Point, p: Point) -> bool:
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-
-
-def segments_disjoint(a: Sequence[int], b: Sequence[int], ps: PointSet) -> bool:
-    """True iff the two closed segments share no point at all.
-
-    Sharing an endpoint, properly crossing, and touching (an endpoint lying
-    on the other segment) all count as intersecting. Symmetric in a and b.
-    """
-    (i, j), (k, l) = a, b
-    i, j = SegmentId.of(i, j, ps.n)
-    k, l = SegmentId.of(k, l, ps.n)
-    if (i, j) == (k, l):
-        raise ValueError(f"segments must be distinct, got ({i}, {j}) twice")
-    if i in (k, l) or j in (k, l):
-        return False
-    pts = ps.points
-    p1, p2, q1, q2 = pts[i], pts[j], pts[k], pts[l]
-    d1 = orientation(q1, q2, p1)
-    d2 = orientation(q1, q2, p2)
-    d3 = orientation(p1, p2, q1)
-    d4 = orientation(p1, p2, q2)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return False  # proper crossing
-    # collinear touching; unreachable in general position but kept for safety
-    if d1 == 0 and _in_box(q1, q2, p1):
-        return False
-    if d2 == 0 and _in_box(q1, q2, p2):
-        return False
-    if d3 == 0 and _in_box(p1, p2, q1):
-        return False
-    if d4 == 0 and _in_box(p1, p2, q2):
-        return False
-    return True
 
 
 def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:

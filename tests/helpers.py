@@ -1,10 +1,10 @@
 """Independent oracles used by the tests: a brute-force chromatic search, a
 quadratic greedy DSATUR and a recursive DSATUR branch and bound (both with
 saturation ties by id, or by degree then id), the greedy clique grown in
-the tie order by degree, a Fraction-based segment intersection test, an
-all-triples collinearity check, an edge-scan coloring check and an
-all-chords, all-triples double-chain check. All deliberately avoid the code
-paths they are used to check."""
+the tie order by degree, a Fraction-based segment intersection test, a
+chain's hull edges from its definition, an all-triples collinearity check,
+an edge-scan coloring check and an all-chords, all-triples double-chain
+check. All deliberately avoid the code paths they are used to check."""
 
 from __future__ import annotations
 
@@ -224,16 +224,29 @@ def oracle_disjoint(ps: PointSet, a, b) -> bool:
     return not segments_share_point(pts[i], pts[j], pts[k], pts[l])
 
 
-def pairwise_disjoint_matrix(ps: PointSet, predicate) -> list[list[bool]]:
-    """Adjacency matrix over segment ranks from a pairwise disjointness predicate."""
+def pairwise_disjoint_matrix(ps: PointSet) -> list[list[bool]]:
+    """Adjacency matrix over segment ranks, one oracle_disjoint call per pair."""
     segs = all_segments(ps.n)
     v = len(segs)
     mat = [[False] * v for _ in range(v)]
     for a in range(v):
         for b in range(a + 1, v):
-            if predicate(segs[a], segs[b], ps):
+            if oracle_disjoint(ps, segs[a], segs[b]):
                 mat[a][b] = mat[b][a] = True
     return mat
+
+
+def chain_hull_edges(ps: PointSet, side) -> list[tuple[int, int]]:
+    """The hull edges of one chain of a double chain, as index pairs (a, b)
+    with a < b: the consecutive pairs of the side sorted by (x, y), then the
+    outer chord. A cup or a cap is in convex position, so these are its hull
+    edges; validate_double_chain and oracle_validate_double_chain check that
+    the generated chains are cups and caps, on the same grid."""
+    order = sorted(side, key=ps.points.__getitem__)
+    pairs = list(zip(order, order[1:]))
+    if len(order) > 2:
+        pairs.append((order[0], order[-1]))
+    return [(min(a, b), max(a, b)) for a, b in pairs]
 
 
 def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tuple[int, int], ...]]:

@@ -11,13 +11,11 @@ import pytest
 
 from dchain import (
     Coloring,
-    PointSet,
     build_graph,
     chromatic_number_exact,
     classify_coloring,
     conjecture_scan,
     construct_double_chain_coloring,
-    convex_hull_edges,
     delete_points,
     double_chain_chi,
     double_chain_sweep,
@@ -30,13 +28,13 @@ from dchain import (
     gen_double_chain,
     remove_star_apices,
     sample_general_position,
-    segments_disjoint,
     singleton_class_check,
     thrackle_edge_bound_ok,
     validate_double_chain,
     verify_coloring,
 )
 from helpers import (
+    chain_hull_edges,
     naive_chromatic,
     oracle_disjoint,
     oracle_validate_double_chain,
@@ -222,19 +220,12 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
         ps = gen_double_chain(k, l)
         up, low = ps.partition.upper, ps.partition.lower
         for side in (up, low):
-            if len(side) < 2:
-                continue
-            if len(side) == 2:
-                hull = [tuple(side)]
-            else:
-                sub = PointSet(tuple(ps.points[i] for i in side))
-                hull = [(side[e.i], side[e.j]) for e in convex_hull_edges(sub)]
-            for e in hull:
+            for e in chain_hull_edges(ps, side):
                 for i in range(ps.n):
                     for j in range(i + 1, ps.n):
-                        if (i, j) == tuple(sorted(e)) or i in e or j in e:
+                        if i in e or j in e:
                             continue
-                        if not segments_disjoint(e, (i, j), ps):
+                        if not oracle_disjoint(ps, e, (i, j)):
                             report(8, "double-chain geometry", False,
                                    f"hull edge {e} crossed by ({i},{j}) in ({k},{l})")
         for u in up:
@@ -244,7 +235,7 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
                         for b in side[ai + 1:]:
                             if {u, w} & {a, b}:
                                 continue
-                            if not segments_disjoint((u, w), (a, b), ps):
+                            if not oracle_disjoint(ps, (u, w), (a, b)):
                                 report(8, "double-chain geometry", False,
                                        f"cross segment ({u},{w}) crosses ({a},{b}) in ({k},{l})")
 
@@ -290,11 +281,10 @@ def test_criterion_9_solver_and_adjacency_agree_with_oracles():
         matrix_cases.append(ps)
     for ps in matrix_cases:
         g = build_graph(ps)
-        mat = pairwise_disjoint_matrix(ps, segments_disjoint)
-        rational = pairwise_disjoint_matrix(ps, lambda a, b, p: oracle_disjoint(p, a, b))
+        rational = pairwise_disjoint_matrix(ps)
         for u in range(g.n_vertices):
             for v in range(g.n_vertices):
-                if g.adjacent(u, v) != mat[u][v] or mat[u][v] != rational[u][v]:
+                if g.adjacent(u, v) != rational[u][v]:
                     report(9, "oracle equivalence", False,
                            f"adjacency mismatch at ({u},{v}) for n={ps.n}")
     report(9, "exact solver and adjacency match independent oracles", True,

@@ -16,17 +16,13 @@ from dchain import (
     SegmentId,
     all_segments,
     build_graph,
-    convex_hull_edges,
     export_graph,
     gen_convex,
     gen_double_chain,
-    graph_from_json,
-    graph_to_json,
     sample_general_position,
     segment_rank,
-    segments_disjoint,
 )
-from helpers import oracle_collinear, oracle_disjoint, pairwise_disjoint_matrix
+from helpers import chain_hull_edges, oracle_collinear, pairwise_disjoint_matrix, turn
 
 
 class TestSegmentId:
@@ -92,7 +88,7 @@ class TestBuildGraph:
         g = build_graph(gen_double_chain(1, 3))
         assert g.n_vertices == 6
         assert list(g.edges()) == [(0, 5), (1, 4), (2, 3)]
-        assert all(g.degree(v) == 1 for v in range(6))
+        assert all(row.bit_count() == 1 for row in g.adj)
 
     def test_two_points_single_isolated_vertex(self):
         g = build_graph(PointSet((Point(0, 0), Point(1, 2))))
@@ -116,13 +112,14 @@ class TestBuildGraph:
     ], ids=["convex5", "convex7", "dc14", "dc23", "dc34"])
     def test_adjacency_equals_pairwise_predicate(self, ps):
         g = build_graph(ps)
-        mat = pairwise_disjoint_matrix(ps, segments_disjoint)
+        mat = pairwise_disjoint_matrix(ps)
         for u in range(g.n_vertices):
             for v in range(g.n_vertices):
                 assert g.adjacent(u, v) == mat[u][v]
 
     def test_adjacency_matches_pins(self):
-        # sha256 of the hex rows, recorded from the pairwise segments_disjoint build
+        # sha256 of the hex rows, recorded from a build that called a per-pair
+        # disjointness predicate
         pins = json.loads(Path(__file__).with_name("build_pins.json").read_text())
         assert len(pins) == 101
         for pin in pins:
@@ -148,7 +145,7 @@ class TestBuildGraph:
                 refused += 1
                 continue
             g = build_graph(ps)
-            mat = pairwise_disjoint_matrix(ps, lambda a, b, p: oracle_disjoint(p, a, b))
+            mat = pairwise_disjoint_matrix(ps)
             assert [[g.adjacent(u, v) for v in range(g.n_vertices)]
                     for u in range(g.n_vertices)] == mat, coords
             built += 1
@@ -169,7 +166,7 @@ class TestBuildGraph:
                 refused += 1
                 continue
             g = build_graph(ps)
-            mat = pairwise_disjoint_matrix(ps, lambda a, b, p: oracle_disjoint(p, a, b))
+            mat = pairwise_disjoint_matrix(ps)
             assert [[g.adjacent(u, v) for v in range(g.n_vertices)]
                     for u in range(g.n_vertices)] == mat, coords
             built += 1
@@ -244,6 +241,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DisjointnessGraph(3, rows)
 
+    def test_graph_check_peak_memory(self):
+        # the symmetry check holds V^2 one-character cells, twice (76,176
+        # each at (12, 12)), and nothing per edge
+        g = build_graph(gen_double_chain(12, 12))
+        tracemalloc.start()
+        try:
+            checked = DisjointnessGraph(g.n_points, g.adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked.edge_count == 26532
+        assert peak < 1_000_000, peak
+
     def test_graph_validation_rejects_self_loop(self):
         with pytest.raises(ValueError):
             DisjointnessGraph(3, (0b001, 0b000, 0b000))
@@ -296,50 +306,55 @@ class TestBuildGraph:
             rows[v] |= 1 << u
         with pytest.raises(ValueError, match=re.escape(message)):
             DisjointnessGraph(n_points, tuple(rows))
-        data = {"n_points": n_points, "vertices": len(rows), "edges": [list(e) for e in edges]}
-        with pytest.raises(ValueError, match=re.escape(message)):
-            graph_from_json(data)
+
+
+def is_hull_cycle(ps: PointSet, cycle: list[int]) -> bool:
+    """Every point off each directed edge of the closed cycle lies strictly
+    to its left. Each edge is then a hull edge, and a closed cycle of hull
+    edges is the whole hull: the counterclockwise hull of ps has exactly
+    these len(cycle) edges."""
+    return all(turn(ps.points, a, b, p) > 0
+               for a, b in zip(cycle, cycle[1:] + cycle[:1])
+               for p in range(ps.n) if p not in (a, b))
+
+
+def chain_ends_are_hull(k: int, l: int) -> bool:
+    """Whether the ends of the cap, then those of the cup, counterclockwise,
+    are the hull cycle of gen_double_chain(k, l): a quadrilateral, or a
+    triangle when the cup has one point."""
+    ps = gen_double_chain(k, l)
+    up, low = (sorted(side, key=ps.points.__getitem__)
+               for side in (ps.partition.upper, ps.partition.lower))
+    return is_hull_cycle(ps, [low[0], low[-1], up[-1], up[0]][:3 if k == 1 else 4])
 
 
 class TestConvexHullEdges:
+    """The hulls of the generated sets, from the definition of a hull edge:
+    a double chain's hull is the polygon on the ends of its two chains, and
+    a convex set's hull holds every point."""
+
     def test_double_chain_22_has_four(self):
-        assert len(convex_hull_edges(gen_double_chain(2, 2))) == 4
+        assert chain_ends_are_hull(2, 2)
 
     def test_double_chain_23_has_four(self):
-        assert len(convex_hull_edges(gen_double_chain(2, 3))) == 4
+        assert chain_ends_are_hull(2, 3)
 
     def test_convex5_has_five(self):
-        assert len(convex_hull_edges(gen_convex(5))) == 5
+        assert is_hull_cycle(gen_convex(5), [0, 1, 2, 3, 4])
 
     def test_double_chain_13_has_three(self):
         # single cup point: middle cap point is interior
-        assert len(convex_hull_edges(gen_double_chain(1, 3))) == 3
+        assert chain_ends_are_hull(1, 3)
 
     @pytest.mark.parametrize("k,l", [(k, l) for k in range(2, 7)
                                      for l in range(k, 13 - k)])
     def test_chains_with_two_plus_per_side_have_four(self, k, l):
-        assert len(convex_hull_edges(gen_double_chain(k, l))) == 4
+        assert chain_ends_are_hull(k, l)
 
     def test_counterclockwise_traversal(self):
         ps = gen_convex(6)
-        edges = convex_hull_edges(ps)
-        cycle = [edges[0].i]
-        for e in edges:
-            nxt = e.j if e.i == cycle[-1] else e.i
-            cycle.append(nxt)
-        assert cycle[0] == cycle[-1]
-        pts = ps.points
-        area2 = sum(pts[cycle[t]].x * pts[cycle[t + 1]].y - pts[cycle[t + 1]].x * pts[cycle[t]].y
-                    for t in range(len(cycle) - 1))
-        assert area2 > 0
-
-    def test_rejects_fewer_than_three(self):
-        with pytest.raises(ValueError):
-            convex_hull_edges(PointSet((Point(0, 0), Point(1, 2))))
-
-    def test_rejects_collinear_points(self):
-        with pytest.raises(ValueError, match="^point set is not in general position$"):
-            convex_hull_edges(PointSet((Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5))))
+        assert is_hull_cycle(ps, list(range(6)))
+        assert not is_hull_cycle(ps, list(range(5, -1, -1)))
 
 
 class TestHullEdgeNeighborhoods:
@@ -351,15 +366,12 @@ class TestHullEdgeNeighborhoods:
         g = build_graph(ps)
         segs = all_segments(ps.n)
         for side in (ps.partition.upper, ps.partition.lower):
-            sub = PointSet(tuple(ps.points[i] for i in side))
-            hull = ([SegmentId.of(side[0], side[1], ps.n)] if len(side) == 2
-                    else [SegmentId.of(side[e.i], side[e.j], ps.n) for e in convex_hull_edges(sub)])
-            for e in hull:
+            for e in chain_hull_edges(ps, side):
                 u = segment_rank(e, ps.n)
                 for v, s in enumerate(segs):
                     if v == u:
                         continue
-                    avoids = not ({e.i, e.j} & {s.i, s.j})
+                    avoids = not (set(e) & {s.i, s.j})
                     assert g.adjacent(u, v) == avoids, (e, s)
 
 
@@ -400,65 +412,15 @@ class TestExports:
         assert export_graph(g, "dimacs") == export_graph(g, "DIMACS")
 
     def test_json_roundtrip(self):
-        g = build_graph(gen_double_chain(2, 3))
-        data = json.loads(export_graph(g, "json").decode())
-        assert graph_from_json(data) == g
-
-    def test_json_validates_against_points(self):
-        ps = gen_convex(5)
-        g = build_graph(ps)
-        data = graph_to_json(g)
-        assert graph_from_json(data, points=ps) == g
-        data["edges"] = data["edges"][1:]
-        with pytest.raises(ValueError):
-            graph_from_json(data, points=ps)
-
-    def test_json_rejects_bad_vertex_count(self):
-        data = graph_to_json(build_graph(gen_convex(4)))
-        data["vertices"] = 5
-        with pytest.raises(ValueError):
-            graph_from_json(data)
-
-    def test_json_load_peak_memory(self):
-        # the symmetry check holds V^2 one-character cells, twice (76,176
-        # each at (12, 12)); a set of edge tuples kept for the duplicate
-        # check peaked at 3.7 MB here
-        data = graph_to_json(build_graph(gen_double_chain(12, 12)))
-        tracemalloc.start()
-        try:
-            g = graph_from_json(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.edge_count == len(data["edges"]) == 26532
-        assert peak < 1_000_000, peak
-
-    def test_json_rejects_duplicate_edge(self):
-        data = graph_to_json(build_graph(gen_convex(4)))
-        data["edges"].append(data["edges"][0])
-        with pytest.raises(ValueError):
-            graph_from_json(data)
-
-    def test_json_errors_name_the_field(self):
-        good = graph_to_json(build_graph(gen_convex(4)))
-        for data, message in (
-                ({"vertices": 6, "edges": []}, "graph JSON has no 'n_points' field"),
-                *((dict(good, n_points=bad),
-                   f"graph JSON field 'n_points' must be an integer >= 0, got {bad!r}")
-                  for bad in ("4", -1, True, 4.0, None)),
-                *((dict(good, vertices=bad),
-                   f"graph JSON field 'vertices' must be an integer >= 0, got {bad!r}")
-                  for bad in (None, -6, True, 6.0, "6")),
-                (dict(good, edges={"0": 5}), "graph JSON field 'edges' must be a list, got {'0': 5}"),
-                (dict(good, edges=[[0, 5], [2]]), "graph JSON edges[1] must be a list of 2 ints, got [2]"),
-                *((dict(good, edges=[[0, 5], [2, bad]]),
-                   f"graph JSON edges[1][1] must be an integer, got {bad!r}")
-                  for bad in (True, 5.0, "5", None)),
-                (dict(good, edges=[[0, 5], [2, 6]]), "edge [2, 6] is not an in-range pair with u < v"),
-                ("graph", "graph JSON must be an object, got 'graph'")):
-            with pytest.raises(ValueError) as exc:
-                graph_from_json(data)
-            assert str(exc.value) == message
+        # the JSON export parses back to the graph's point count, vertex
+        # count and edge list, in g.edges() order
+        sampled, _ = sample_general_position(random.Random(8), 8)
+        for ps in (gen_double_chain(2, 3), gen_convex(5), sampled):
+            g = build_graph(ps)
+            data = json.loads(export_graph(g, "json"))
+            assert data["n_points"] == g.n_points == ps.n
+            assert data["vertices"] == g.n_vertices
+            assert data["edges"] == [list(e) for e in g.edges()]
 
     def test_unknown_format_rejected(self):
         g = build_graph(gen_convex(4))

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dchain.formulas as formulas_mod
-from dchain import FormulaResult, double_chain_chi, f_of, f_step, formula_table, g_of
+from dchain import double_chain_chi, f_of, f_step, formula_table, g_of
 
 positive_n = st.integers(1, 10 ** 7)
 
@@ -109,14 +109,18 @@ class TestFormulaTable:
         assert [r.n for r in rows] == list(range(1, 13))
         assert [r.f for r in rows] == [0, 1, 1, 2, 3, 3, 4, 5, 6, 6, 7, 8]
 
-    def test_result_self_checks(self):
-        with pytest.raises(ValueError):
-            FormulaResult(5, 3, 9)
+    def test_result_self_checks(self, monkeypatch):
+        # a row has no check of its own: f_of's cross check with g_of
+        # refuses a row whose g breaks f = n - g + 1
+        monkeypatch.setattr(formulas_mod, "g_of", lambda n: 1)
+        with pytest.raises(RuntimeError, match=r"^f\(1\) = 0 disagrees with n - g\(n\) \+ 1 = 1$"):
+            formula_table(3)
 
-    def test_result_refuses_an_unbracketed_g(self):
-        # f = n - g + 1 holds, but C(2, 2) <= 5 < C(3, 2) does not
-        with pytest.raises(ValueError, match="^g=2 is not bracketed by binomials at n=5$"):
-            FormulaResult(5, 2, 4)
+    def test_result_refuses_an_unbracketed_g(self, monkeypatch):
+        # g_of's bracket check refuses a row whose g is off
+        monkeypatch.setattr(formulas_mod, "isqrt", lambda x: isqrt(x) + 2)
+        with pytest.raises(RuntimeError, match=r"^g\(1\) = 3 fails C\(g, 2\) <= n < C\(g \+ 1, 2\)$"):
+            formula_table(3)
 
 
 def test_cross_checks_survive_python_O():

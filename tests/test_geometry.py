@@ -11,26 +11,24 @@ from dchain import (
     Partition,
     Point,
     PointSet,
-    convex_hull_edges,
+    build_graph,
     delete_points,
     find_collinear_triple,
     gen_convex,
     gen_double_chain,
     is_general_position,
     load_points,
-    orientation,
     pointset_from_json,
     pointset_to_json,
     save_points,
-    segments_disjoint,
+    segment_rank,
     validate_double_chain,
 )
 import dchain.geometry
 from dchain.geometry import DoubleChainReport
-from helpers import (oracle_collinear, oracle_disjoint, oracle_validate_double_chain,
-                     oracle_violates, strictly_beyond, turn)
-
-coord = st.integers(-1000, 1000)
+from helpers import (chain_hull_edges, oracle_collinear, oracle_disjoint,
+                     oracle_validate_double_chain, oracle_violates, pairwise_disjoint_matrix,
+                     strictly_beyond, turn)
 
 
 def parabola_set(xs):
@@ -38,25 +36,20 @@ def parabola_set(xs):
 
 
 class TestOrientation:
-    def test_unit_triangle_ccw(self):
-        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) > 0
-
-    def test_collinear(self):
-        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
-
-    def test_swapped_cw(self):
-        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) < 0
-
-    @given(coord, coord, coord, coord, coord, coord)
-    def test_antisymmetry(self, px, py, qx, qy, rx, ry):
-        p, q, r = Point(px, py), Point(qx, qy), Point(rx, ry)
-        assert orientation(p, q, r) == -orientation(p, r, q)
-
     def test_huge_coordinates_stay_exact(self):
-        # a one-unit nudge at a scale where doubles would round to collinear
+        # a one-unit nudge at a scale where doubles would round to collinear:
+        # the collinearity search and the graph build both see it
         big = 10 ** 30
-        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big, 2)) == 0
-        assert orientation(Point(0, 0), Point(big, 1), Point(2 * big + 1, 2)) < 0
+        on_line = PointSet([(0, 0), (big, 1), (2 * big, 2), (0, 5)])
+        assert find_collinear_triple(on_line) == (0, 1, 2)
+        with pytest.raises(ValueError, match="^point set is not in general position$"):
+            build_graph(on_line)
+        nudged = PointSet([(0, 0), (big, 1), (2 * big + 1, 2), (0, 5)])
+        assert turn(nudged.points, 0, 1, 2) == -1
+        assert find_collinear_triple(nudged) is None
+        g = build_graph(nudged)
+        assert [[g.adjacent(u, v) for v in range(6)] for u in range(6)] == \
+            pairwise_disjoint_matrix(nudged)
 
     def test_point_rejects_floats(self):
         for x, y, name in ((0.5, 1, "x"), (1, 1.0, "y"), (True, 1, "x"), (1, "1", "y"),
@@ -68,40 +61,33 @@ class TestOrientation:
             PointSet([Point(0.5, 1), (2, 3)])
 
 
+def graph_disjoint(a, b, ps: PointSet) -> bool:
+    """Whether segments a and b are adjacent in build_graph(ps)."""
+    return build_graph(ps).adjacent(segment_rank(a, ps.n), segment_rank(b, ps.n))
+
+
 class TestSegmentsDisjoint:
+    """Disjointness as the graph build decides it, against the rational oracle."""
+
     def test_shared_endpoint_intersects(self):
         ps = parabola_set([0, 1, 2, 3])
-        assert segments_disjoint((0, 1), (1, 2), ps) is False
+        assert graph_disjoint((0, 1), (1, 2), ps) is False
 
     def test_crossing_diagonals_intersect(self):
         ps = PointSet((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 3)))
-        assert segments_disjoint((0, 2), (1, 3), ps) is False
+        assert graph_disjoint((0, 2), (1, 3), ps) is False
+        assert oracle_disjoint(ps, (0, 2), (1, 3)) is False
 
     def test_double_chain_pair_disjoint(self):
         # cup point to middle cap point vs the outer cap chord
         ps = gen_double_chain(1, 3)
-        assert segments_disjoint((0, 2), (1, 3), ps) is True
-
-    def test_rejects_equal_segments(self):
-        ps = parabola_set([0, 1, 2])
-        with pytest.raises(ValueError):
-            segments_disjoint((0, 1), (1, 0), ps)
-
-    def test_rejects_out_of_range(self):
-        ps = parabola_set([0, 1, 2])
-        with pytest.raises(ValueError):
-            segments_disjoint((0, 5), (1, 2), ps)
-        with pytest.raises(ValueError):
-            segments_disjoint((0, 0), (1, 2), ps)
-        for bad in (-1, 3, True, 1.0, "1", None):
-            with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..2, got"):
-                segments_disjoint((0, 1), (bad, 2), ps)
+        assert graph_disjoint((0, 2), (1, 3), ps) is True
 
     @given(st.lists(st.integers(-50, 50), min_size=4, max_size=8, unique=True))
     def test_symmetric(self, xs):
         ps = parabola_set(sorted(xs))
         a, b = (0, 1), (2, 3)
-        assert segments_disjoint(a, b, ps) == segments_disjoint(b, a, ps)
+        assert graph_disjoint(a, b, ps) == graph_disjoint(b, a, ps)
 
     @given(st.lists(st.integers(-30, 30), min_size=4, max_size=7, unique=True),
            st.data())
@@ -111,13 +97,16 @@ class TestSegmentsDisjoint:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         a = data.draw(st.sampled_from(pairs))
         b = data.draw(st.sampled_from([p for p in pairs if p != a]))
-        assert segments_disjoint(a, b, ps) == oracle_disjoint(ps, a, b)
+        assert graph_disjoint(a, b, ps) == oracle_disjoint(ps, a, b)
 
     def test_collinear_touching_counts_as_intersecting(self):
-        # not general position; the predicate still answers exactly
+        # not general position: the oracle still answers exactly, and the
+        # build refuses the set rather than decide a collinear pair
         ps = PointSet((Point(0, 0), Point(2, 0), Point(4, 0), Point(6, 0), Point(0, 5)))
-        assert segments_disjoint((0, 2), (1, 3), ps) is False  # overlap
-        assert segments_disjoint((0, 1), (2, 3), ps) is True   # gap on one line
+        assert oracle_disjoint(ps, (0, 2), (1, 3)) is False  # overlap
+        assert oracle_disjoint(ps, (0, 1), (2, 3)) is True   # gap on one line
+        with pytest.raises(ValueError, match="^point set is not in general position$"):
+            build_graph(ps)
 
     @pytest.mark.parametrize("coords", [
         # the first, then the second endpoint of the first segment lies on the other
@@ -128,9 +117,13 @@ class TestSegmentsDisjoint:
         [(0, 0), (2, 0), (1, 5), (1, 0)],
     ], ids=["own_first", "own_second", "other_first", "other_second"])
     def test_each_touching_endpoint_intersects(self, coords):
-        # one collinear endpoint in each set, so one touching test decides
+        # one collinear endpoint in each set: the oracle counts the touch as
+        # meeting, and the build refuses the set at its collinear triple
         ps = PointSet(tuple(Point(x, y) for x, y in coords))
-        assert segments_disjoint((0, 1), (2, 3), ps) is False
+        assert oracle_disjoint(ps, (0, 1), (2, 3)) is False
+        assert find_collinear_triple(ps) is not None
+        with pytest.raises(ValueError, match="^point set is not in general position$"):
+            build_graph(ps)
 
 
 class TestGeneralPosition:
@@ -177,8 +170,13 @@ class TestGeneralPosition:
 
 
 class TestGenConvex:
-    def test_four_points_all_on_hull(self):
-        assert len(convex_hull_edges(gen_convex(4))) == 4
+    def test_consecutive_triples_turn_left(self):
+        # x increases along the set, so left turns at every consecutive
+        # triple put it in convex position, which chi = f(n) needs
+        for n in range(3, 41):
+            pts = gen_convex(n).points
+            assert all(pts[i].x < pts[i + 1].x for i in range(n - 1)), n
+            assert all(turn(pts, i, i + 1, i + 2) > 0 for i in range(n - 2)), n
 
     def test_general_position_up_to_40(self):
         assert is_general_position(gen_convex(40)) is True
@@ -471,19 +469,12 @@ class TestHullCrossingFreedom:
     def test_chain_hull_edges_uncrossed(self, k, l):
         ps = gen_double_chain(k, l)
         for side in (ps.partition.upper, ps.partition.lower):
-            if len(side) < 2:
-                continue
-            if len(side) == 2:
-                hull = [tuple(sorted(side))]
-            else:
-                sub = PointSet(tuple(ps.points[i] for i in side))
-                hull = [(side[e.i], side[e.j]) for e in convex_hull_edges(sub)]
-            for e in hull:
+            for e in chain_hull_edges(ps, side):
                 for i in range(ps.n):
                     for j in range(i + 1, ps.n):
-                        if (i, j) == e or i in e or j in e:
+                        if i in e or j in e:
                             continue
-                        assert segments_disjoint(e, (i, j), ps), (e, (i, j))
+                        assert oracle_disjoint(ps, e, (i, j)), (e, (i, j))
 
     @pytest.mark.parametrize("k,l", [(1, 3), (2, 3), (3, 4), (2, 5)])
     def test_cross_chain_segments_meet_chain_segments_at_endpoints_only(self, k, l):
@@ -496,7 +487,7 @@ class TestHullCrossingFreedom:
             for fseg in within:
                 if set(gseg) & set(fseg):
                     continue
-                assert segments_disjoint(gseg, fseg, ps), (gseg, fseg)
+                assert oracle_disjoint(ps, gseg, fseg), (gseg, fseg)
 
 
 class TestDeletionClosure:
