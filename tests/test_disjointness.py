@@ -422,6 +422,19 @@ class TestExports:
             assert data["vertices"] == g.n_vertices
             assert data["edges"] == [list(e) for e in g.edges()]
 
+    def test_json_validates_against_points(self):
+        # the exported edge list is exactly the pairs of segments that the
+        # independent oracle finds disjoint on the points; one dropped edge
+        # no longer matches
+        ps = gen_convex(5)
+        data = json.loads(export_graph(build_graph(ps), "json"))
+        mat = pairwise_disjoint_matrix(ps)
+        oracle_edges = [[u, v] for u in range(len(mat))
+                        for v in range(u + 1, len(mat)) if mat[u][v]]
+        assert data["vertices"] == len(mat)
+        assert data["edges"] == oracle_edges
+        assert data["edges"][1:] != oracle_edges
+
     def test_unknown_format_rejected(self):
         g = build_graph(gen_convex(4))
         with pytest.raises(ValueError):
