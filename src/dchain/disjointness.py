@@ -147,8 +147,7 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
     n = ps.n
     if n < 2:
         raise ValueError("a disjointness graph needs at least two points")
-    xs = [p.x for p in ps.points]
-    ys = [p.y for p in ps.points]
+    xs, ys = zip(*ps.points)
     bit, inc, touch = _segment_masks(n)
     sep = [[0] * n for _ in range(n)]  # sep[a][b], a < b
     side = [0] * n

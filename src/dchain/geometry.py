@@ -9,6 +9,7 @@ results are exact and overflow is impossible.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
@@ -24,6 +25,10 @@ class Point(NamedTuple):
 
     x: int
     y: int
+
+
+# the item types whose unpacking into x, y is their plain iteration
+_PAIR_TYPES = {tuple, list, Point}
 
 
 class Partition(NamedTuple):
@@ -43,11 +48,22 @@ class PointSet:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        # the one check of a point set, whatever built it. From a list: a
-        # tuple built from a generator is resized to fit, then sits in
-        # CPython's tuple free lists until a full garbage collection
-        pts = tuple([Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
-                     for x, y in self.points])
+        # The one check of a point set, whatever built it. Builtins decide
+        # the whole set at once: items that are all tuples, lists or Points
+        # of length 2 holding plain ints are accepted in bulk. Any other
+        # input takes the per-element walk, which raises at the first
+        # offender, and accepts int subclasses, kept as given. Both paths
+        # build from a list: a tuple built from an iterator is resized to
+        # fit, then sits in CPython's tuple free lists until a full
+        # garbage collection.
+        items = list(self.points)
+        if (set(map(type, items)) <= _PAIR_TYPES and set(map(len, items)) <= {2}
+                and set(map(type, itertools.chain.from_iterable(items))) <= {int}):
+            # tuple.__new__(Point, item) is Point(x, y) without a Python frame
+            pts = tuple(list(map(tuple.__new__, itertools.repeat(Point), items)))
+        else:
+            pts = tuple([Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
+                         for x, y in items])
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("a point set needs at least one point")
@@ -59,14 +75,16 @@ class PointSet:
                 raise ValueError(f"partition must be a Partition or None, got {part!r}")
             up = tuple(part.upper)
             low = tuple(part.lower)
-            for idx in up + low:
-                _check_int(idx, "partition index", 0)
+            indices = up + low
+            if not (set(map(type, indices)) <= {int} and min(indices, default=0) >= 0):
+                for idx in indices:
+                    _check_int(idx, "partition index", 0)
             if not up or not low:
                 raise ValueError("both sides of a partition must be non-empty")
             # the indices are ints, so sides whose concatenation sorts to
             # 0..n-1 are a permutation of it: no index repeats within a side
             # or is shared between them
-            if sorted(up + low) != list(range(len(pts))):
+            if sorted(indices) != list(range(len(pts))):
                 raise ValueError("partition must cover every point index exactly once")
             object.__setattr__(self, "partition", Partition(up, low))
 
@@ -102,8 +120,7 @@ def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
     (0,0), (1,1), (5,0), (10,0), (1,7), (2,2) it is (0, 2, 3), not (0, 1, 5).
     """
     n = ps.n
-    xs = [p.x for p in ps.points]
-    ys = [p.y for p in ps.points]
+    xs, ys = zip(*ps.points)
     # Step a scans only b > a, yet finds the first triple of a scan of all
     # b != a: if a collision at a pairs some o < a with p, then a and p lie
     # on one line through o, and step o would already have returned them.
@@ -206,8 +223,7 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     if ps.partition is None:
         raise ValueError("validate_double_chain requires a partitioned point set")
     pts = ps.points
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = zip(*pts)
     up = sorted(ps.partition.upper, key=pts.__getitem__)
     low = sorted(ps.partition.lower, key=pts.__getitem__)
 

@@ -7,8 +7,6 @@ lines. Everything is exact: no tolerances anywhere.
 from functools import lru_cache
 from math import comb, isqrt
 
-import pytest
-
 from dchain import (
     Coloring,
     build_graph,

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -59,6 +63,95 @@ class TestOrientation:
         # a bare Point is unchecked until it enters a PointSet
         with pytest.raises(ValueError, match="^point x must be an integer, got 0.5$"):
             PointSet([Point(0.5, 1), (2, 3)])
+
+
+def unpack_error(item):
+    """The exception type and message this interpreter gives for `x, y = item`."""
+    try:
+        x, y = item
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{item!r} unpacks into two values")
+
+
+PARABOLA_3 = [(0, 0), (1, 1), (2, 4)]
+# (points, partition sides or None, exception type, message), every entry a
+# literal so that the python -O run below can rebuild it
+GATE_REFUSALS = [
+    ([(0, 0), (True, 1)], None, ValueError, "point x must be an integer, got True"),
+    ([(0, 0), (1, 1.5)], None, ValueError, "point y must be an integer, got 1.5"),
+    # the first offender in point order, x before y
+    ([(0, 1.5), (True, 1)], None, ValueError, "point y must be an integer, got 1.5"),
+    ([(0, 0), "ab"], None, ValueError, "point x must be an integer, got 'a'"),
+    ([(0, 0), (1, 2, 3)], None, *unpack_error((1, 2, 3))),
+    ([(0, 0), 5], None, *unpack_error(5)),
+    ([], None, ValueError, "a point set needs at least one point"),
+    (PARABOLA_3, ((), (0, 1, 2)), ValueError, "both sides of a partition must be non-empty"),
+    (PARABOLA_3, ((0, 1, 2), ()), ValueError, "both sides of a partition must be non-empty"),
+    (PARABOLA_3, ((-1, 1), (2,)), ValueError, "partition index must be an integer >= 0, got -1"),
+    (PARABOLA_3, ((0, 1), (True,)), ValueError,
+     "partition index must be an integer >= 0, got True"),
+]
+GATE_REFUSAL_IDS = ["x-bool", "y-float", "first-offender", "str-item", "3-tuple", "non-iterable",
+                    "empty", "empty-upper", "empty-lower", "negative-index", "bool-index"]
+
+
+class TestPointSetGate:
+    """PointSet accepts and refuses exactly what a walk over every
+    coordinate and index does: the same stored values, and the same error,
+    naming the first offender."""
+
+    def test_points_as_generator_lists_or_points(self):
+        expected = (Point(0, 0), Point(1, 1), Point(2, 4))
+        for points in ((p for p in PARABOLA_3), [list(p) for p in PARABOLA_3],
+                       [Point(*p) for p in PARABOLA_3]):
+            ps = PointSet(points)
+            assert ps.points == expected
+            assert type(ps.points) is tuple
+            assert [type(p) for p in ps.points] == [Point] * 3
+            assert {type(c) for p in ps.points for c in p} == {int}
+
+    def test_int_subclass_coordinate_is_kept(self):
+        class Coord(int):
+            pass
+
+        x = Coord(7)
+        ps = PointSet([(x, 1), (2, 3)])
+        assert ps.points == (Point(7, 1), Point(2, 3))
+        assert ps.points[0].x is x
+
+    def test_partition_sides_as_range_or_generator(self):
+        for upper, lower in ((range(2), range(2, 3)), ((i for i in (0, 1)), (i for i in (2,)))):
+            ps = PointSet(PARABOLA_3, Partition(upper, lower))
+            assert ps.partition == Partition((0, 1), (2,))
+            assert type(ps.partition.upper) is tuple and type(ps.partition.lower) is tuple
+
+    @pytest.mark.parametrize("points, sides, exc, message", GATE_REFUSALS, ids=GATE_REFUSAL_IDS)
+    def test_refusal(self, points, sides, exc, message):
+        with pytest.raises(exc) as info:
+            PointSet(points, None if sides is None else Partition(*sides))
+        assert type(info.value) is exc and str(info.value) == message
+
+    def test_refusals_survive_python_O(self):
+        script = """
+import ast, sys
+from dchain import Partition, PointSet
+assert False, "asserts must be stripped for this check to mean anything"
+for points, sides in ast.literal_eval(sys.stdin.read()):
+    try:
+        PointSet(points, None if sides is None else Partition(*sides))
+    except Exception as exc:
+        print(repr((type(exc).__name__, str(exc))))
+    else:
+        print("accepted")
+"""
+        src = Path(dchain.geometry.__file__).resolve().parents[1]
+        cases = repr([(points, sides) for points, sides, _, _ in GATE_REFUSALS])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], input=cases, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr((exc.__name__, message))
+                                            for _, _, exc, message in GATE_REFUSALS]
 
 
 def graph_disjoint(a, b, ps: PointSet) -> bool:

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a test module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -7,10 +7,13 @@ import pytest
 
 import dchain
 
-MODULES = sorted(p for p in Path(dchain.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(p for p in Path(dchain.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = ([pytest.param(p, id=p.name) for p in PACKAGE]
+           + [pytest.param(p, id=f"tests/{p.name}") for p in TESTS])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}

@@ -14,13 +14,10 @@ import pytest
 from dchain import (
     Coloring,
     DisjointnessGraph,
-    Point,
-    PointSet,
     SegmentId,
     all_segments,
     build_graph,
     chromatic_number_exact,
-    classify_coloring,
     clique_lower,
     conjecture_scan,
     convex_sweep,
