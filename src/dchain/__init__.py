@@ -23,7 +23,6 @@ from .disjointness import (
     build_graph,
     export_graph,
     graph_to_json,
-    segment_rank,
 )
 from .experiments import (
     ScanReport,

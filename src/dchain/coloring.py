@@ -11,9 +11,9 @@ from math import comb
 from pathlib import Path
 from typing import Iterable
 
-from .disjointness import DisjointnessGraph, SegmentId, _bits, all_segments, build_graph
+from .disjointness import DisjointnessGraph, _bits, all_segments, build_graph
 from .formulas import _check_int
-from .geometry import PointSet, _json_field, _json_ints, delete_points
+from .geometry import PointSet, SegmentId, _json_field, _json_ints, delete_points
 
 
 @dataclass(frozen=True)

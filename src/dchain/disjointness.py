@@ -41,14 +41,6 @@ def _segment_masks(n_points: int) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     return tuple(map(tuple, bit)), tuple(inc), touch
 
 
-def segment_rank(seg: SegmentId, n_points: int) -> int:
-    """Position of seg, in either endpoint order, in lexicographic order;
-    this is its vertex id in D(P)."""
-    a, b = seg
-    i, j = SegmentId.of(a, b, n_points)
-    return i * (2 * n_points - i - 1) // 2 + (j - i - 1)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

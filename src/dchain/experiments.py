@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 from typing import Callable
 
 from .coloring import Coloring, verify_coloring
-from .disjointness import all_segments, build_graph, segment_rank
+from .disjointness import build_graph
 from .formulas import _check_int, double_chain_chi, f_of
 from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
 from .solver import ChiResult, chromatic_number_exact, enumerate_optimal_colorings
@@ -48,8 +47,7 @@ def construct_double_chain_coloring(k: int, l: int,
     """
     _check_int(l, "l", 3)
     ps = gen_double_chain(k, l)  # checks k, and raises for k > l
-    lower = ps.partition.lower
-    cap = PointSet([ps.points[i] for i in lower])
+    cap = PointSet(ps.points[k:])
     provider = convex_provider if convex_provider is not None else _exact_convex_provider
     base = provider(cap)
     if not isinstance(base, Coloring) or base.n_points != cap.n:
@@ -58,17 +56,13 @@ def construct_double_chain_coloring(k: int, l: int,
     if not report.proper:
         raise ValueError(
             f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")
-    colors = [-1] * comb(ps.n, 2)  # by segment rank
-    for s, col in zip(all_segments(cap.n), base.colors):
-        colors[segment_rank((lower[s.i], lower[s.j]), ps.n)] = col
-    next_color = base.color_count
-    for u in sorted(ps.partition.upper, key=ps.points.__getitem__):
-        for w in range(ps.n):
-            if w != u:
-                r = segment_rank((u, w), ps.n)
-                if colors[r] < 0:
-                    colors[r] = next_color
-        next_color += 1  # each cup point colors at least its cap segments
+    # The layout is cup 0..k-1 left to right, then the cap, so rank order
+    # lists every segment (a, b) with a < k before any cap segment. Cup point
+    # a, taken left to right, is the first to reach each of its segments
+    # (a, b), b > a, and gives them color base.color_count + a. The cap
+    # segments (k + i, k + j) follow in all_segments(l) order.
+    colors = ([base.color_count + a for a in range(k) for _ in range(a + 1, ps.n)]
+              + list(base.colors))
     return Coloring(ps.n, colors)
 
 

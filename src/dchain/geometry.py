@@ -31,6 +31,16 @@ class Point(NamedTuple):
 _PAIR_TYPES = {tuple, list, Point}
 
 
+def _point(t: int, item) -> Point:
+    """Item t of a point set as a checked Point: a ValueError naming the item
+    unless it unpacks into two values, then one naming the coordinate."""
+    try:
+        x, y = item
+    except (TypeError, ValueError):
+        raise ValueError(f"point set item {t} must be a pair of integers, got {item!r}") from None
+    return Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
+
+
 class Partition(NamedTuple):
     """Index split of a point set into the upper chain (cup) and lower chain
     (cap). Unchecked until it enters a PointSet, which stores both sides as
@@ -62,8 +72,7 @@ class PointSet:
             # tuple.__new__(Point, item) is Point(x, y) without a Python frame
             pts = tuple(list(map(tuple.__new__, itertools.repeat(Point), items)))
         else:
-            pts = tuple([Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
-                         for x, y in items])
+            pts = tuple([_point(t, item) for t, item in enumerate(items)])
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("a point set needs at least one point")

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator
 
-from .coloring import Coloring, _check_int, verify_coloring
+from .coloring import Coloring, verify_coloring
 from .disjointness import DisjointnessGraph
+from .formulas import _check_int
 
 EXACT = "exact"
 INDETERMINATE = "indeterminate"

@@ -3,8 +3,9 @@ quadratic greedy DSATUR and a recursive DSATUR branch and bound (both with
 saturation ties by id, or by degree then id), the greedy clique grown in
 the tie order by degree, a Fraction-based segment intersection test, a
 chain's hull edges from its definition, an all-triples collinearity check,
-an edge-scan coloring check and an all-chords, all-triples double-chain
-check. All deliberately avoid the code paths they are used to check."""
+an edge-scan coloring check, an all-chords, all-triples double-chain
+check and the paper's star coloring of a double chain. All deliberately
+avoid the code paths they are used to check."""
 
 from __future__ import annotations
 
@@ -247,6 +248,26 @@ def chain_hull_edges(ps: PointSet, side) -> list[tuple[int, int]]:
     if len(order) > 2:
         pairs.append((order[0], order[-1]))
     return [(min(a, b), max(a, b)) for a, b in pairs]
+
+
+def oracle_star_coloring(ps: PointSet, provider) -> list[int]:
+    """Vertex colors, in rank order, of the paper's star coloring of the
+    double chain ps, read off its partition as given: the cap segments take
+    provider's coloring of the cap (the lower points, in index order); then
+    each cup point, sorted by (x, y), gives one fresh color to its segments
+    that are still uncolored. Segments are keyed by their endpoint sets, and
+    nothing comes from dchain.experiments."""
+    lower = ps.partition.lower
+    base = provider(PointSet([ps.points[i] for i in lower]))
+    color = {frozenset((lower[i], lower[j])): c
+             for (i, j), c in zip(combinations(range(len(lower)), 2), base.colors)}
+    fresh = len(set(base.colors))
+    for u in sorted(ps.partition.upper, key=lambda i: ps.points[i]):
+        for w in range(ps.n):
+            if w != u:
+                color.setdefault(frozenset((u, w)), fresh)
+        fresh += 1
+    return [color[frozenset(pair)] for pair in combinations(range(ps.n), 2)]
 
 
 def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tuple[int, int], ...]]:

@@ -24,6 +24,7 @@ from dchain import (
     dsatur_upper,
     double_chain_chi,
     enumerate_optimal_colorings,
+    f_of,
     gen_convex,
     gen_double_chain,
     load_coloring,
@@ -35,7 +36,7 @@ from dchain import (
     verify_coloring,
     verify_report_to_json,
 )
-from helpers import oracle_verify
+from helpers import oracle_star_coloring, oracle_verify
 
 
 @st.composite
@@ -46,6 +47,13 @@ def colorings(draw):
     raw = draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     relabel = {col: new for new, col in enumerate(dict.fromkeys(raw))}
     return Coloring(n, [relabel[col] for col in raw])
+
+
+def _exact_witness(cap):
+    """An optimal coloring of the cap, from the exact solver."""
+    result = chromatic_number_exact(build_graph(cap))
+    assert result.is_exact
+    return result.witness
 
 
 def flat_coloring(n_points, pairs_to_colors):
@@ -231,6 +239,25 @@ class TestConstruction:
         g = build_graph(gen_double_chain(k, l))
         assert verify_coloring(g, c).proper
         assert c.color_count == double_chain_chi(k, l)
+
+    @pytest.mark.parametrize("l", range(3, 15))
+    def test_matches_star_oracle(self, l):
+        # past coloring_pins.json, which stops at l = 10
+        for k in range(1, l + 1):
+            c = construct_double_chain_coloring(k, l)
+            ps = gen_double_chain(k, l)
+            assert list(c.colors) == oracle_star_coloring(ps, _exact_witness)
+            assert c.color_count == k + f_of(l)
+            assert verify_coloring(build_graph(ps), c).proper
+
+    @pytest.mark.parametrize("l", range(3, 15))
+    def test_matches_star_oracle_with_greedy_provider(self, l):
+        def greedy(cap):
+            return dsatur_upper(build_graph(cap))
+
+        for k in range(1, l + 1):
+            c = construct_double_chain_coloring(k, l, greedy)
+            assert list(c.colors) == oracle_star_coloring(gen_double_chain(k, l), greedy)
 
     def test_class_structure(self):
         # cup-incident classes are stars at cup points; the rest stay inside the cap

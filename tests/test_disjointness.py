@@ -20,7 +20,6 @@ from dchain import (
     gen_convex,
     gen_double_chain,
     sample_general_position,
-    segment_rank,
 )
 from helpers import chain_hull_edges, oracle_collinear, pairwise_disjoint_matrix, turn
 
@@ -38,24 +37,18 @@ class TestSegmentId:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rank_matches_lexicographic_position(self, n):
+        # all_segments is the one definition of rank order: segment (i, j)
+        # is vertex i * (2n - i - 1) / 2 + (j - i - 1)
         segs = all_segments(n)
         assert list(segs) == sorted(segs)
-        for pos, seg in enumerate(segs):
-            assert segment_rank(seg, n) == pos
-
-    def test_rank_rejects_out_of_range(self):
-        for seg in (SegmentId(0, 4), SegmentId(-1, 2), SegmentId(0.5, 2), SegmentId(True, 2),
-                    SegmentId("1", 2), SegmentId(None, 2)):
-            with pytest.raises(ValueError, match="^segment endpoint must be an integer in 0..3, got"):
-                segment_rank(seg, 4)
+        for pos, (i, j) in enumerate(segs):
+            assert i * (2 * n - i - 1) // 2 + (j - i - 1) == pos
 
     @pytest.mark.parametrize("n_points", [2.5, True, -1, "3"])
     def test_rejects_bad_point_count(self, n_points):
-        # once accepted: segment_rank((0, 1), 2.5) returned 0.0
-        for make in (lambda: SegmentId.of(0, 1, n_points), lambda: segment_rank((0, 1), n_points)):
-            with pytest.raises(ValueError,
-                               match=f"^n_points must be an integer >= 0, got {n_points!r}$"):
-                make()
+        with pytest.raises(ValueError,
+                           match=f"^n_points must be an integer >= 0, got {n_points!r}$"):
+            SegmentId.of(0, 1, n_points)
 
 
 @st.composite
@@ -367,7 +360,7 @@ class TestHullEdgeNeighborhoods:
         segs = all_segments(ps.n)
         for side in (ps.partition.upper, ps.partition.lower):
             for e in chain_hull_edges(ps, side):
-                u = segment_rank(e, ps.n)
+                u = segs.index(SegmentId.of(*e, ps.n))
                 for v, s in enumerate(segs):
                     if v == u:
                         continue

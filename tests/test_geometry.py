@@ -15,6 +15,8 @@ from dchain import (
     Partition,
     Point,
     PointSet,
+    SegmentId,
+    all_segments,
     build_graph,
     delete_points,
     find_collinear_triple,
@@ -25,7 +27,6 @@ from dchain import (
     pointset_from_json,
     pointset_to_json,
     save_points,
-    segment_rank,
     validate_double_chain,
 )
 import dchain.geometry
@@ -65,15 +66,6 @@ class TestOrientation:
             PointSet([Point(0.5, 1), (2, 3)])
 
 
-def unpack_error(item):
-    """The exception type and message this interpreter gives for `x, y = item`."""
-    try:
-        x, y = item
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-    raise AssertionError(f"{item!r} unpacks into two values")
-
-
 PARABOLA_3 = [(0, 0), (1, 1), (2, 4)]
 # (points, partition sides or None, exception type, message), every entry a
 # literal so that the python -O run below can rebuild it
@@ -83,8 +75,9 @@ GATE_REFUSALS = [
     # the first offender in point order, x before y
     ([(0, 1.5), (True, 1)], None, ValueError, "point y must be an integer, got 1.5"),
     ([(0, 0), "ab"], None, ValueError, "point x must be an integer, got 'a'"),
-    ([(0, 0), (1, 2, 3)], None, *unpack_error((1, 2, 3))),
-    ([(0, 0), 5], None, *unpack_error(5)),
+    ([(0, 0), (1, 2, 3)], None, ValueError,
+     "point set item 1 must be a pair of integers, got (1, 2, 3)"),
+    ([(0, 0), 5], None, ValueError, "point set item 1 must be a pair of integers, got 5"),
     ([], None, ValueError, "a point set needs at least one point"),
     (PARABOLA_3, ((), (0, 1, 2)), ValueError, "both sides of a partition must be non-empty"),
     (PARABOLA_3, ((0, 1, 2), ()), ValueError, "both sides of a partition must be non-empty"),
@@ -110,6 +103,11 @@ class TestPointSetGate:
             assert type(ps.points) is tuple
             assert [type(p) for p in ps.points] == [Point] * 3
             assert {type(c) for p in ps.points for c in p} == {int}
+
+    def test_any_two_value_item_is_a_pair(self):
+        ps = PointSet([range(2), iter((3, 5))])
+        assert ps.points == (Point(0, 1), Point(3, 5))
+        assert {type(c) for p in ps.points for c in p} == {int}
 
     def test_int_subclass_coordinate_is_kept(self):
         class Coord(int):
@@ -156,7 +154,9 @@ for points, sides in ast.literal_eval(sys.stdin.read()):
 
 def graph_disjoint(a, b, ps: PointSet) -> bool:
     """Whether segments a and b are adjacent in build_graph(ps)."""
-    return build_graph(ps).adjacent(segment_rank(a, ps.n), segment_rank(b, ps.n))
+    segs = all_segments(ps.n)
+    return build_graph(ps).adjacent(segs.index(SegmentId.of(*a, ps.n)),
+                                    segs.index(SegmentId.of(*b, ps.n)))
 
 
 class TestSegmentsDisjoint:

@@ -1,4 +1,6 @@
-"""Every name a package module or a test module imports is used in that module."""
+"""Every name a package module or a test module imports is used in that
+module, and every name a package module imports from a sibling is defined
+in that sibling, not re-exported by it."""
 
 import ast
 from pathlib import Path
@@ -27,3 +29,27 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: imported and never used (line, name): {unused}"
+
+
+def defined_names(path):
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in PACKAGE])
+def test_sibling_imports_name_the_defining_module(path):
+    borrowed = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            defined = defined_names(path.with_name(f"{node.module}.py"))
+            borrowed += [(node.lineno, alias.name, node.module)
+                         for alias in node.names if alias.name not in defined]
+    assert not borrowed, f"{path.name}: imported from a module that does not define it " \
+                         f"(line, name, module): {borrowed}"

@@ -30,7 +30,6 @@ from dchain import (
     gen_double_chain,
     is_general_position,
     sample_general_position,
-    segment_rank,
     singleton_class_check,
     verify_coloring,
 )
@@ -44,7 +43,7 @@ import dchain.solver as solver_mod
 def k6_graph():
     """K6 on the six endpoint-disjoint segments (0, 1), (2, 3), ..., (10, 11)
     of 12 points; the other 60 vertices are isolated."""
-    ranks = [segment_rank(SegmentId(2 * i, 2 * i + 1), 12) for i in range(6)]
+    ranks = [all_segments(12).index(SegmentId.of(2 * i, 2 * i + 1, 12)) for i in range(6)]
     clique = sum(1 << r for r in ranks)
     rows = [0] * 66
     for r in ranks:
@@ -202,7 +201,8 @@ class TestCliqueLower:
     def test_complete_graph_full_clique(self):
         size, members = clique_lower(k6_graph())
         assert size == 6
-        assert members == {segment_rank(SegmentId(2 * i, 2 * i + 1), 12) for i in range(6)}
+        assert members == {all_segments(12).index(SegmentId.of(2 * i, 2 * i + 1, 12))
+                           for i in range(6)}
 
     def test_matches_oracle(self):
         # 300 seeded random 8-point sets, 300 hand-built graphs and K6
@@ -426,17 +426,22 @@ except RuntimeError as exc:
 
     def test_engine_imports_no_driver(self):
         # the engine stands apart from the experiments, the closed forms and
-        # the generators: only .coloring, .disjointness and the stdlib
+        # the generators: only .coloring, .disjointness and the stdlib, and
+        # from .formulas the shared integer validator, which it names there
+        # rather than through a module that re-exports it
         tree = ast.parse(Path(solver_mod.__file__).read_text(encoding="utf-8"))
-        relative, absolute = set(), set()
+        relative, absolute, from_formulas = set(), set(), set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
+            if isinstance(node, ast.ImportFrom) and node.module == "formulas" and node.level:
+                from_formulas.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
                 relative.add(node.module)
             elif isinstance(node, ast.ImportFrom):
                 absolute.add(node.module.split(".")[0])
             elif isinstance(node, ast.Import):
                 absolute.update(alias.name.split(".")[0] for alias in node.names)
         assert relative == {"coloring", "disjointness"}
+        assert from_formulas == {"_check_int"}
         assert absolute <= set(sys.stdlib_module_names), absolute - set(sys.stdlib_module_names)
 
 
