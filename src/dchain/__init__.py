@@ -6,14 +6,9 @@ experiments that hold the solver against the closed forms."""
 from .coloring import (
     Coloring,
     VerifyReport,
-    classify_class,
-    classify_coloring,
     coloring_from_json,
     coloring_to_json,
     load_coloring,
-    remove_star_apices,
-    save_coloring,
-    thrackle_edge_bound_ok,
     verify_coloring,
     verify_report_to_json,
 )
@@ -34,13 +29,12 @@ from .experiments import (
     sample_general_position,
     singleton_class_check,
 )
-from .formulas import FormulaResult, double_chain_chi, f_of, f_step, formula_table, g_of
+from .formulas import FormulaResult, double_chain_chi, f_of, formula_table, g_of
 from .geometry import (
     Partition,
     Point,
     PointSet,
     SegmentId,
-    delete_points,
     find_collinear_triple,
     gen_convex,
     gen_double_chain,

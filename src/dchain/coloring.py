@@ -1,7 +1,5 @@
-"""Colorings of disjointness graphs: proper-coloring verification, star and
-thrackle classes (a class is its apex, or None for a thrackle), star apex
-removal, and the thrackle edge-count bound.
-"""
+"""Colorings of disjointness graphs: the `Coloring` type, its JSON form and
+proper-coloring verification."""
 
 from __future__ import annotations
 
@@ -9,11 +7,10 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
-from typing import Iterable
 
-from .disjointness import DisjointnessGraph, _bits, all_segments, build_graph
+from .disjointness import DisjointnessGraph, _bits, all_segments
 from .formulas import _check_int
-from .geometry import PointSet, SegmentId, _json_field, _json_ints, delete_points
+from .geometry import SegmentId, _json_field, _json_ints
 
 
 @dataclass(frozen=True)
@@ -63,18 +60,14 @@ class VerifyReport:
         return not self.violations
 
 
-def _check_covers(c: Coloring, n_points: int, what: str) -> None:
-    if c.n_points != n_points:
-        raise ValueError(f"coloring covers {c.n_points} points but the {what} has {n_points}")
-
-
 def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
     """Proper iff no adjacent (disjoint-segment) pair shares a color.
 
     Every offending vertex-id pair is listed. Colorings over a different
     point count than the graph's are rejected outright.
     """
-    _check_covers(c, g.n_points, "graph")
+    if c.n_points != g.n_points:
+        raise ValueError(f"coloring covers {c.n_points} points but the graph has {g.n_points}")
     cls = [0] * c.color_count
     for u, col in enumerate(c.colors):
         cls[col] |= 1 << u
@@ -84,81 +77,6 @@ def verify_coloring(g: DisjointnessGraph, c: Coloring) -> VerifyReport:
                 if (clash := g.adj[u] & (cls[col] >> (u + 1) << (u + 1)))
                 for v in _bits(clash))
     return VerifyReport(bad)
-
-
-def classify_class(ps: PointSet, segments: Iterable) -> int | None:
-    """The apex of a star class, the smallest point on every segment of the
-    class (the smaller endpoint of a single segment), or None for a thrackle."""
-    segs = [SegmentId.of(a, b, ps.n) for a, b in segments]
-    if not segs:
-        raise ValueError("cannot classify an empty class")
-    common = {segs[0].i, segs[0].j}
-    for s in segs[1:]:
-        common &= {s.i, s.j}
-        if not common:
-            return None
-    return min(common)
-
-
-def classify_coloring(ps: PointSet, c: Coloring) -> dict[int, int | None]:
-    _check_covers(c, ps.n, "point set")
-    return {color: classify_class(ps, segs) for color, segs in sorted(c.classes().items())}
-
-
-def remove_star_apices(ps: PointSet, coloring: Coloring,
-                       apices: Iterable[int]) -> tuple[PointSet, Coloring]:
-    """Delete one star apex per listed point and induce the coloring on the rest.
-
-    Each apex must identify a distinct color class all of whose segments pass
-    through it. Exactly those classes' colors disappear, so the induced
-    coloring is proper and uses color_count - r colors; if any other class
-    would vanish the call fails rather than silently returning fewer colors.
-    """
-    apex_list = list(apices)
-    for a in apex_list:
-        _check_int(a, "apex", 0, ps.n)
-    if len(set(apex_list)) != len(apex_list):
-        raise ValueError(f"duplicate apices in {apex_list}")
-    _check_covers(coloring, ps.n, "point set")
-    if not verify_coloring(build_graph(ps), coloring).proper:
-        raise ValueError("input coloring is not proper")
-    classes = coloring.classes()
-    claimed: dict[int, int] = {}
-    for a in apex_list:
-        for color in range(coloring.color_count):
-            if color in claimed:
-                continue
-            if all(a in (s.i, s.j) for s in classes[color]):
-                claimed[color] = a
-                break
-        else:
-            raise ValueError(f"point {a} is not the apex of an unclaimed star class")
-    new_ps, remap = delete_points(ps, apex_list)
-    # remap is monotone, so the surviving segments keep their relative rank
-    # order: in old rank order, their colors are the new vertex colors
-    surviving = [col for seg, col in zip(all_segments(ps.n), coloring.colors)
-                 if seg.i in remap and seg.j in remap]
-    kept = sorted(set(surviving))
-    vanished = set(range(coloring.color_count)) - set(kept)
-    if vanished != set(claimed):
-        extra = sorted(vanished - set(claimed))
-        raise ValueError(f"colors {extra} vanished but were not selected star classes")
-    renumber = {old: new for new, old in enumerate(kept)}
-    return new_ps, Coloring(new_ps.n, [renumber[c] for c in surviving])
-
-
-def thrackle_edge_bound_ok(n: int, thrackle_sizes: Iterable[int]) -> bool:
-    """True iff the thrackle classes fit the k*n - C(k, 2) edge budget.
-
-    n is the point count, k the number of thrackle classes; the bound caps
-    the total number of segments the k classes can hold.
-    """
-    _check_int(n, "n", 3)
-    sizes = list(thrackle_sizes)
-    for s in sizes:
-        _check_int(s, "thrackle class size")
-    k = len(sizes)
-    return sum(sizes) <= k * n - comb(k, 2)
 
 
 def coloring_to_json(c: Coloring) -> dict:
@@ -191,10 +109,6 @@ def coloring_from_json(data: dict) -> Coloring:
                        if (i, j) not in colors)
         raise ValueError(f"coloring of {n_points} points misses segment {missing}")
     return Coloring(n_points, [colors[s] for s in all_segments(n_points)])
-
-
-def save_coloring(c: Coloring, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(coloring_to_json(c)) + "\n", encoding="utf-8")
 
 
 def load_coloring(path: str | Path) -> Coloring:

@@ -148,10 +148,6 @@ class ScanReport:
     resamples: int
     exhausted: bool
 
-    @property
-    def conjecture_holds(self) -> bool:
-        return not self.counterexamples
-
 
 def conjecture_scan(n: int, trials: int, seed: int, *,
                     out_dir: str | Path | None = None) -> ScanReport:

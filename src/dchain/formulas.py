@@ -54,12 +54,6 @@ def f_of(n: int) -> int:
     return direct
 
 
-def f_step(n: int) -> int:
-    """f(n+1) - f(n); it is 0 exactly when n = C(i, 2) - 1 for some i, else 1."""
-    _check_int(n)
-    return f_of(n + 1) - f_of(n)
-
-
 def double_chain_chi(k: int, l: int) -> int:
     """Predicted chromatic number k + f(l) of the (k, l) double chain, l >= 3."""
     _check_chain(k, l, 3)

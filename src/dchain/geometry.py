@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .formulas import _check_chain, _check_int
 
@@ -314,28 +314,6 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     else:
         collinear = find_collinear_triple(ps)
     return DoubleChainReport(cup, cap, above, beneath, collinear)
-
-
-def delete_points(ps: PointSet, remove: Iterable[int]) -> tuple[PointSet, dict[int, int]]:
-    """Drop the given point indices; returns the reindexed set and old->new map.
-
-    Partition labels follow the surviving points; the partition is dropped
-    entirely if either side loses all its members.
-    """
-    rm = set(remove)
-    for idx in rm:
-        _check_int(idx, "deleted point", 0, ps.n)
-    keep = [i for i in range(ps.n) if i not in rm]
-    if not keep:
-        raise ValueError("cannot delete every point")
-    remap = {old: new for new, old in enumerate(keep)}
-    part = None
-    if ps.partition is not None:
-        up = [remap[i] for i in ps.partition.upper if i in remap]
-        low = [remap[i] for i in ps.partition.lower if i in remap]
-        if up and low:
-            part = Partition(up, low)
-    return PointSet([ps.points[i] for i in keep], part), remap
 
 
 def pointset_to_json(ps: PointSet) -> dict:

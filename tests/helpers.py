@@ -4,15 +4,17 @@ saturation ties by id, or by degree then id), the greedy clique grown in
 the tie order by degree, a Fraction-based segment intersection test, a
 chain's hull edges from its definition, an all-triples collinearity check,
 an edge-scan coloring check, an all-chords, all-triples double-chain
-check and the paper's star coloring of a double chain. All deliberately
-avoid the code paths they are used to check."""
+check, the paper's star coloring of a double chain, and its proof steps:
+the apex of a color class (None for a thrackle) and point deletion with
+the coloring it induces. All deliberately avoid the code paths they are
+used to check."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from dchain import DisjointnessGraph, PointSet, all_segments
+from dchain import Coloring, DisjointnessGraph, Partition, PointSet, all_segments
 
 
 def naive_chromatic(g: DisjointnessGraph) -> int:
@@ -268,6 +270,46 @@ def oracle_star_coloring(ps: PointSet, provider) -> list[int]:
                 color.setdefault(frozenset((u, w)), fresh)
         fresh += 1
     return [color[frozenset(pair)] for pair in combinations(range(ps.n), 2)]
+
+
+def oracle_apex(segments) -> int | None:
+    """The point on every segment of a color class, given as index pairs:
+    the apex of a star (the smaller endpoint of a lone segment), or None
+    for a thrackle."""
+    return min(set.intersection(*(set(s) for s in segments)), default=None)
+
+
+def oracle_apices(coloring: Coloring) -> dict[int, int | None]:
+    """{color: oracle_apex of its class}, in color order; vertex r is the
+    r-th index pair in lexicographic order."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for seg, col in zip(combinations(range(coloring.n_points), 2), coloring.colors):
+        classes.setdefault(col, []).append(seg)
+    return {col: oracle_apex(classes[col]) for col in sorted(classes)}
+
+
+def oracle_delete(ps: PointSet, remove, coloring: Coloring | None = None):
+    """ps without the points in `remove`. The rest keep their order, and the
+    partition follows them; it is dropped if a side empties. With a
+    coloring, also the coloring induced on the surviving segments, its
+    colors renumbered in sorted order: (point set, coloring)."""
+    gone = set(remove)
+    new = {old: t for t, old in enumerate(i for i in range(ps.n) if i not in gone)}
+    part = None
+    if ps.partition is not None:
+        up = [new[i] for i in ps.partition.upper if i in new]
+        low = [new[i] for i in ps.partition.lower if i in new]
+        if up and low:
+            part = Partition(up, low)
+    smaller = PointSet([ps.points[i] for i in new], part)
+    if coloring is None:
+        return smaller
+    # deletion keeps the points' order, so the surviving pairs stay in
+    # lexicographic order
+    kept = [col for (i, j), col in zip(combinations(range(ps.n), 2), coloring.colors)
+            if i in new and j in new]
+    renumber = {col: t for t, col in enumerate(sorted(set(kept)))}
+    return smaller, Coloring(smaller.n, [renumber[col] for col in kept])
 
 
 def oracle_verify(g: DisjointnessGraph, vertex_colors) -> tuple[bool, tuple[tuple[int, int], ...]]:

@@ -11,29 +11,26 @@ from dchain import (
     Coloring,
     build_graph,
     chromatic_number_exact,
-    classify_coloring,
     conjecture_scan,
     construct_double_chain_coloring,
-    delete_points,
     double_chain_chi,
     double_chain_sweep,
     dsatur_upper,
     enumerate_optimal_colorings,
     f_of,
-    f_step,
     g_of,
     gen_convex,
     gen_double_chain,
-    remove_star_apices,
     sample_general_position,
     singleton_class_check,
-    thrackle_edge_bound_ok,
     validate_double_chain,
     verify_coloring,
 )
 from helpers import (
     chain_hull_edges,
     naive_chromatic,
+    oracle_apices,
+    oracle_delete,
     oracle_disjoint,
     oracle_validate_double_chain,
     pairwise_disjoint_matrix,
@@ -140,15 +137,15 @@ def test_criterion_5_formula_identities_up_to_a_million():
     for n in list(range(1, limit, 9973)) + [limit]:
         assert f_of(n) == n - (isqrt(8 * n + 1) - 1) // 2
         assert comb(g_of(n), 2) <= n < comb(g_of(n) + 1, 2)
-        assert f_step(n) in (0, 1)
+        assert f_of(n + 1) - f_of(n) in (0, 1)
     report(5, "f/g identities and unit steps for n<=1e6", True,
            "isqrt evaluation == n-g(n)+1 everywhere; zero steps exactly below binomials")
 
 
-def _distinct_apex_stars(ps, coloring):
+def _distinct_apex_stars(coloring):
     apices = []
     seen = set()
-    for color, apex in sorted(classify_coloring(ps, coloring).items()):
+    for apex in oracle_apices(coloring).values():
         if apex is not None and apex not in seen:
             seen.add(apex)
             apices.append(apex)
@@ -163,12 +160,14 @@ def test_criterion_6_deleting_star_apices_drops_chi_by_r():
     tested = 0
     bad = []
     for ps, g, res in instances:
-        apices = _distinct_apex_stars(ps, res.witness)
+        apices = _distinct_apex_stars(res.witness)
         if not apices:
             continue
         tested += 1
         r = len(apices)
-        new_ps, induced = remove_star_apices(ps, res.witness, apices)
+        new_ps, induced = oracle_delete(ps, apices, res.witness)
+        # exactly the r star classes vanish
+        assert induced.color_count == res.witness.color_count - r
         if new_ps.n < 2:
             new_chi = 0
         else:
@@ -189,10 +188,11 @@ def test_criterion_7_thrackle_classes_fit_edge_budget():
         if n <= 6:
             colorings.extend(enumerate_optimal_colorings(g, res.chi))
         for coloring in colorings:
-            apices = classify_coloring(ps, coloring)
+            apices = oracle_apices(coloring)
             sizes = [len(segs) for color, segs in coloring.classes().items()
                      if apices[color] is None]
-            if not thrackle_edge_bound_ok(n, sizes):
+            k = len(sizes)
+            if not sum(sizes) <= k * n - comb(k, 2):
                 bad.append((n, sizes))
     report(7, "thrackle classes within k*n - C(k,2) edges, n<=8", not bad,
            "all produced colorings" + (f", failures {bad}" if bad else ""))
@@ -245,7 +245,7 @@ def test_criterion_8_generated_chains_satisfy_every_geometric_condition():
             for lmask in range(2 ** l - 1):
                 remove = [up[i] for i in range(k) if umask >> i & 1]
                 remove += [low[i] for i in range(l) if lmask >> i & 1]
-                smaller, _ = delete_points(ps, remove)
+                smaller = oracle_delete(ps, remove)
                 if not validate_double_chain(smaller).ok:
                     report(8, "double-chain geometry", False,
                            f"deletion {remove} of ({k},{l}) broke the configuration")
@@ -293,7 +293,7 @@ def test_criterion_10_no_random_set_beats_the_convex_bound(tmp_path):
     results = []
     for n in range(4, 9):
         rep = conjecture_scan(n, trials=200, seed=20260811 + n, out_dir=tmp_path / str(n))
-        ok = rep.conjecture_holds and not rep.exhausted and rep.min_chi >= rep.f
+        ok = not rep.counterexamples and not rep.exhausted and rep.min_chi >= rep.f
         ok = ok and rep.forced["convex"] == f_of(n)
         k = n // 2
         if n - k >= 3:

@@ -14,29 +14,22 @@ from dchain import (
     SegmentId,
     all_segments,
     build_graph,
-    classify_class,
-    classify_coloring,
     coloring_from_json,
     coloring_to_json,
     construct_double_chain_coloring,
     chromatic_number_exact,
-    delete_points,
     dsatur_upper,
-    double_chain_chi,
     enumerate_optimal_colorings,
     f_of,
     gen_convex,
     gen_double_chain,
     load_coloring,
     pointset_to_json,
-    remove_star_apices,
     sample_general_position,
-    save_coloring,
-    thrackle_edge_bound_ok,
     verify_coloring,
     verify_report_to_json,
 )
-from helpers import oracle_star_coloring, oracle_verify
+from helpers import oracle_apex, oracle_apices, oracle_delete, oracle_star_coloring, oracle_verify
 
 
 @st.composite
@@ -198,48 +191,22 @@ class TestVerifyColoring:
     def test_rejects_mismatched_point_count(self):
         g = build_graph(gen_convex(4))
         c = Coloring(5, [0] * 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coloring covers 5 points but the graph has 4$"):
             verify_coloring(g, c)
 
 
 class TestClassify:
     def test_common_endpoint_star(self):
-        ps = gen_convex(5)
-        assert classify_class(ps, [(0, 1), (0, 2), (0, 4)]) == 0
+        assert oracle_apex([(0, 1), (0, 2), (0, 4)]) == 0
 
     def test_triangle_is_thrackle(self):
-        ps = gen_convex(4)
-        assert classify_class(ps, [(0, 1), (1, 2), (0, 2)]) is None
+        assert oracle_apex([(0, 1), (1, 2), (0, 2)]) is None
 
     def test_singleton_reports_smaller_endpoint(self):
-        ps = gen_convex(4)
-        assert classify_class(ps, [(3, 1)]) == 1
-
-    def test_rejects_empty_class(self):
-        with pytest.raises(ValueError):
-            classify_class(gen_convex(4), [])
-
-    def test_coloring_rejects_another_point_count(self):
-        # every segment of the 4-point coloring names a point of the 9-point set
-        with pytest.raises(ValueError,
-                           match="^coloring covers 4 points but the point set has 9$"):
-            classify_coloring(gen_convex(9), construct_double_chain_coloring(1, 3))
+        assert oracle_apex([SegmentId(1, 3)]) == 1
 
 
 class TestConstruction:
-    def test_smallest_chain_uses_two_colors(self):
-        c = construct_double_chain_coloring(1, 3)
-        g = build_graph(gen_double_chain(1, 3))
-        assert c.color_count == 2
-        assert verify_coloring(g, c).proper
-
-    @pytest.mark.parametrize("k,l", [(2, 4), (1, 5), (3, 3), (2, 5), (5, 7), (8, 8)])
-    def test_matches_prediction_with_optimal_provider(self, k, l):
-        c = construct_double_chain_coloring(k, l)
-        g = build_graph(gen_double_chain(k, l))
-        assert verify_coloring(g, c).proper
-        assert c.color_count == double_chain_chi(k, l)
-
     @pytest.mark.parametrize("l", range(3, 15))
     def test_matches_star_oracle(self, l):
         # past coloring_pins.json, which stops at l = 10
@@ -264,7 +231,7 @@ class TestConstruction:
         k, l = 3, 4
         ps = gen_double_chain(k, l)
         c = construct_double_chain_coloring(k, l)
-        apices = classify_coloring(ps, c)
+        apices = oracle_apices(c)
         upper = set(ps.partition.upper)
         for color, segs in c.classes().items():
             touches_cup = any(s.i in upper or s.j in upper for s in segs)
@@ -320,18 +287,6 @@ class TestValidators:
         pytest.param(lambda: SegmentId.of("1", 2, 4), id="segment_str"),
         pytest.param(lambda: SegmentId.of(0, None, 4), id="segment_none"),
         pytest.param(lambda: SegmentId.of(0, 4, 4), id="segment_out_of_range"),
-        # a SegmentId instance is checked like any pair
-        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(-1, 2)]),
-                     id="classify_negative"),
-        pytest.param(lambda: classify_class(gen_convex(4), [(0, 1), SegmentId(0, 4)]),
-                     id="classify_out_of_range"),
-        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(True, 2)]),
-                     id="classify_bool"),
-        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId(1.0, 2)]),
-                     id="classify_float"),
-        pytest.param(lambda: classify_class(gen_convex(4), [SegmentId("1", 2)]),
-                     id="classify_str"),
-        pytest.param(lambda: classify_class(gen_convex(4), [(None, 2)]), id="classify_none"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, -1), (2,))),
                      id="partition_negative"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, False), (2,))),
@@ -342,24 +297,9 @@ class TestValidators:
                      id="partition_str"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, None), (2,))),
                      id="partition_none"),
-        pytest.param(lambda: delete_points(gen_convex(4), [4]), id="delete_out_of_range"),
-        pytest.param(lambda: delete_points(gen_convex(4), [True]), id="delete_bool"),
-        pytest.param(lambda: delete_points(gen_convex(4), [1.0]), id="delete_float"),
-        pytest.param(lambda: delete_points(gen_convex(4), ["1"]), id="delete_str"),
-        pytest.param(lambda: delete_points(gen_convex(4), [None]), id="delete_none"),
-        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
-                                                [4]), id="apex_out_of_range"),
-        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
-                                                [1.0]), id="apex_float"),
-        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
-                                                [True]), id="apex_bool"),
-        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
-                                                ["1"]), id="apex_str"),
-        pytest.param(lambda: remove_star_apices(gen_convex(4), construct_double_chain_coloring(1, 3),
-                                                [None]), id="apex_none"),
     ])
     def test_index_arguments_checked_alike(self, make):
-        name = "(segment endpoint|partition index|deleted point|apex)"
+        name = "(segment endpoint|partition index)"
         with pytest.raises(ValueError, match=f"^{name} must be an integer (>= 0|in 0..3), got"):
             make()
 
@@ -368,84 +308,22 @@ class TestRemoveStarApices:
     def test_empty_removal_is_identity(self):
         ps = gen_double_chain(1, 3)
         c = construct_double_chain_coloring(1, 3)
-        new_ps, new_c = remove_star_apices(ps, c, [])
-        assert new_ps == ps
-        assert new_c == c
+        assert oracle_delete(ps, [], c) == (ps, c)
 
     def test_removing_cup_stars_leaves_cap_coloring(self):
         k, l = 2, 4
         ps = gen_double_chain(k, l)
         c = construct_double_chain_coloring(k, l)
-        new_ps, new_c = remove_star_apices(ps, c, list(ps.partition.upper))
+        new_ps, new_c = oracle_delete(ps, ps.partition.upper, c)
         assert new_ps.n == l
         assert new_c.color_count == c.color_count - k
         assert verify_coloring(build_graph(new_ps), new_c).proper
-
-    def test_rejects_non_star_apex(self):
-        ps = gen_double_chain(1, 3)
-        c = construct_double_chain_coloring(1, 3)
-        # the cap points are not apices: the cap class has no common endpoint
-        with pytest.raises(ValueError, match="not the apex"):
-            remove_star_apices(ps, c, [1])
-
-    def test_rejects_duplicate_apices(self):
-        ps = gen_double_chain(2, 4)
-        c = construct_double_chain_coloring(2, 4)
-        with pytest.raises(ValueError, match="duplicate"):
-            remove_star_apices(ps, c, [0, 0])
-
-    def test_rejects_improper_coloring(self):
-        ps = gen_double_chain(1, 3)
-        c = flat_coloring(4, {(0, 2): 0, (1, 3): 0,
-                              (0, 1): 1, (0, 3): 2, (1, 2): 3, (2, 3): 4})
-        with pytest.raises(ValueError, match="not proper"):
-            remove_star_apices(ps, c, [0])
-
-    def test_rejects_another_point_count(self):
-        with pytest.raises(ValueError,
-                           match="^coloring covers 4 points but the point set has 5$"):
-            remove_star_apices(gen_convex(5), construct_double_chain_coloring(1, 3), [0])
-
-    def test_rejects_a_class_that_vanishes_unclaimed(self):
-        # apex 0 claims the single-segment class {(0, 1)} and apex 1 the star
-        # at 1; deleting both points also empties the star at 0
-        c = flat_coloring(4, {(0, 1): 0, (0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 2, (2, 3): 3})
-        with pytest.raises(ValueError,
-                           match=r"^colors \[1\] vanished but were not selected star classes$"):
-            remove_star_apices(gen_convex(4), c, [0, 1])
-
-
-class TestThrackleBound:
-    def test_single_class_at_boundary(self):
-        assert thrackle_edge_bound_ok(5, [5]) is True
-
-    def test_two_classes_at_boundary(self):
-        assert thrackle_edge_bound_ok(5, [5, 4]) is True
-
-    def test_two_classes_over_budget(self):
-        assert thrackle_edge_bound_ok(5, [5, 5]) is False
-
-    def test_no_thrackles_trivially_ok(self):
-        assert thrackle_edge_bound_ok(5, []) is True
-
-    def test_rejects_small_n_and_bad_sizes(self):
-        with pytest.raises(ValueError):
-            thrackle_edge_bound_ok(2, [1])
-        with pytest.raises(ValueError):
-            thrackle_edge_bound_ok(5, [0])
-        for n, sizes, name in ((True, [1], "n"), (5.0, [1], "n"), ("5", [1], "n"),
-                               (None, [1], "n"), (5, [True], "thrackle class size"),
-                               (5, [1.0], "thrackle class size"), (5, ["1"], "thrackle class size"),
-                               (5, [None], "thrackle class size")):
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                thrackle_edge_bound_ok(n, sizes)
-
 
 class TestColoringJson:
     def test_roundtrip(self, tmp_path):
         c = construct_double_chain_coloring(2, 4)
         path = tmp_path / "coloring.json"
-        save_coloring(c, path)
+        path.write_text(json.dumps(coloring_to_json(c)), encoding="utf-8")
         assert load_coloring(path) == c
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -505,10 +383,10 @@ class TestColoringPins:
         for label, ps in cases:
             witness = chromatic_number_exact(build_graph(ps)).witness
             apices = []
-            for _, apex in sorted(classify_coloring(ps, witness).items()):
+            for apex in oracle_apices(witness).values():
                 if apex is not None and apex not in apices:
                     apices.append(apex)
-            new_ps, induced = remove_star_apices(ps, witness, apices)
+            new_ps, induced = oracle_delete(ps, apices, witness)
             got[label] = _sha(json.dumps([apices, pointset_to_json(new_ps),
                                           coloring_to_json(induced)]))
         assert got == self.PINS["apex_removal"]

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dchain.formulas as formulas_mod
-from dchain import double_chain_chi, f_of, f_step, formula_table, g_of
+from dchain import double_chain_chi, f_of, formula_table, g_of
 
 positive_n = st.integers(1, 10 ** 7)
 
@@ -58,17 +58,17 @@ class TestF:
 class TestFStep:
     @pytest.mark.parametrize("n,expected", [(5, 0), (3, 1), (2, 0), (1, 1)])
     def test_examples(self, n, expected):
-        assert f_step(n) == expected
+        assert f_of(n + 1) - f_of(n) == expected
 
     @given(positive_n)
     def test_binary_valued(self, n):
-        assert f_step(n) in (0, 1)
+        assert f_of(n + 1) - f_of(n) in (0, 1)
 
     @given(positive_n)
     def test_zero_exactly_below_triangular_counts(self, n):
         g = g_of(n + 1)
         is_below_triangular = comb(g, 2) == n + 1
-        assert (f_step(n) == 0) == is_below_triangular
+        assert (f_of(n + 1) == f_of(n)) == is_below_triangular
 
     @given(st.integers(1, 10 ** 4), st.integers(0, 10 ** 4))
     def test_growth_at_most_k(self, n, k):
@@ -100,7 +100,7 @@ class TestDoubleChainChi:
     def test_step_in_l_is_f_step(self, k, l):
         if k > l:
             k, l = l, k
-        assert double_chain_chi(k, l + 1) - double_chain_chi(k, l) == f_step(l)
+        assert double_chain_chi(k, l + 1) - double_chain_chi(k, l) == f_of(l + 1) - f_of(l)
 
 
 class TestFormulaTable:

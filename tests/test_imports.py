@@ -1,6 +1,8 @@
 """Every name a package module or a test module imports is used in that
 module, and every name a package module imports from a sibling is defined
-in that sibling, not re-exported by it."""
+in that sibling, not re-exported by it. Every public name of the package
+has a caller outside the tests, and no check of the package is an
+`assert`, which `python -O` would strip."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ import dchain
 
 PACKAGE = sorted(p for p in Path(dchain.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 MODULES = ([pytest.param(p, id=p.name) for p in PACKAGE]
            + [pytest.param(p, id=f"tests/{p.name}") for p in TESTS])
 
@@ -53,3 +56,41 @@ def test_sibling_imports_name_the_defining_module(path):
                          for alias in node.names if alias.name not in defined]
     assert not borrowed, f"{path.name}: imported from a module that does not define it " \
                          f"(line, name, module): {borrowed}"
+
+
+def public_api(tree):
+    """(line, name) of each public top-level function and class of a module,
+    and of each public method or property of those classes, as Class.name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public name of the package must be read, as a name or an attribute,
+    in a package module other than __init__.py or in perfbench. The check
+    looks one level deep: a function whose only caller is another function
+    that only the tests call still passes."""
+    assert PERFBENCH, "perfbench/*.py not found beside the tests"
+    read = set()
+    for path in PACKAGE + PERFBENCH:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [(path.name, line, name) for path in PACKAGE
+              for line, name in public_api(ast.parse(path.read_text(encoding="utf-8")))
+              if name.rpartition(".")[2] not in read]
+    assert not unread, f"public names that only the tests use (module, line, name): {unread}"
+
+
+def test_no_check_is_an_assert():
+    found = [(path.name, node.lineno) for path in Path(dchain.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert not found, f"assert or __debug__, gone under python -O (module, line): {sorted(found)}"

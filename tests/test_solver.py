@@ -655,7 +655,7 @@ class TestSweeps:
 class TestConjectureScan:
     def test_small_scan_holds(self, tmp_path):
         report = conjecture_scan(5, trials=5, seed=3, out_dir=tmp_path)
-        assert report.conjecture_holds
+        assert not report.counterexamples
         assert not report.exhausted
         assert report.min_chi >= report.f == f_of(5)
         assert report.forced["convex"] == f_of(5)
@@ -683,7 +683,7 @@ class TestConjectureScan:
         # force the threshold sky-high so every sample "violates"
         monkeypatch.setattr(experiments_mod, "f_of", lambda n: 99)
         report = conjecture_scan(4, trials=1, seed=0, out_dir=tmp_path)
-        assert not report.conjecture_holds
+        assert report.counterexamples
         labels = ["convex", "double_chain_2_2", "random_0"]
         assert report.counterexamples == tuple(
             str(tmp_path / f"counterexample_n4_seed0_{label}.json") for label in labels)
@@ -729,5 +729,5 @@ class TestConjectureScan:
         for seed in (None, True, 1.0, "1"):
             with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
                 conjecture_scan(4, trials=1, seed=seed, out_dir=tmp_path)
-        assert conjecture_scan(4, trials=1, seed=-1, out_dir=tmp_path).conjecture_holds
+        assert not conjecture_scan(4, trials=1, seed=-1, out_dir=tmp_path).counterexamples
         assert list(tmp_path.iterdir()) == []
