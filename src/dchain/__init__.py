@@ -50,7 +50,6 @@ from .solver import (
     chromatic_number_exact,
     clique_lower,
     dsatur_upper,
-    enumerate_optimal_colorings,
 )
 
 __version__ = "0.1.0"

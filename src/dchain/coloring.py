@@ -42,12 +42,6 @@ class Coloring:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "color_count", count)
 
-    def classes(self) -> dict[int, frozenset[SegmentId]]:
-        out: dict[int, set[SegmentId]] = {c: set() for c in range(self.color_count)}
-        for seg, col in zip(all_segments(self.n_points), self.colors):
-            out[col].add(seg)
-        return {c: frozenset(s) for c, s in out.items()}
-
 
 @dataclass(frozen=True)
 class VerifyReport:

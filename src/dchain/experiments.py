@@ -1,24 +1,25 @@
 """Experiments that hold the exact solver against the paper's closed forms:
 the cup-star construction for double chains, the single-segment-class
-census of convex optimal colorings, the double-chain and convex sweeps, and
-a seeded randomized scan that hunts for sets with chi below the convex value
-f(n).
+check of convex optimal colorings (one exact solve per pair of segments), the
+double-chain and convex sweeps, and a seeded randomized scan that hunts for
+sets with chi below the convex value f(n).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
 from .coloring import Coloring, verify_coloring
-from .disjointness import build_graph
+from .disjointness import DisjointnessGraph, build_graph
 from .formulas import _check_int, double_chain_chi, f_of
 from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
-from .solver import ChiResult, chromatic_number_exact, enumerate_optimal_colorings
+from .solver import ChiResult, chromatic_number_exact
 
-# the optimal-coloring census grows too fast to exhaust beyond this n
+# the single-segment-class check runs C(V, 2) exact solves, V = C(n, 2): 105 at n = 6
 SINGLETON_CAP = 6
 
 ConvexProvider = Callable[[PointSet], Coloring]
@@ -66,25 +67,36 @@ def construct_double_chain_coloring(k: int, l: int,
     return Coloring(ps.n, colors)
 
 
-def singleton_class_check(n: int) -> bool:
-    """True iff every optimal coloring of the convex n-point disjointness graph
-    has at most one color class consisting of a single segment.
-
-    Enumerates all optimal colorings up to color permutation, so n is capped
-    at SINGLETON_CAP.
+def _at_most_one_single_class(g: DisjointnessGraph) -> bool:
+    """True iff no optimal coloring of g has two color classes of one segment
+    each. An optimal chi-coloring has the single-segment classes {s} and {t}
+    iff chi(G - s - t) <= chi - 2:
+    - (=>) the other chi - 2 classes color G - s - t;
+    - (<=) give s and t two fresh colors: that is a proper coloring with at
+      most chi colors, so it has exactly chi, and {s} and {t} are classes.
+    So the check is one exact solve per pair {s, t}, on rows where s and t
+    are isolated (their rows 0, their bits cleared from every other row).
+    That leaves chi unchanged while a third vertex is left, and one is:
+    C(n, 2) is never 2.
     """
+    chi = chromatic_number_exact(g).chi
+    for s, t in combinations(range(g.n_vertices), 2):
+        keep = ~(1 << s | 1 << t)
+        rows = [0 if v == s or v == t else row & keep for v, row in enumerate(g.adj)]
+        if chromatic_number_exact(DisjointnessGraph(g.n_points, rows)).chi <= chi - 2:
+            return False
+    return True
+
+
+def singleton_class_check(n: int) -> bool:
+    """True iff no optimal coloring of the convex n-point disjointness graph
+    has two single-segment classes; n is capped at SINGLETON_CAP."""
     _check_int(n, "n", 4)
     if n > SINGLETON_CAP:
         raise ValueError(
-            f"n={n} exceeds the enumeration cap {SINGLETON_CAP}; the optimal-coloring census "
-            f"is only exhaustible at desk scale")
-    g = build_graph(gen_convex(n))
-    chi = chromatic_number_exact(g).chi
-    for coloring in enumerate_optimal_colorings(g, chi):
-        singles = sum(1 for segs in coloring.classes().values() if len(segs) == 1)
-        if singles > 1:
-            return False
-    return True
+            f"n={n} exceeds the cap {SINGLETON_CAP}; the check runs one exact solve "
+            f"per pair of segments")
+    return _at_most_one_single_class(build_graph(gen_convex(n)))
 
 
 @dataclass(frozen=True)

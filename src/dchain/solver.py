@@ -7,8 +7,9 @@ colored vertex is the greedy DSATUR coloring, the upper bound. The exact
 solve relabels the vertices by (-degree, id), so its ties go to the highest
 degree, as in Brelaz's DSATUR, searches again from a greedy clique grown in
 that same order and precolored (sound symmetry breaking), and maps the
-witness back to segment ranks. `dsatur_upper` keeps the id order. Beside the
-search sits a canonical enumerator of all optimal colorings. The engine knows
+witness back to segment ranks. `dsatur_upper` keeps the id order. `_search`
+is the one search loop of the package: the single-segment-class check in
+`experiments` decides its property with exact solves too. The engine knows
 nothing of the closed forms or the point-set generators; the sweeps and
 scans that compare it with them live in `experiments`.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator
 
 from .coloring import Coloring, verify_coloring
 from .disjointness import DisjointnessGraph
@@ -317,59 +317,3 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
         return ChiResult(INDETERMINATE, None, lower, best_k, witness, nodes, ms)
     return ChiResult(EXACT, best_k, best_k, best_k, witness, nodes, ms)
 
-
-def enumerate_optimal_colorings(g: DisjointnessGraph, chi: int) -> Iterator[Coloring]:
-    """Every proper coloring with exactly `chi` colors, one per color-permutation
-    orbit.
-
-    Vertices are colored in id order and a new color id may only be the next
-    unused one, so the emitted classes are numbered by their minimum vertex
-    id: exactly one canonical representative per orbit. A chi above the vertex
-    count raises at once, one below the chromatic number at the stream's end.
-    """
-    _check_int(chi, "chi")
-    v_count = g.n_vertices
-    if chi > v_count:
-        raise ValueError(f"no proper coloring with {chi} colors exists; the graph has only "
-                         f"{v_count} vertices")
-    adj = g.adj
-    colors = [-1] * v_count
-    forb = [0] * chi  # the neighbors of the vertices colored c on the path, per color c
-    found = False
-    # the frame at depth v colors vertex v: [used, next color, saved], where
-    # saved is forb[next color - 1] before v took that color
-    stack: list[list] = []
-    v = used = 0
-    while True:
-        if chi - used > v_count - v:
-            pass  # not enough vertices left to open the remaining classes
-        elif v == v_count:
-            if used == chi:
-                found = True
-                yield Coloring(g.n_points, colors)
-        else:
-            stack.append([used, 0, 0])
-        while stack:
-            v = len(stack) - 1
-            frame = stack[-1]
-            used, c, saved = frame
-            if c:
-                forb[c - 1] = saved
-            limit = min(used + 1, chi)
-            while c < limit and forb[c] >> v & 1:
-                c += 1
-            if c == limit:
-                stack.pop()
-                continue
-            frame[1:] = c + 1, forb[c]
-            forb[c] |= adj[v]
-            colors[v] = c
-            v += 1
-            if c == used:
-                used += 1
-            break
-        else:
-            break
-    if not found:
-        raise ValueError(
-            f"no proper coloring with {chi} colors exists; {chi} is below the chromatic number")

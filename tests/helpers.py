@@ -4,10 +4,11 @@ saturation ties by id, or by degree then id), the greedy clique grown in
 the tie order by degree, a Fraction-based segment intersection test, a
 chain's hull edges from its definition, an all-triples collinearity check,
 an edge-scan coloring check, an all-chords, all-triples double-chain
-check, the paper's star coloring of a double chain, and its proof steps:
-the apex of a color class (None for a thrackle) and point deletion with
-the coloring it induces. All deliberately avoid the code paths they are
-used to check."""
+check, the paper's star coloring of a double chain, its proof steps (the
+classes of a coloring, the apex of a class, None for a thrackle, and point
+deletion with the coloring it induces), and a plain recursion over the
+optimal colorings up to color permutation. All deliberately avoid the code
+paths they are used to check."""
 
 from __future__ import annotations
 
@@ -15,6 +16,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from dchain import Coloring, DisjointnessGraph, Partition, PointSet, all_segments
+
+
+def matching_clique(m: int) -> DisjointnessGraph:
+    """K_m on the m endpoint-disjoint segments (0, 1), (2, 3), ...,
+    (2m - 2, 2m - 1) of 2m points; the other vertices are isolated."""
+    segs = all_segments(2 * m)
+    ranks = [segs.index((2 * i, 2 * i + 1)) for i in range(m)]
+    clique = sum(1 << r for r in ranks)
+    rows = [0] * len(segs)
+    for r in ranks:
+        rows[r] = clique ^ (1 << r)
+    return DisjointnessGraph(2 * m, tuple(rows))
 
 
 def naive_chromatic(g: DisjointnessGraph) -> int:
@@ -279,13 +292,43 @@ def oracle_apex(segments) -> int | None:
     return min(set.intersection(*(set(s) for s in segments)), default=None)
 
 
-def oracle_apices(coloring: Coloring) -> dict[int, int | None]:
-    """{color: oracle_apex of its class}, in color order; vertex r is the
-    r-th index pair in lexicographic order."""
-    classes: dict[int, list[tuple[int, int]]] = {}
+def oracle_classes(coloring: Coloring) -> dict[int, frozenset[tuple[int, int]]]:
+    """{color: the index pairs (i, j), i < j, of its segments}, in color
+    order; vertex r is the r-th index pair in lexicographic order."""
+    classes: dict[int, set[tuple[int, int]]] = {}
     for seg, col in zip(combinations(range(coloring.n_points), 2), coloring.colors):
-        classes.setdefault(col, []).append(seg)
-    return {col: oracle_apex(classes[col]) for col in sorted(classes)}
+        classes.setdefault(col, set()).add(seg)
+    return {col: frozenset(classes[col]) for col in sorted(classes)}
+
+
+def oracle_apices(coloring: Coloring) -> dict[int, int | None]:
+    """{color: oracle_apex of its class}, in color order."""
+    return {col: oracle_apex(segs) for col, segs in oracle_classes(coloring).items()}
+
+
+def oracle_optimal_colorings(g: DisjointnessGraph, chi: int):
+    """Every proper coloring of g with exactly `chi` colors, one per orbit
+    under color permutations, in lexicographic order of the color tuples.
+    A plain recursion colors the vertices in id order; a vertex may take a
+    color only if no earlier neighbor has it, from the colors used so far
+    and then the next new one while fewer than `chi` are used, so the
+    classes are numbered by their smallest vertex."""
+    v_count = g.n_vertices
+    earlier = [[u for u in range(v) if g.adj[v] >> u & 1] for v in range(v_count)]
+    colors = [-1] * v_count
+
+    def rec(v: int, used: int):
+        if v == v_count:
+            if used == chi:
+                yield Coloring(g.n_points, colors)
+            return
+        taken = {colors[u] for u in earlier[v]}
+        for c in range(min(used + 1, chi)):
+            if c not in taken:
+                colors[v] = c
+                yield from rec(v + 1, used + (c == used))
+
+    return rec(0, 0)
 
 
 def oracle_delete(ps: PointSet, remove, coloring: Coloring | None = None):

@@ -8,7 +8,6 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from dchain import (
-    Coloring,
     build_graph,
     chromatic_number_exact,
     conjecture_scan,
@@ -16,7 +15,6 @@ from dchain import (
     double_chain_chi,
     double_chain_sweep,
     dsatur_upper,
-    enumerate_optimal_colorings,
     f_of,
     g_of,
     gen_convex,
@@ -28,10 +26,13 @@ from dchain import (
 )
 from helpers import (
     chain_hull_edges,
+    matching_clique,
     naive_chromatic,
     oracle_apices,
+    oracle_classes,
     oracle_delete,
     oracle_disjoint,
+    oracle_optimal_colorings,
     oracle_validate_double_chain,
     pairwise_disjoint_matrix,
 )
@@ -101,17 +102,19 @@ def test_criterion_3_constructive_coloring_is_proper_and_tight():
 def test_criterion_4_optimal_colorings_have_at_most_one_singleton_class():
     bad = [n for n in (4, 5, 6) if not singleton_class_check(n)]
     report(4, "single-segment class unique in optimal colorings, n=4,5,6", not bad,
-           f"exhaustive census" + (f", failures at n={bad}" if bad else ""))
+           f"one exact solve per segment pair" + (f", failures at n={bad}" if bad else ""))
 
 
-def test_criterion_4_two_singleton_classes_break_the_check(monkeypatch):
-    # an optimal-looking coloring of the 6 segments on 4 points whose
-    # classes 0 and 1 hold one segment each: the census must answer False
-    two_singles = Coloring(4, (0, 1, 2, 2, 2, 2))
-    monkeypatch.setattr(experiments_mod, "enumerate_optimal_colorings",
-                        lambda g, chi: iter([two_singles]))
-    holds = singleton_class_check(4)
-    report(4, "two single-segment classes are caught", holds is False, f"returned {holds}")
+def test_criterion_4_two_singleton_classes_break_the_check():
+    # 6 points whose only edges form the triangle (0, 1), (2, 3), (4, 5):
+    # chi 3, and an optimal coloring gives (0, 1) and (2, 3) a class each,
+    # so the rule behind singleton_class_check must answer False
+    g = matching_clique(3)
+    seen = any(sum(c.colors.count(col) == 1 for col in range(3)) >= 2
+               for c in oracle_optimal_colorings(g, 3))
+    holds = experiments_mod._at_most_one_single_class(g)
+    report(4, "two single-segment classes are caught", seen and holds is False,
+           f"returned {holds}")
 
 
 def test_criterion_5_formula_identities_up_to_a_million():
@@ -186,10 +189,10 @@ def test_criterion_7_thrackle_classes_fit_edge_budget():
         ps, g, res = convex_case(n)
         colorings = [dsatur_upper(g), res.witness]
         if n <= 6:
-            colorings.extend(enumerate_optimal_colorings(g, res.chi))
+            colorings.extend(oracle_optimal_colorings(g, res.chi))
         for coloring in colorings:
             apices = oracle_apices(coloring)
-            sizes = [len(segs) for color, segs in coloring.classes().items()
+            sizes = [len(segs) for color, segs in oracle_classes(coloring).items()
                      if apices[color] is None]
             k = len(sizes)
             if not sum(sizes) <= k * n - comb(k, 2):

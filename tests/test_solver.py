@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,6 @@ from dchain import (
     double_chain_chi,
     double_chain_sweep,
     dsatur_upper,
-    enumerate_optimal_colorings,
     f_of,
     gen_convex,
     gen_double_chain,
@@ -33,22 +31,11 @@ from dchain import (
     singleton_class_check,
     verify_coloring,
 )
-from helpers import (naive_chromatic, oracle_branch_and_bound, oracle_clique, oracle_dsatur,
-                     tie_order)
+from helpers import (matching_clique, naive_chromatic, oracle_branch_and_bound, oracle_clique,
+                      oracle_dsatur, oracle_optimal_colorings, tie_order)
 
 import dchain.experiments as experiments_mod
 import dchain.solver as solver_mod
-
-
-def k6_graph():
-    """K6 on the six endpoint-disjoint segments (0, 1), (2, 3), ..., (10, 11)
-    of 12 points; the other 60 vertices are isolated."""
-    ranks = [all_segments(12).index(SegmentId.of(2 * i, 2 * i + 1, 12)) for i in range(6)]
-    clique = sum(1 << r for r in ranks)
-    rows = [0] * 66
-    for r in ranks:
-        rows[r] = clique ^ (1 << r)
-    return DisjointnessGraph(12, tuple(rows))
 
 
 def random_configs(n, count, seed):
@@ -148,7 +135,7 @@ class TestDsatur:
         assert c.color_count == 1
 
     def test_complete_graph_uses_all(self):
-        assert dsatur_upper(k6_graph()).color_count == 6
+        assert dsatur_upper(matching_clique(6)).color_count == 6
 
     def test_proper_and_bounded_on_convex4(self):
         g = build_graph(gen_convex(4))
@@ -199,7 +186,7 @@ class TestCliqueLower:
             assert g.adjacent(a, b)
 
     def test_complete_graph_full_clique(self):
-        size, members = clique_lower(k6_graph())
+        size, members = clique_lower(matching_clique(6))
         assert size == 6
         assert members == {all_segments(12).index(SegmentId.of(2 * i, 2 * i + 1, 12))
                            for i in range(6)}
@@ -207,7 +194,7 @@ class TestCliqueLower:
     def test_matches_oracle(self):
         # 300 seeded random 8-point sets, 300 hand-built graphs and K6
         graphs = [build_graph(ps) for ps in random_configs(8, 300, 1981)]
-        graphs += hand_built_graphs(1982, 300) + [k6_graph()]
+        graphs += hand_built_graphs(1982, 300) + [matching_clique(6)]
         for g in graphs:
             assert clique_lower(g) == oracle_clique(g), g.adj
 
@@ -522,9 +509,12 @@ class TestAgainstOracle:
 
 
 class TestEnumerateOptimal:
+    """The optimal-coloring oracle of tests/helpers.py, which criterion 7 and
+    the single-segment-class cross-check read."""
+
     def test_yields_at_least_one_for_convex4(self):
         g = build_graph(gen_convex(4))
-        colorings = list(enumerate_optimal_colorings(g, 2))
+        colorings = list(oracle_optimal_colorings(g, 2))
         assert colorings
         for c in colorings:
             assert verify_coloring(g, c).proper
@@ -533,7 +523,7 @@ class TestEnumerateOptimal:
     def test_no_duplicates_and_canonical_labels(self):
         g = build_graph(gen_convex(5))
         seen = set()
-        for c in enumerate_optimal_colorings(g, 3):
+        for c in oracle_optimal_colorings(g, 3):
             vc = c.colors
             assert vc not in seen
             seen.add(vc)
@@ -557,11 +547,12 @@ class TestEnumerateOptimal:
                 relabel.setdefault(c, len(relabel))
                 out.append(relabel[c])
             canonical.add(tuple(out))
-        enumerated = {c.colors for c in enumerate_optimal_colorings(g, 2)}
+        enumerated = {c.colors for c in oracle_optimal_colorings(g, 2)}
         assert enumerated == canonical
 
     def test_convex6_stream_order(self):
-        # the full ordered stream emitted by the recursive enumerator
+        # the full ordered stream, recorded from the package's former
+        # stack-based enumerator
         expected = [
             "000001120111222", "000001120121222", "000102210212111", "000102210222111",
             "001220000112112", "001220000112122", "001220002112112", "001220002112122",
@@ -569,41 +560,18 @@ class TestEnumerateOptimal:
             "010001120111222", "010001120121222", "010201120111222", "010201120121222",
         ]
         g = build_graph(gen_convex(6))
-        stream = ["".join(map(str, c.colors)) for c in enumerate_optimal_colorings(g, 3)]
+        stream = ["".join(map(str, c.colors)) for c in oracle_optimal_colorings(g, 3)]
         assert stream == expected
 
     def test_convex5_stream_above_chi(self):
         # sha256 of the ordered stream at chi + 1 = 4, one line per coloring,
-        # recorded from the enumerator with per-vertex color bitsets
+        # recorded from the package's former enumerator
         g = build_graph(gen_convex(5))
         text = "".join("".join(map(str, c.colors)) + "\n"
-                       for c in enumerate_optimal_colorings(g, 4))
+                       for c in oracle_optimal_colorings(g, 4))
         assert text.count("\n") == 2270
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
             "98ae3c42be0234ba1fc97ff07aac0ad875312b52a06f2e5ad95516d3a5637bd3"
-
-    def test_raises_below_chromatic_number(self):
-        g = build_graph(gen_convex(4))
-        with pytest.raises(ValueError, match="below the chromatic number"):
-            list(enumerate_optimal_colorings(g, 1))
-
-    def test_raises_above_vertex_count(self):
-        g = build_graph(gen_convex(4))  # chi 2, six vertices
-        assert len(list(enumerate_optimal_colorings(g, 6))) == 1
-        with pytest.raises(ValueError, match="has only 6 vertices") as exc:
-            list(enumerate_optimal_colorings(g, 7))
-        assert "chromatic number" not in str(exc.value)
-
-    def test_huge_chi_fails_fast(self):
-        g = build_graph(gen_convex(4))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="has only 6 vertices"):
-                next(enumerate_optimal_colorings(g, 10**9))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000, peak
 
 
 class TestSingletonClassCheck:
@@ -618,6 +586,28 @@ class TestSingletonClassCheck:
     def test_rejects_below_four(self):
         with pytest.raises(ValueError):
             singleton_class_check(3)
+
+    def test_rule_matches_oracle_colorings(self):
+        # the rule, one exact solve per vertex pair, against "some optimal
+        # coloring of the oracle has two single-segment classes"
+        rng = random.Random(3215)
+        cases = [(f"convex {n}", gen_convex(n)) for n in range(4, 7)]
+        cases += [(f"chain {k},{l}", gen_double_chain(k, l))
+                  for k in range(1, 4) for l in range(k, 8 - k)]
+        for t in range(200):
+            ps, _ = sample_general_position(rng, rng.randint(4, 6), box=500)
+            cases.append((f"random {t}", ps))
+        graphs = [(label, build_graph(ps)) for label, ps in cases]
+        graphs.append(("triangle", matching_clique(3)))
+        broken = []
+        for label, g in graphs:
+            chi = chromatic_number_exact(g).chi
+            two = any(sum(c.colors.count(col) == 1 for col in range(chi)) >= 2
+                      for c in oracle_optimal_colorings(g, chi))
+            assert experiments_mod._at_most_one_single_class(g) is not two, label
+            if two:
+                broken.append(label)
+        assert broken == ["triangle"]
 
 
 class TestSweeps:
