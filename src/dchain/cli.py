@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
         return args.func(args)
     # RecursionError: JSON input nested deeper than the decoder can follow
-    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
 

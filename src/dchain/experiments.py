@@ -29,13 +29,6 @@ def _solve(ps: PointSet) -> ChiResult:
     return chromatic_number_exact(build_graph(ps))
 
 
-def _exact_convex_provider(cap: PointSet) -> Coloring:
-    result = _solve(cap)
-    if not result.is_exact:
-        raise RuntimeError("exact solve of the cap configuration was cut off")
-    return result.witness
-
-
 def construct_double_chain_coloring(k: int, l: int,
                                     convex_provider: ConvexProvider | None = None) -> Coloring:
     """Proper coloring of the canonical (k, l) double chain's disjointness graph.
@@ -49,8 +42,8 @@ def construct_double_chain_coloring(k: int, l: int,
     _check_int(l, "l", 3)
     ps = gen_double_chain(k, l)  # checks k, and raises for k > l
     cap = PointSet(ps.points[k:])
-    provider = convex_provider if convex_provider is not None else _exact_convex_provider
-    base = provider(cap)
+    # the cap solve has no node budget, so it always ends exact
+    base = convex_provider(cap) if convex_provider is not None else _solve(cap).witness
     if not isinstance(base, Coloring) or base.n_points != cap.n:
         raise ValueError("provider must return a coloring of the cap configuration")
     report = verify_coloring(build_graph(cap), base)

@@ -1,22 +1,22 @@
 """Exact chromatic numbers of disjointness graphs.
 
 The workhorse is one DSATUR-ordered branch and bound over big-int vertex
-masks (per-color forbidden sets and saturation levels) on an explicit stack.
-It breaks saturation ties by the smallest vertex id. Its first dive from no
-colored vertex is the greedy DSATUR coloring, the upper bound. The exact
-solve relabels the vertices by (-degree, id), so its ties go to the highest
-degree, as in Brelaz's DSATUR, searches again from a greedy clique grown in
-that same order and precolored (sound symmetry breaking), and maps the
-witness back to segment ranks. `dsatur_upper` keeps the id order. `_search`
-is the one search loop of the package: the single-segment-class check in
-`experiments` decides its property with exact solves too. The engine knows
-nothing of the closed forms or the point-set generators; the sweeps and
-scans that compare it with them live in `experiments`.
+masks (per-color forbidden sets and saturation levels) on an explicit stack,
+with saturation ties to the smallest label. Every entry point runs it on the
+vertices relabelled by (-degree, id) (`_relabel`), as in Brelaz's DSATUR. Its
+first dive is the greedy DSATUR coloring, the upper bound; the exact solve
+searches again from a greedy clique grown in label order and precolored
+(sound symmetry breaking), and maps the witness back to segment ranks.
+`_search` is the one search loop of the package: the single-segment-class
+check in `experiments` decides its property with exact solves too. The
+engine knows nothing of the closed forms or the point-set generators; the
+sweeps and scans that compare it with them live in `experiments`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from time import perf_counter
 
 from .coloring import Coloring, verify_coloring
@@ -53,15 +53,14 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
     The branching vertex is the uncolored vertex of maximum saturation (ties
     to the smallest id), and it may take any feasible used color or open
     exactly one new color. Any vertex order gives a complete search, so a
-    caller picks the tie order by how it labels `adj`: the exact solve passes
-    rows relabelled by (-degree, id), which need not keep the endpoint rule
-    that a `DisjointnessGraph` checks in segment-rank order. The state is a
-    handful of vertex masks: `forb[c]` holds the neighbors of the vertices
-    colored c, `unc` the uncolored vertices, and `lev[s]` the uncolored
-    vertices whose neighbors carry exactly s colors. The search runs on an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
-    With `first_leaf` it stops at its first leaf and pushes no frame, since
-    nothing will backtrack.
+    caller picks the tie order by how it labels `adj`: every caller in the
+    package passes the rows of `_relabel`. The state is a handful of vertex
+    masks: `forb[c]` holds the neighbors of the vertices colored c, `unc` the
+    uncolored vertices, and `lev[s]` the uncolored vertices whose neighbors
+    carry exactly s colors. The search runs on an explicit stack, so its
+    depth is not bounded by Python's recursion limit. With `first_leaf` it
+    stops at its first leaf and pushes no frame, since nothing will
+    backtrack.
     """
     v_count = len(adj)
     colors = [-1] * v_count
@@ -178,142 +177,123 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
     return best_k, best_colors, nodes, aborted
 
 
-def dsatur_upper(g: DisjointnessGraph) -> Coloring:
-    """Greedy proper coloring by saturation degree, ties to the smallest vertex id.
-
-    This is the first dive of the exact search, from no colored vertex and
-    with best_k = V + 1. Every node on it has used + 1 <= V < best_k, so the
-    new color is always allowed and no child is dead, and the first child
-    takes the lowest free used color, or the new color when none is free:
-    the greedy rule. The first leaf, node V + 1, is the greedy coloring.
-
-    It runs on the rows as built, not relabelled by degree as in
-    `chromatic_number_exact`, so its colors can differ from the exact solve's
-    incumbent. Relabelling would cost about as much again as the dive it
-    would order: at (12, 12), V = 276, the relabel takes 0.43 ms against a
-    0.39 ms dive (Python 3.11, 2-core VM), and the certification of large
-    chains calls this on (k, 12) with no search after it.
-    """
-    _, colors, _, _ = _search(g.adj, [], len(g.adj) + 1, None, None, True)
-    return Coloring(g.n_points, colors)
-
-
-def _by_degree(adj: tuple[int, ...]) -> list[int]:
-    """The vertex ids by descending degree, ties to the smallest id."""
+def _relabel(g: DisjointnessGraph) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """(order, rows, new_id): the vertex ids by (-degree, id), the rows
+    relabelled so that vertex i is vertex `order[i]`, and the new label
+    `new_id[v]` of each vertex v. As a `DisjointnessGraph` checks, the rows
+    are symmetric: new bit j of row i is bit order[j] of row order[i], so
+    bit order[i] of row order[j], and new row i is column order[i] read in
+    reverse new order. One string holds the rows in that order (bit b of a
+    row is character V - 1 - b), and each new row is one strided slice of
+    it. The rows go straight to `_search`, not through a DisjointnessGraph,
+    which checks the endpoint rule in segment-rank order."""
+    adj = g.adj
+    v_count = len(adj)
     negdeg = [-row.bit_count() for row in adj]
     # sorted() is stable, so equal degrees stay in id order
-    return sorted(range(len(adj)), key=negdeg.__getitem__)
-
-
-def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
-    """Deterministic greedy clique (a set of pairwise disjoint segments): each
-    vertex, by descending degree (ties to the smallest id), seeds a greedy
-    growth that adds the first common neighbor in that same order, and the
-    first largest clique is kept; pairwise adjacency is re-validated. The
-    order is the exact search's branching order, so the clique it precolors
-    is taken from the front of that order, as in DSATUR practice."""
-    return _clique_lower(g, _by_degree(g.adj))
-
-
-def _clique_lower(g: DisjointnessGraph, order: list[int]) -> tuple[int, frozenset[int]]:
-    """`clique_lower` with its seeds in `order`, the solve's one `_by_degree` sort."""
-    adj = g.adj
-
-    def grow(seed: int) -> list[int]:
-        # Each step adds the first candidate in `order`. Any clique is sound
-        # to precolor 0, 1, ...: its members need distinct colors and every
-        # color permutation is equivalent, so the search stays complete and
-        # the clique's size is the lower bound. The candidates only shrink,
-        # so one pass over `order` finds every step's pick.
-        members = [seed]
-        cand = adj[seed]
-        for v in order:
-            if not cand:
-                break
-            if cand >> v & 1:
-                members.append(v)
-                cand &= adj[v]
-        return members
-
-    # Ceiling: DisjointnessGraph rejects rows that join segments sharing an
-    # endpoint, so no clique has more than n_points // 2 members, and no later
-    # seed can grow a larger one. best_members is only ever replaced by a
-    # strictly larger clique, so stopping there returns exactly the clique of
-    # the full loop.
-    ceiling = g.n_points // 2
-
-    best_members: list[int] = []
-    for seed in order:
-        grown = grow(seed)
-        if len(grown) > len(best_members):
-            best_members = grown
-            if len(best_members) >= ceiling:
-                break
-
-    members = sorted(best_members)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not g.adjacent(members[a], members[b]):
-                raise RuntimeError(f"greedy clique members {members[a]} and {members[b]} "
-                                   f"are not adjacent")
-    return len(members), frozenset(members)
-
-
-def _degree_order(adj: tuple[int, ...], order: list[int]) -> tuple[tuple[int, ...], list[int]]:
-    """(rows, new_id): the adjacency rows relabelled so that vertex i of
-    `rows` is vertex `order[i]`, the i-th by (-degree, id) (`_by_degree`, the
-    order `clique_lower` tries its seeds in), and `new_id[v]` is the new label of
-    vertex v. The rows must be symmetric, as a `DisjointnessGraph` checks:
-    new bit j of row i is bit order[j] of row order[i], so bit order[i] of
-    row order[j], and new row i is column order[i] read in reverse new order.
-    One string holds the rows in that order (bit b of a row is character
-    V - 1 - b of its string), and each new row is one strided slice of it."""
-    v_count = len(adj)
+    order = sorted(range(v_count), key=negdeg.__getitem__)
     new_id = [0] * v_count
     for i, v in enumerate(order):
         new_id[v] = i
     width = f"0{v_count}b"
     cells = "".join([format(adj[v], width) for v in reversed(order)])
-    return tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
+    return order, tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
+
+
+def _clique(g: DisjointnessGraph, order: list[int], rows: tuple[int, ...]) -> list[int]:
+    """The greedy clique on the rows of `_relabel(g)`, as sorted new labels:
+    each label seeds a growth that adds the lowest label joined to every
+    member so far, and the first largest clique is kept. Any clique is sound
+    to precolor 0, 1, ...: its members need distinct colors and every color
+    permutation is equivalent, so the search stays complete and the clique's
+    size is the lower bound. Every member pair is re-checked on `g`."""
+
+    def grow(seed: int) -> list[int]:
+        members = [seed]
+        cand = rows[seed]
+        while cand:
+            # the candidates only shrink, so each pick is above the last
+            pick = (cand & -cand).bit_length() - 1
+            members.append(pick)
+            cand &= rows[pick]
+        return members
+
+    # Ceiling: DisjointnessGraph rejects rows that join segments sharing an
+    # endpoint, so no clique has more than n_points // 2 members. best is only
+    # ever replaced by a strictly larger clique, so stopping there returns
+    # exactly the clique of the full loop.
+    ceiling = g.n_points // 2
+    best: list[int] = []
+    for seed in range(len(rows)):
+        grown = grow(seed)
+        if len(grown) > len(best):
+            best = grown
+            if len(best) >= ceiling:
+                break
+
+    best.sort()
+    for u, v in combinations([order[i] for i in best], 2):
+        if not g.adjacent(u, v):
+            raise RuntimeError(f"greedy clique members {u} and {v} are not adjacent")
+    return best
+
+
+def dsatur_upper(g: DisjointnessGraph) -> Coloring:
+    """Greedy proper coloring by saturation degree, ties to the highest
+    degree, then the smallest segment rank: the exact solve's incumbent.
+
+    It is the search's first dive on the relabelled rows, from no colored
+    vertex and with best_k = V + 1. Every node on it has used + 1 <= V <
+    best_k, so the new color is always allowed and no child is dead, and the
+    first child takes the lowest free used color, or the new color when none
+    is free: the greedy rule. The first leaf, node V + 1, is the greedy
+    coloring."""
+    _, rows, new_id = _relabel(g)
+    _, colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
+    return Coloring(g.n_points, [colors[i] for i in new_id])
+
+
+def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
+    """(size, members) of the greedy clique, a set of pairwise disjoint
+    segments as segment ranks: each vertex, by (-degree, id), seeds a growth
+    that adds the first common neighbor in that same order, and the first
+    largest clique is kept. It is the clique the exact solve precolors."""
+    order, rows, _ = _relabel(g)
+    clique = _clique(g, order, rows)
+    return len(clique), frozenset([order[i] for i in clique])
 
 
 def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None) -> ChiResult:
     """Exact chromatic number with an optimal-coloring witness.
 
-    Branch and bound in DSATUR order (see `_search`) on the vertices relabelled
-    by (-degree, id) (`_degree_order`), so that saturation ties go to the
-    highest degree, then the smallest segment rank, as in Brelaz's DSATUR.
-    The greedy DSATUR coloring under that order is the incumbent, and the
-    greedy clique of `clique_lower`, mapped to the new labels, is precolored
-    with distinct colors in new-label order. The witness is mapped back to
-    segment ranks and verified against `g`. The search is deterministic for
-    a fixed graph. A search that enters node `max_nodes + 1` stops there:
-    the result is INDETERMINATE, counts that node in `nodes`, and carries
-    the best proven bounds, never a guessed value. `max_nodes` must be a
-    positive int; anything else raises ValueError rather than running
-    without the budget.
+    Branch and bound in DSATUR order (see `_search`) on the rows of
+    `_relabel`, so that saturation ties go to the highest degree, then the
+    smallest segment rank, as in Brelaz's DSATUR. The coloring of
+    `dsatur_upper` is the incumbent, and the clique of `clique_lower` is
+    precolored with distinct colors in new-label order. The witness is mapped
+    back to segment ranks and verified against `g`. The search is
+    deterministic for a fixed graph. A search that enters node
+    `max_nodes + 1` stops there: the result is INDETERMINATE, counts that
+    node in `nodes`, and carries the best proven bounds, never a guessed
+    value. `max_nodes` must be a positive int; anything else raises
+    ValueError rather than running without the budget.
     """
     if max_nodes is not None:
         _check_int(max_nodes, "max_nodes")
     t0 = perf_counter()
-    order = _by_degree(g.adj)
-    lower, clique = _clique_lower(g, order)
-    # the relabelled rows go straight to _search: a DisjointnessGraph would
-    # check the endpoint rule in segment-rank order and refuse them
-    rows, new_id = _degree_order(g.adj, order)
-    # the greedy incumbent: dsatur_upper's first dive, on the relabelled rows
+    order, rows, new_id = _relabel(g)
+    clique = _clique(g, order, rows)
+    # the incumbent: dsatur_upper's first dive
     best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
-    nodes = 0
-    aborted = False
-    if best_k > lower:
+    nodes, aborted = 0, False
+    if best_k > len(clique):
         best_k, best_colors, nodes, aborted = _search(
-            rows, sorted(new_id[v] for v in clique), best_k, best_colors, max_nodes, False)
+            rows, clique, best_k, best_colors, max_nodes, False)
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring(g.n_points, [best_colors[i] for i in new_id])
     if not verify_coloring(g, witness).proper:
         raise RuntimeError("solver witness is not a proper coloring")
     if aborted:
-        return ChiResult(INDETERMINATE, None, lower, best_k, witness, nodes, ms)
+        return ChiResult(INDETERMINATE, None, len(clique), best_k, witness, nodes, ms)
     return ChiResult(EXACT, best_k, best_k, best_k, witness, nodes, ms)
-

@@ -312,21 +312,42 @@ def oracle_optimal_colorings(g: DisjointnessGraph, chi: int):
     A plain recursion colors the vertices in id order; a vertex may take a
     color only if no earlier neighbor has it, from the colors used so far
     and then the next new one while fewer than `chi` are used, so the
-    classes are numbered by their smallest vertex."""
+    classes are numbered by their smallest vertex. Two prunings cut only
+    branches that yield nothing, so the order is that of the plain
+    recursion: a branch stops when fewer vertices are left than colors still
+    to open, and, by forward checking, when a later vertex has every one of
+    the `chi` colors on an earlier neighbor."""
     v_count = g.n_vertices
-    earlier = [[u for u in range(v) if g.adj[v] >> u & 1] for v in range(v_count)]
+    later = [[u for u in range(v + 1, v_count) if g.adj[v] >> u & 1] for v in range(v_count)]
     colors = [-1] * v_count
+    # around[v][c]: colored neighbors of v with color c; free[v]: colors
+    # that none of them has
+    around = [[0] * chi for _ in range(v_count)]
+    free = [chi] * v_count
 
     def rec(v: int, used: int):
         if v == v_count:
             if used == chi:
                 yield Coloring(g.n_points, colors)
             return
-        taken = {colors[u] for u in earlier[v]}
+        if v_count - v < chi - used:
+            return
         for c in range(min(used + 1, chi)):
-            if c not in taken:
-                colors[v] = c
+            if around[v][c]:
+                continue
+            colors[v] = c
+            dead = False
+            for u in later[v]:
+                around[u][c] += 1
+                if around[u][c] == 1:
+                    free[u] -= 1
+                    dead = dead or not free[u]
+            if not dead:
                 yield from rec(v + 1, used + (c == used))
+            for u in later[v]:
+                around[u][c] -= 1
+                if not around[u][c]:
+                    free[u] += 1
 
     return rec(0, 0)
 

@@ -145,12 +145,27 @@ class TestDsatur:
 
     def test_matches_quadratic_oracle(self):
         for g in built_graphs(1979) + hand_built_graphs(1980, 300):
-            assert dsatur_upper(g).colors == tuple(oracle_dsatur(g)), g.n_points
+            assert dsatur_upper(g).colors == tuple(oracle_dsatur(g, by_degree=True)), g.n_points
+
+    def test_is_the_exact_solve_presolve(self):
+        # a budget of one node stops the search at its root, so the solve
+        # returns its own presolve: the greedy witness and, unless the clique
+        # meets it, the clique bound
+        for g in built_graphs(1979) + hand_built_graphs(1980, 300):
+            greedy = dsatur_upper(g)
+            size, _ = clique_lower(g)
+            res = chromatic_number_exact(g, max_nodes=1)
+            assert res.witness == greedy, g.adj
+            if size < greedy.color_count:
+                assert (res.status, res.lower_bound, res.upper_bound) == \
+                    ("indeterminate", size, greedy.color_count), g.adj
+            else:
+                assert (res.status, res.chi) == ("exact", greedy.color_count), g.adj
 
 
 def test_presolve_matches_pins():
-    # sha256 of (DSATUR colors, clique members), recorded from the
-    # vertex-scan DSATUR and the clique growth in branching order
+    # sha256 of (DSATUR colors, clique members), recorded from the greedy
+    # dive on the degree-ordered rows and the clique growth in that order
     pins = json.loads(Path(__file__).with_name("presolve_pins.json").read_text())
     assert len(pins) == 101
     for pin in pins:
@@ -217,8 +232,8 @@ class TestDegreeOrder:
         for ps in sets:
             g = build_graph(ps)
             v_count = g.n_vertices
-            rows, new_id = solver_mod._degree_order(g.adj, solver_mod._by_degree(g.adj))
-            order = tie_order(g, by_degree=True)
+            order, rows, new_id = solver_mod._relabel(g)
+            assert order == tie_order(g, by_degree=True)
             assert len(rows) == v_count
             assert [new_id[v] for v in order] == list(range(v_count))
             for i in range(v_count):
