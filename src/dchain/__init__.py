@@ -38,7 +38,6 @@ from .geometry import (
     find_collinear_triple,
     gen_convex,
     gen_double_chain,
-    is_general_position,
     load_points,
     pointset_from_json,
     pointset_to_json,

@@ -16,11 +16,8 @@ from typing import Callable
 from .coloring import Coloring, verify_coloring
 from .disjointness import DisjointnessGraph, build_graph
 from .formulas import _check_int, double_chain_chi, f_of
-from .geometry import PointSet, gen_convex, gen_double_chain, is_general_position, save_points
+from .geometry import PointSet, find_collinear_triple, gen_convex, gen_double_chain, save_points
 from .solver import ChiResult, chromatic_number_exact
-
-# the single-segment-class check runs C(V, 2) exact solves, V = C(n, 2): 105 at n = 6
-SINGLETON_CAP = 6
 
 ConvexProvider = Callable[[PointSet], Coloring]
 
@@ -83,12 +80,9 @@ def _at_most_one_single_class(g: DisjointnessGraph) -> bool:
 
 def singleton_class_check(n: int) -> bool:
     """True iff no optimal coloring of the convex n-point disjointness graph
-    has two single-segment classes; n is capped at SINGLETON_CAP."""
+    has two single-segment classes, for any n >= 4; the check runs one exact
+    solve per pair of segments, C(C(n, 2), 2) in all."""
     _check_int(n, "n", 4)
-    if n > SINGLETON_CAP:
-        raise ValueError(
-            f"n={n} exceeds the cap {SINGLETON_CAP}; the check runs one exact solve "
-            f"per pair of segments")
     return _at_most_one_single_class(build_graph(gen_convex(n)))
 
 
@@ -135,7 +129,7 @@ def sample_general_position(rng: random.Random, n: int, *, box: int = 10_000,
         if len(set(coords)) != n:
             continue
         ps = PointSet(coords)
-        if is_general_position(ps):
+        if find_collinear_triple(ps) is None:
             return ps, attempt
     return None, max_attempts
 

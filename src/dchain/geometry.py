@@ -1,4 +1,4 @@
-"""Exact integer plane geometry: point sets, the collinearity search,
+"""Exact integer plane geometry: point sets, the collinearity scan,
 generators for convex and double-chain point sets, and configuration
 validators.
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
@@ -122,7 +121,8 @@ class SegmentId(NamedTuple):
 
 
 def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
-    """A collinear index triple a < b < c, or None, by O(n^2) slope hashing.
+    """A collinear index triple a < b < c, or None; O(n^3) in the worst
+    case, the order of `build_graph`.
 
     Not the lexicographic first: the smallest a that starts one, then the
     smallest c with some b between them on line ac, and that b. On
@@ -130,30 +130,16 @@ def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
     """
     n = ps.n
     xs, ys = zip(*ps.points)
-    # Step a scans only b > a, yet finds the first triple of a scan of all
-    # b != a: if a collision at a pairs some o < a with p, then a and p lie
-    # on one line through o, and step o would already have returned them.
     for a in range(n - 2):
         ax, ay = xs[a], ys[a]
-        seen: dict[tuple[int, int], int] = {}
-        for b in range(a + 1, n):
-            dx = xs[b] - ax
-            dy = ys[b] - ay
-            g = gcd(dx, dy)
-            dx //= g
-            dy //= g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            other = seen.get((dx, dy))
-            if other is not None:
-                return a, other, b  # a < other < b
-            seen[(dx, dy)] = b
+        for c in range(a + 2, n):
+            dx, dy = xs[c] - ax, ys[c] - ay
+            # b is on line ac iff dx * (y_b - ay) - dy * (x_b - ax) == 0
+            c0 = dx * ay - dy * ax
+            for b in range(a + 1, c):
+                if dx * ys[b] - dy * xs[b] == c0:
+                    return a, b, c
     return None
-
-
-def is_general_position(ps: PointSet) -> bool:
-    """True iff no three points are collinear (vacuously true for n <= 2)."""
-    return find_collinear_triple(ps) is None
 
 
 def gen_convex(n: int) -> PointSet:

@@ -100,8 +100,8 @@ def test_criterion_3_constructive_coloring_is_proper_and_tight():
 
 
 def test_criterion_4_optimal_colorings_have_at_most_one_singleton_class():
-    bad = [n for n in (4, 5, 6) if not singleton_class_check(n)]
-    report(4, "single-segment class unique in optimal colorings, n=4,5,6", not bad,
+    bad = [n for n in range(4, 9) if not singleton_class_check(n)]
+    report(4, "single-segment class unique in optimal colorings, n=4..8", not bad,
            f"one exact solve per segment pair" + (f", failures at n={bad}" if bad else ""))
 
 

@@ -359,9 +359,11 @@ class TestProp4:
         assert code == 0
         assert json.loads(out) == {"n": 4, "holds": True}
 
-    def test_above_cap_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "prop4", "--n", "12")
+    def test_below_four_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "prop4", "--n", "3")
         assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         import dchain.cli

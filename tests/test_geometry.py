@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from dchain import (
     find_collinear_triple,
     gen_convex,
     gen_double_chain,
-    is_general_position,
     load_points,
     pointset_from_json,
     pointset_to_json,
@@ -220,7 +220,7 @@ class TestSegmentsDisjoint:
 
 class TestGeneralPosition:
     def test_parabola_is_general(self):
-        assert is_general_position(parabola_set(range(6))) is True
+        assert find_collinear_triple(parabola_set(range(6))) is None
 
     def test_collinear_detected(self):
         for coords, witness in (
@@ -228,13 +228,18 @@ class TestGeneralPosition:
                 # not the lexicographic first, (0, 1, 5): the smallest c for a = 0
                 ([(0, 0), (1, 1), (5, 0), (10, 0), (1, 7), (2, 2)], (0, 2, 3))):
             ps = PointSet(coords)
-            assert is_general_position(ps) is False
             assert find_collinear_triple(ps) == witness
 
     def test_witnesses_pinned_on_a_small_grid(self):
         # 500 seeded sets of 3..9 points in [0, 6]^2, where collinear
         # triples are common; the witnesses were recorded with a scan of
-        # every b != a at each step a
+        # every b != a at each step a. Each must be the first collinear
+        # triple under the key (a, c, b), the docstring's order
+        def first(coords):
+            return min((t for t in combinations(range(len(coords)), 3)
+                        if turn(coords, *t) == 0),
+                       key=lambda t: (t[0], t[2], t[1]), default=None)
+
         rng = random.Random(6)
         grid = [(x, y) for x in range(7) for y in range(7)]
         digest = hashlib.sha256()
@@ -243,18 +248,21 @@ class TestGeneralPosition:
             coords = rng.sample(grid, rng.randint(3, 9))
             witness = find_collinear_triple(PointSet(coords))
             assert (witness is None) == (oracle_collinear(coords) is None), coords
+            assert witness == first(coords), coords
             if witness is not None:
                 found += 1
-                assert list(witness) == sorted(set(witness)), coords
-                assert turn(coords, *witness) == 0, coords
             digest.update((json.dumps(witness) + "\n").encode())
         assert 100 <= found <= 400, found
         assert digest.hexdigest() == \
             "21ece932faef11db7d3d24d97c944ee22f3c1fef263c6aa3f0e160d8ba9cae33"
+        # larger sets on the same grid, outside the digest
+        for _ in range(100):
+            coords = rng.sample(grid, rng.randint(10, 30))
+            assert find_collinear_triple(PointSet(coords)) == first(coords), coords
 
     def test_tiny_sets_vacuous(self):
-        assert is_general_position(PointSet((Point(0, 0),))) is True
-        assert is_general_position(PointSet((Point(0, 0), Point(1, 5)))) is True
+        assert find_collinear_triple(PointSet((Point(0, 0),))) is None
+        assert find_collinear_triple(PointSet((Point(0, 0), Point(1, 5)))) is None
 
     def test_distinctness_enforced_at_construction(self):
         with pytest.raises(ValueError):
@@ -271,7 +279,7 @@ class TestGenConvex:
             assert all(turn(pts, i, i + 1, i + 2) > 0 for i in range(n - 2)), n
 
     def test_general_position_up_to_40(self):
-        assert is_general_position(gen_convex(40)) is True
+        assert find_collinear_triple(gen_convex(40)) is None
 
     def test_deterministic(self):
         assert gen_convex(7) == gen_convex(7)
