@@ -29,12 +29,11 @@ from .experiments import (
     sample_general_position,
     singleton_class_check,
 )
-from .formulas import FormulaResult, double_chain_chi, f_of, formula_table, g_of
+from .formulas import double_chain_chi, f_of, formula_table, g_of
 from .geometry import (
     Partition,
     Point,
     PointSet,
-    SegmentId,
     find_collinear_triple,
     gen_convex,
     gen_double_chain,

@@ -81,8 +81,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_formulas(args) -> int:
-    rows = formula_table(args.n)
-    _emit_text(_csv_text(["n", "g", "f"], [[r.n, r.g, r.f] for r in rows]), args.out)
+    _emit_text(_csv_text(["n", "g", "f"], formula_table(args.n)), args.out)
     _note(f"formula table for n = 1..{args.n}")
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .disjointness import DisjointnessGraph, _bits, all_segments
 from .formulas import _check_int
-from .geometry import SegmentId, _json_field, _json_ints
+from .geometry import _json_field, _json_ints
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def coloring_to_json(c: Coloring) -> dict:
     """{"n_points":, "colors": [[i, j, color], ...]} sorted by segment rank."""
     return {
         "n_points": c.n_points,
-        "colors": [[s.i, s.j, col] for s, col in zip(all_segments(c.n_points), c.colors)],
+        "colors": [[i, j, col] for (i, j), col in zip(all_segments(c.n_points), c.colors)],
     }
 
 
@@ -88,11 +88,15 @@ def coloring_from_json(data: dict) -> Coloring:
     doc = "coloring JSON"
     n_points = _json_field(data, "n_points", int, doc)
     rows = _json_field(data, "colors", list, doc)
-    colors: dict[SegmentId, int] = {}
+    colors: dict[tuple[int, int], int] = {}
     for r, row in enumerate(rows):
         what = f"{doc} colors[{r}]"
         i, j, col = _json_ints(row, 3, what, 0)
-        seg = SegmentId.of(i, j, n_points, f"{what} endpoint")
+        for end in (i, j):
+            _check_int(end, f"{what} endpoint", 0, n_points)
+        if i == j:
+            raise ValueError(f"degenerate segment ({i}, {j})")
+        seg = (min(i, j), max(i, j))
         if seg in colors:
             raise ValueError(f"segment {seg} assigned twice")
         colors[seg] = col

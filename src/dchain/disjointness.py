@@ -14,14 +14,13 @@ from math import comb
 from typing import Iterator
 
 from .formulas import _check_int
-from .geometry import PointSet, SegmentId
+from .geometry import PointSet
 
 
-@lru_cache(maxsize=8)
-def all_segments(n_points: int) -> tuple[SegmentId, ...]:
-    """All segments on n points in lexicographic (vertex-rank) order: one
-    shared tuple per n_points, which pairs `Coloring.colors` with segments."""
-    return tuple(SegmentId(i, j) for i in range(n_points) for j in range(i + 1, n_points))
+def all_segments(n_points: int) -> tuple[tuple[int, int], ...]:
+    """All segments (i, j), i < j, on n points in lexicographic (vertex-rank)
+    order, which pairs `Coloring.colors` with segments."""
+    return tuple(combinations(range(n_points), 2))
 
 
 @lru_cache(maxsize=32)
@@ -31,13 +30,14 @@ def _segment_masks(n_points: int) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     (a, b), a < b (0 for b <= a); `inc[p]` holds the segments through point p;
     `touch[r]` those sharing an endpoint with r, r included. 32 entries: a
     sweep cycles through its point counts, which a small LRU misses every time."""
+    segs = all_segments(n_points)
     bit = [[0] * n_points for _ in range(n_points)]
     inc = [0] * n_points
-    for r, (a, b) in enumerate(all_segments(n_points)):
+    for r, (a, b) in enumerate(segs):
         bit[a][b] = 1 << r
         inc[a] |= 1 << r
         inc[b] |= 1 << r
-    touch = tuple(inc[a] | inc[b] for a, b in all_segments(n_points))
+    touch = tuple(inc[a] | inc[b] for a, b in segs)
     return tuple(map(tuple, bit)), tuple(inc), touch
 
 
@@ -88,8 +88,8 @@ class DisjointnessGraph:
             if clash:
                 w = clash.bit_length() - 1
                 segs = all_segments(self.n_points)
-                raise ValueError(f"vertex {r}, segment {tuple(segs[r])}, is adjacent to "
-                                 f"vertex {w}, segment {tuple(segs[w])}, sharing an endpoint")
+                raise ValueError(f"vertex {r}, segment {segs[r]}, is adjacent to "
+                                 f"vertex {w}, segment {segs[w]}, sharing an endpoint")
 
     @property
     def n_vertices(self) -> int:

@@ -39,11 +39,13 @@ def construct_double_chain_coloring(k: int, l: int,
     _check_int(l, "l", 3)
     ps = gen_double_chain(k, l)  # checks k, and raises for k > l
     cap = PointSet(ps.points[k:])
+    g_cap = build_graph(cap)
     # the cap solve has no node budget, so it always ends exact
-    base = convex_provider(cap) if convex_provider is not None else _solve(cap).witness
+    base = (convex_provider(cap) if convex_provider is not None
+            else chromatic_number_exact(g_cap).witness)
     if not isinstance(base, Coloring) or base.n_points != cap.n:
         raise ValueError("provider must return a coloring of the cap configuration")
-    report = verify_coloring(build_graph(cap), base)
+    report = verify_coloring(g_cap, base)
     if not report.proper:
         raise ValueError(
             f"provider coloring is not proper on the cap; first violations {report.violations[:3]}")

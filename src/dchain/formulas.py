@@ -7,7 +7,6 @@ so there are no rounding hazards near the triangular-number boundaries.
 from __future__ import annotations
 
 from math import comb, isqrt
-from typing import NamedTuple
 
 
 def _check_int(value: int, name: str = "n", low: int | None = 1, high: int | None = None) -> int:
@@ -60,15 +59,7 @@ def double_chain_chi(k: int, l: int) -> int:
     return k + f_of(l)
 
 
-class FormulaResult(NamedTuple):
-    """One row of the n, g(n), f(n) table. g_of and f_of check their values
-    on every call, so the row needs no check of its own."""
-
-    n: int
-    g: int
-    f: int
-
-
-def formula_table(n_max: int) -> list[FormulaResult]:
+def formula_table(n_max: int) -> list[tuple[int, int, int]]:
+    """The rows (n, g(n), f(n)) for n = 1..n_max."""
     _check_int(n_max, "n_max")
-    return [FormulaResult(n, g_of(n), f_of(n)) for n in range(1, n_max + 1)]
+    return [(n, g_of(n), f_of(n)) for n in range(1, n_max + 1)]

@@ -101,25 +101,6 @@ class PointSet:
         return len(self.points)
 
 
-class SegmentId(NamedTuple):
-    """Unordered pair of point indices, stored with i < j."""
-
-    i: int
-    j: int
-
-    @classmethod
-    def of(cls, a: int, b: int, n_points: int, name: str = "segment endpoint") -> "SegmentId":
-        """The segment between points a and b of an n_points-point set; a
-        ValueError naming `name` unless both are indices 0..n_points-1, and
-        one naming n_points unless it is an integer >= 0."""
-        _check_int(n_points, "n_points", 0)
-        _check_int(a, name, 0, n_points)
-        _check_int(b, name, 0, n_points)
-        if a == b:
-            raise ValueError(f"degenerate segment ({a}, {b})")
-        return cls(a, b) if a < b else cls(b, a)
-
-
 def find_collinear_triple(ps: PointSet) -> tuple[int, int, int] | None:
     """A collinear index triple a < b < c, or None; O(n^3) in the worst
     case, the order of `build_graph`.

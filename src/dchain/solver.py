@@ -46,7 +46,7 @@ class ChiResult:
 
 
 def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: list[int] | None,
-            max_nodes: int | None, first_leaf: bool) -> tuple[int, list[int] | None, int, bool]:
+            max_nodes: int | None) -> tuple[int, list[int] | None, int, bool]:
     """DSATUR branch and bound below `best_k` colors from `clique`, precolored
     0, 1, ... in the order given; returns (best_k, best_colors, nodes, aborted).
 
@@ -58,10 +58,11 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
     masks: `forb[c]` holds the neighbors of the vertices colored c, `unc` the
     uncolored vertices, and `lev[s]` the uncolored vertices whose neighbors
     carry exactly s colors. The search runs on an explicit stack, so its
-    depth is not bounded by Python's recursion limit. With `first_leaf` it
-    stops at its first leaf and pushes no frame, since nothing will
-    backtrack.
+    depth is not bounded by Python's recursion limit. With no incumbent
+    (`best_colors` None) it is the greedy dive: it stops at its first leaf
+    and pushes no frame, since nothing will backtrack.
     """
+    first_leaf = best_colors is None
     v_count = len(adj)
     colors = [-1] * v_count
     forb = [0] * best_k
@@ -249,7 +250,7 @@ def dsatur_upper(g: DisjointnessGraph) -> Coloring:
     is free: the greedy rule. The first leaf, node V + 1, is the greedy
     coloring."""
     _, rows, new_id = _relabel(g)
-    _, colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
+    _, colors, _, _ = _search(rows, [], len(rows) + 1, None, None)
     return Coloring(g.n_points, [colors[i] for i in new_id])
 
 
@@ -284,11 +285,10 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     order, rows, new_id = _relabel(g)
     clique = _clique(g, order, rows)
     # the incumbent: dsatur_upper's first dive
-    best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None, True)
+    best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None)
     nodes, aborted = 0, False
     if best_k > len(clique):
-        best_k, best_colors, nodes, aborted = _search(
-            rows, clique, best_k, best_colors, max_nodes, False)
+        best_k, best_colors, nodes, aborted = _search(rows, clique, best_k, best_colors, max_nodes)
 
     ms = (perf_counter() - t0) * 1000.0
     witness = Coloring(g.n_points, [best_colors[i] for i in new_id])

@@ -352,6 +352,10 @@ class TestMalformedJson:
         self.check(tmp_path, capsys, self.POINTS, coloring,
                    "coloring JSON colors[5] endpoint must be an integer in 0..3, got 4")
 
+    def test_coloring_segment_assigned_twice(self, tmp_path, capsys):
+        coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[1, 0, 5]])
+        self.check(tmp_path, capsys, self.POINTS, coloring, "segment (0, 1) assigned twice")
+
 
 class TestProp4:
     def test_holds_for_four(self, capsys):

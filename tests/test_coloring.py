@@ -11,7 +11,6 @@ from dchain import (
     Coloring,
     Partition,
     PointSet,
-    SegmentId,
     all_segments,
     build_graph,
     coloring_from_json,
@@ -49,6 +48,11 @@ def _exact_witness(cap):
     return result.witness
 
 
+def one_row(row):
+    """coloring_from_json on 4 points, with `row` as the only colors row."""
+    return coloring_from_json({"n_points": 4, "colors": [row]})
+
+
 def flat_coloring(n_points, pairs_to_colors):
     """Coloring from a {(i, j): color} dict in any key order, read the way
     coloring JSON is; colors must already be contiguous."""
@@ -68,7 +72,6 @@ class TestColoringType:
 
     def test_all_segments_is_shared(self):
         for n in range(12):
-            assert all_segments(n) is all_segments(n)
             assert len(all_segments(n)) == n * (n - 1) // 2
 
     def test_rejects_noncontiguous_colors(self):
@@ -84,7 +87,7 @@ class TestColoringType:
     def test_normalizes_reversed_pairs(self):
         c = flat_coloring(3, {(1, 0): 0, (2, 0): 1, (2, 1): 2})
         assert c.colors == (0, 1, 2)
-        assert oracle_classes(c)[0] == {SegmentId(0, 1)}
+        assert oracle_classes(c)[0] == {(0, 1)}
 
     def test_vertex_colors_roundtrip(self):
         colors = [0, 1, 2, 0, 1, 2]
@@ -110,8 +113,8 @@ class TestColoringType:
             segs = all_segments(n)
             colors = [rng.randrange(3) for _ in segs]
             colors = [sorted(set(colors)).index(col) for col in colors]
-            rows = [[s.j, s.i, col] if rng.random() < 0.5 else [s.i, s.j, col]
-                    for s, col in zip(segs, colors)]
+            rows = [[j, i, col] if rng.random() < 0.5 else [i, j, col]
+                    for (i, j), col in zip(segs, colors)]
             rng.shuffle(rows)
             c = coloring_from_json({"n_points": n, "colors": rows})
             assert c.colors == tuple(colors)
@@ -203,7 +206,7 @@ class TestClassify:
         assert oracle_apex([(0, 1), (1, 2), (0, 2)]) is None
 
     def test_singleton_reports_smaller_endpoint(self):
-        assert oracle_apex([SegmentId(1, 3)]) == 1
+        assert oracle_apex([(1, 3)]) == 1
 
 
 class TestConstruction:
@@ -279,28 +282,41 @@ class TestConstruction:
 
 
 class TestValidators:
-    # each index argument refuses True, 1.0, "1", None and an out-of-range int
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: SegmentId.of(-1, 2, 4), id="segment_negative"),
-        pytest.param(lambda: SegmentId.of(True, 2, 4), id="segment_bool"),
-        pytest.param(lambda: SegmentId.of(0, 2.0, 4), id="segment_float"),
-        pytest.param(lambda: SegmentId.of("1", 2, 4), id="segment_str"),
-        pytest.param(lambda: SegmentId.of(0, None, 4), id="segment_none"),
-        pytest.param(lambda: SegmentId.of(0, 4, 4), id="segment_out_of_range"),
+    # each index argument refuses True, 1.0, "1", None and an out-of-range
+    # int. A segment's endpoints are checked only as a coloring JSON row,
+    # whose ints are all checked before the endpoint range
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: one_row([-1, 2, 0]),
+                     r"coloring JSON colors\[0\]\[0\] must be an integer >= 0, got -1",
+                     id="segment_negative"),
+        pytest.param(lambda: one_row([True, 2, 0]),
+                     r"coloring JSON colors\[0\]\[0\] must be an integer >= 0, got True",
+                     id="segment_bool"),
+        pytest.param(lambda: one_row([0, 2.0, 0]),
+                     r"coloring JSON colors\[0\]\[1\] must be an integer >= 0, got 2\.0",
+                     id="segment_float"),
+        pytest.param(lambda: one_row(["1", 2, 0]),
+                     r"coloring JSON colors\[0\]\[0\] must be an integer >= 0, got '1'",
+                     id="segment_str"),
+        pytest.param(lambda: one_row([0, None, 0]),
+                     r"coloring JSON colors\[0\]\[1\] must be an integer >= 0, got None",
+                     id="segment_none"),
+        pytest.param(lambda: one_row([0, 4, 0]),
+                     r"coloring JSON colors\[0\] endpoint must be an integer in 0\.\.3, got 4",
+                     id="segment_out_of_range"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, -1), (2,))),
-                     id="partition_negative"),
+                     "partition index must be an integer >= 0, got -1", id="partition_negative"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, False), (2,))),
-                     id="partition_bool"),
+                     "partition index must be an integer >= 0, got False", id="partition_bool"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, 1.0), (2,))),
-                     id="partition_float"),
+                     r"partition index must be an integer >= 0, got 1\.0", id="partition_float"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, "1"), (2,))),
-                     id="partition_str"),
+                     "partition index must be an integer >= 0, got '1'", id="partition_str"),
         pytest.param(lambda: PointSet(gen_convex(3).points, Partition((0, None), (2,))),
-                     id="partition_none"),
+                     "partition index must be an integer >= 0, got None", id="partition_none"),
     ])
-    def test_index_arguments_checked_alike(self, make):
-        name = "(segment endpoint|partition index)"
-        with pytest.raises(ValueError, match=f"^{name} must be an integer (>= 0|in 0..3), got"):
+    def test_index_arguments_checked_alike(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
 
@@ -341,7 +357,7 @@ class TestColoringJson:
     @pytest.mark.parametrize("rows, message", [
         ([[1, 0, 0], [0, 4, 1], [0, 2, 2]],
          r"coloring JSON colors\[1\] endpoint must be an integer in 0\.\.2, got 4"),
-        ([[1, 0, 0], [2, 0, 1], [0, 1, 2]], r"segment SegmentId\(i=0, j=1\) assigned twice"),
+        ([[1, 0, 0], [2, 0, 1], [0, 1, 2]], r"^segment \(0, 1\) assigned twice$"),
         ([[2, 1, 0], [0, 1, 1]], r"coloring of 3 points misses segment \(0, 2\)"),
         ([[2, 1, 0], [0, 1, 1], [2, 0, 2], [1, 1, 0]], r"degenerate segment \(1, 1\)"),
         ([[1, 0, 0], [2, 0, -1], [2, 1, 1]],

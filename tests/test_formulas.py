@@ -106,8 +106,8 @@ class TestDoubleChainChi:
 class TestFormulaTable:
     def test_rows_and_invariants(self):
         rows = formula_table(12)
-        assert [r.n for r in rows] == list(range(1, 13))
-        assert [r.f for r in rows] == [0, 1, 1, 2, 3, 3, 4, 5, 6, 6, 7, 8]
+        assert [n for n, _, _ in rows] == list(range(1, 13))
+        assert [f for _, _, f in rows] == [0, 1, 1, 2, 3, 3, 4, 5, 6, 6, 7, 8]
 
     def test_result_self_checks(self, monkeypatch):
         # a row has no check of its own: f_of's cross check with g_of

@@ -16,7 +16,6 @@ from dchain import (
     Partition,
     Point,
     PointSet,
-    SegmentId,
     all_segments,
     build_graph,
     find_collinear_triple,
@@ -154,8 +153,7 @@ for points, sides in ast.literal_eval(sys.stdin.read()):
 def graph_disjoint(a, b, ps: PointSet) -> bool:
     """Whether segments a and b are adjacent in build_graph(ps)."""
     segs = all_segments(ps.n)
-    return build_graph(ps).adjacent(segs.index(SegmentId.of(*a, ps.n)),
-                                    segs.index(SegmentId.of(*b, ps.n)))
+    return build_graph(ps).adjacent(segs.index(tuple(sorted(a))), segs.index(tuple(sorted(b))))
 
 
 class TestSegmentsDisjoint:

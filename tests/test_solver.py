@@ -13,7 +13,6 @@ import pytest
 from dchain import (
     Coloring,
     DisjointnessGraph,
-    SegmentId,
     all_segments,
     build_graph,
     chromatic_number_exact,
@@ -101,11 +100,11 @@ def id_order_solve(g, max_nodes=None):
     dive, then the search from sorted(clique). Returns
     ([status, lower_bound, upper_bound, nodes], vertex colors)."""
     lower, clique = clique_lower(g)
-    best_k, colors, _, _ = solver_mod._search(g.adj, [], g.n_vertices + 1, None, None, True)
+    best_k, colors, _, _ = solver_mod._search(g.adj, [], g.n_vertices + 1, None, None)
     nodes, aborted = 0, False
     if best_k > lower:
         best_k, colors, nodes, aborted = solver_mod._search(g.adj, sorted(clique), best_k, colors,
-                                                            max_nodes, False)
+                                                            max_nodes)
     assert verify_coloring(g, Coloring(g.n_points, colors)).proper
     if aborted:
         return ["indeterminate", lower, best_k, nodes], colors
@@ -203,8 +202,7 @@ class TestCliqueLower:
     def test_complete_graph_full_clique(self):
         size, members = clique_lower(matching_clique(6))
         assert size == 6
-        assert members == {all_segments(12).index(SegmentId.of(2 * i, 2 * i + 1, 12))
-                           for i in range(6)}
+        assert members == {all_segments(12).index((2 * i, 2 * i + 1)) for i in range(6)}
 
     def test_matches_oracle(self):
         # 300 seeded random 8-point sets, 300 hand-built graphs and K6
