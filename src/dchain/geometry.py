@@ -143,8 +143,9 @@ def gen_double_chain(k: int, l: int) -> PointSet:
     _check_chain(k, l)
     xs_up = [2 * (j - k // 2) + 1 for j in range(k)]
     xs_low = [2 * (i - l // 2) for i in range(l)]
-    a = max(abs(x) for x in xs_up)
-    b = max(abs(x) for x in xs_low)
+    # both lists ascend, so the largest |x| is at an end
+    a = max(-xs_up[0], xs_up[-1])
+    b = max(-xs_low[0], xs_low[-1])
     # strict chord-height bound. The cup chord through x = p, q is the line
     # y = (p + q) x - pq + m, strictly above the cap point (x, -x^2) when
     # m > pq - (p + q) x - x^2 <= a^2 + 2ab. The cap chord through x = r, s is
@@ -172,7 +173,8 @@ class DoubleChainReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(w is None for w in self)
+        # a witness is a non-empty tuple, so true
+        return not any(self)
 
     def failed(self) -> list[str]:
         """The names of the failing conditions, in order."""
@@ -188,13 +190,18 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     position. Above/below are strict: collinear counts as failure, and a
     vertical chain line fails outright since no point is strictly below it.
 
-    When (a) holds and no two cup points share an x value, (c) is checked
-    against the first and last consecutive cup chords only, and likewise (d)
-    when (b) holds; when (a)-(d) all hold, (e) follows without a collinearity
-    search. So a valid C_{k,l} costs O(k+l). Each shortcut is exact (same
-    pass/fail as checking every chord and triple). A failing set is walked
-    along its k - 1 (or l - 1) consecutive chords, and the witness is the
-    first consecutive chord and a point not strictly beyond it.
+    When (a) holds and no two cup points share an x value, (c) is decided
+    by the first and last consecutive cup chords alone, and likewise (d)
+    when (b) holds. When the other chain also passes its turn test, each of
+    those chords is tested against one point of it, its extreme point in
+    the direction of the chord's normal, found by binary search. When
+    (a)-(d) all hold, (e) follows without a collinearity search. So a valid
+    C_{k,l} costs O(k + l) for the turn tests and O(log k + log l) for (c)
+    and (d). Each shortcut is exact (same pass/fail as checking every chord
+    and triple). A set that fails, or whose other chain fails its turn
+    test, is walked along its k - 1 (or l - 1) consecutive chords, and the
+    witness is the first consecutive chord and a point not strictly beyond
+    it.
     """
     if ps.partition is None:
         raise ValueError("validate_double_chain requires a partitioned point set")
@@ -205,9 +212,9 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
 
     def chain(order: list[int], up_open: bool) -> tuple[int, int, int] | None:
         # cup: consecutive lex-sorted triples turn counterclockwise; cap: clockwise
-        for t in range(len(order) - 2):
-            a, b, c = order[t], order[t + 1], order[t + 2]
-            d = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
+        for a, b, c in zip(order, order[1:], order[2:]):
+            ax, ay = xs[a], ys[a]
+            d = (xs[b] - ax) * (ys[c] - ay) - (ys[b] - ay) * (xs[c] - ax)
             if (d <= 0) if up_open else (d >= 0):
                 return a, b, c
         return None
@@ -224,6 +231,15 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     # the mirror image. Equal x values are adjacent in lex order, so the
     # vertical test on consecutive pairs still finds every equal-x pair.
     #
+    # Why two steps show every equal-x pair on a convex chain. In lex order
+    # every step direction lies in (-90, 90] degrees, a range narrower than
+    # a half turn, so strict left turns make the directions of a cup
+    # strictly increase, and strict right turns those of a cap strictly
+    # decrease. A vertical step points at 90 degrees, the top of the range,
+    # so only the last step of a cup or the first step of a cap can be
+    # vertical. Testing the first two and the last two points for equal x
+    # therefore finds an equal-x pair whenever the chain has one.
+    #
     # Why the two outer chords suffice. Let L_i be the line of consecutive
     # chord (i, i+1), with slope s_i. Lines L_i and L_{i+1} meet at u_{i+1},
     # so L_i(x) - L_{i+1}(x) = (s_i - s_{i+1})(x - x_{i+1}). On a cup
@@ -233,11 +249,27 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
     # L_{m-2}(x). A point strictly below both outer chord lines is then
     # strictly below every consecutive chord line, and so below every chord
     # line. On a cap the values fall and then rise, and the maximum is at
-    # an end. So when the chain has no equal x values, checking the two
-    # outer chords gives the same pass/fail in O(k + l); only a failing
-    # set runs the consecutive loop, which names the first witness.
+    # an end. So when the chain has no equal x values, the two outer chords
+    # give the same pass/fail. Only a failing set, or one whose other chain
+    # fails its turn test, runs the consecutive loop, which names the first
+    # witness.
+    #
+    # Why one point of the other chain decides an outer chord. Take the
+    # chord (a, b) with dx > 0, and f(p) = dx * y_p - dy * x_p; every other
+    # point is strictly below the chord line iff the maximum of f over them
+    # is below f(a) (for strictly above, negate dx and dy). Along the other
+    # chain, the step from p to q adds dx * (y_q - y_p) - dy * (x_q - x_p),
+    # which has the sign of the angle from the chord's direction, inside
+    # (-90, 90), to the step's direction, inside (-90, 90]: that angle lies
+    # inside (-180, 180), where its sine has its sign. When that chain
+    # passed its turn test, its step directions are strictly monotone (as
+    # above), so the sign changes at most once, with at most one zero step:
+    # on the cap against a cup chord, and on the cup against a cap chord
+    # with the sign negated, the increments go from > 0 to < 0. So the
+    # first point whose next step adds <= 0 is a maximum, and a binary
+    # search finds it.
     def separated(chain_idx: list[int], others: list[int], below: bool,
-                  convex: bool) -> tuple[int, int, int] | None:
+                  convex: bool, others_convex: bool) -> tuple[int, int, int] | None:
         def first_not_beyond(a: int, b: int) -> int | None:
             ax, ay = xs[a], ys[a]
             dx = xs[b] - ax
@@ -248,16 +280,36 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
                     return p
             return None
 
+        def beyond_peak(a: int, b: int) -> bool:
+            ax, ay = xs[a], ys[a]
+            dx = xs[b] - ax
+            dy = ys[b] - ay
+            if not below:
+                dx, dy = -dx, -dy
+            lo, hi = 0, len(others) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                p, q = others[mid], others[mid + 1]
+                if dx * (ys[q] - ys[p]) - dy * (xs[q] - xs[p]) > 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            p = others[lo]
+            return dx * (ys[p] - ay) - dy * (xs[p] - ax) < 0
+
         m = len(chain_idx)
         if convex:
-            # no equal x values: the two outer chords decide (proof above)
-            if len({xs[i] for i in chain_idx}) == m and (m < 2 or (
-                    first_not_beyond(*chain_idx[:2]) is None
-                    and first_not_beyond(*chain_idx[-2:]) is None)):
+            # no equal x values and a convex other chain: the outer chords'
+            # extreme points decide (proofs above)
+            if m < 2 or (others_convex
+                         and xs[chain_idx[0]] != xs[chain_idx[1]]
+                         and xs[chain_idx[-2]] != xs[chain_idx[-1]]
+                         and beyond_peak(chain_idx[0], chain_idx[1])
+                         and beyond_peak(chain_idx[-2], chain_idx[-1])):
                 return None
-            pairs = [(u, u + 1) for u in range(m - 1)]
+            pairs = zip(range(m - 1), range(1, m))
         else:
-            pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+            pairs = itertools.combinations(range(m), 2)
         for u, v in pairs:
             a, b = chain_idx[u], chain_idx[v]
             if xs[a] == xs[b]:
@@ -269,13 +321,16 @@ def validate_double_chain(ps: PointSet) -> DoubleChainReport:
 
     cup = chain(up, up_open=True)
     cap = chain(low, up_open=False)
-    above = separated(up, low, below=True, convex=cup is None)
-    beneath = separated(low, up, below=False, convex=cap is None)
-    # Why (a)-(d) imply (e). By the argument above x increases strictly
-    # along each chain and its slopes increase (cup) or decrease (cap)
-    # strictly, so no three points of one chain are collinear. A triple
-    # that mixes the chains has two points on one chain, and (c) or (d)
-    # puts the third strictly off their line. Otherwise search for a witness.
+    above = separated(up, low, below=True, convex=cup is None, others_convex=cap is None)
+    beneath = separated(low, up, below=False, convex=cap is None, others_convex=cup is None)
+    # Why (a)-(d) imply (e). When (c) passes on a cup that passed (a), its
+    # first and last steps are not vertical (the equal-x test, or the
+    # consecutive loop's vertical test), so by the step-direction argument
+    # no step is: x increases strictly along the cup and its slopes
+    # increase strictly, so no three of its points are collinear. The cap
+    # is the mirror image under (b) and (d). A triple that mixes the chains
+    # has two points on one chain, and (c) or (d) puts the third strictly
+    # off their line. Otherwise search for a witness.
     if cup is None and cap is None and above is None and beneath is None:
         collinear = None
     else:

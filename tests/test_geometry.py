@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -376,6 +377,23 @@ class TestValidateDoubleChain:
         bad = report.upper_above_lower_lines
         assert bad is not None and bad[2] == 0
 
+    def test_failing_long_cup_walks_its_chord_pairs_lazily(self):
+        # a 1000-point cup that fails (a) at its first triple, so (c) walks
+        # every pair of cup points; the first pair names the witness, and the
+        # walk must not build all C(1000, 2) pairs before testing it
+        m = 1000
+        cup = [(0, 0), (1, 0), (2, 0)] + [(x, x * x) for x in range(3, m)]
+        cap = [(-2, 2), (-1, 1), (3, -1)]  # (-2, 2) above the first cup chord
+        ps = PointSet(cup + cap, Partition(range(m), range(m, m + 3)))
+        tracemalloc.start()
+        try:
+            report = validate_double_chain(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == ((0, 1, 2), (1000, 1001, 1002), (0, 1, 1000), (1000, 1001, 0), (0, 1, 2))
+        assert peak < 2 * 10 ** 6, peak
+
     def test_collinear_triple_fails_general_position(self):
         # cap points (-2,-4), (0,0), (2,4) lie on one line
         pts = (Point(-1, 6), Point(1, 6), Point(-2, -4), Point(0, 0), Point(2, 4))
@@ -401,6 +419,11 @@ def small_box_chain(rng: random.Random) -> PointSet | None:
         up, low = tuple(range(k)), tuple(range(k, len(pts)))
     if len(set(pts)) != len(pts):
         return None
+    return shuffled_labels(pts, up, low, rng)
+
+
+def shuffled_labels(pts, up, low, rng: random.Random) -> PointSet:
+    """The partitioned set with its points listed in a seeded random order."""
     order = list(range(len(pts)))
     rng.shuffle(order)
     new = {old: i for i, old in enumerate(order)}
@@ -475,6 +498,50 @@ def nudged_canonical_chains() -> list[PointSet]:
     return out
 
 
+def extreme_point_chain(rng: random.Random) -> PointSet | None:
+    """A cup on y = x^2 + t x + c above a cap on y = -x^2 + s x, at x values
+    drawn from -12..12, with random tilts t, s and offset c. One point is
+    sometimes moved up or down, so that its chain may fail its turn test.
+    Against an outer chord of one chain, the other chain's extreme point
+    falls at its first point, its last or inside, and steps parallel to the
+    chord are common. None when two points coincide."""
+    k, l = rng.randint(1, 10), rng.randint(1, 10)
+    t, s, c = rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-40, 160)
+    pts = [Point(x, x * x + t * x + c) for x in sorted(rng.sample(range(-12, 13), k))] \
+        + [Point(x, -x * x + s * x) for x in sorted(rng.sample(range(-12, 13), l))]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(pts))
+        pts[i] = Point(pts[i].x, pts[i].y + rng.randint(-30, 30))
+    if len(set(pts)) != len(pts):
+        return None
+    return shuffled_labels(pts, range(k), range(k, k + l), rng)
+
+
+def extreme_point_corpus() -> list[PointSet]:
+    """The seeded parabola chains: 3000 draws from seed 1789, coincident
+    points dropped."""
+    rng = random.Random(1789)
+    return [ps for ps in (extreme_point_chain(rng) for _ in range(3000)) if ps is not None]
+
+
+def nudged_long_chain(ps: PointSet, rng: random.Random, whole_side: bool) -> PointSet | None:
+    """ps with one point, or every point of one side, moved up or down by up
+    to 4 units, or up to a sixteenth or a half of the set's height; a whole
+    side is also sheared, y += t x with |t| <= 8, which keeps it convex.
+    None when two points coincide."""
+    pts = list(ps.points)
+    height = max(p.y for p in pts) - min(p.y for p in pts)
+    reach = rng.choice((4, height // 16, height // 2))
+    if whole_side:
+        moved, t = rng.choice(ps.partition), rng.randint(-8, 8)
+    else:
+        moved, t = (rng.randrange(len(pts)),), 0
+    dy = rng.randint(-reach, reach)
+    for i in moved:
+        pts[i] = Point(pts[i].x, pts[i].y + t * pts[i].x + dy)
+    return PointSet(pts, ps.partition) if len(set(pts)) == len(pts) else None
+
+
 def report_digest(reports) -> str:
     """sha256 over the name, pass/fail and witness of every condition."""
     digest = hashlib.sha256()
@@ -484,19 +551,27 @@ def report_digest(reports) -> str:
     return digest.hexdigest()
 
 
+def oracle_checked_report(ps: PointSet) -> tuple[DoubleChainReport, tuple[bool, ...]]:
+    """The report of ps and its pass/fail per condition, asserted equal to the
+    all-chords oracle's, with every failure witness asserted real."""
+    report = validate_double_chain(ps)
+    got = tuple(w is None for w in report)
+    assert got == oracle_validate_double_chain(ps), ps
+    for name, w in zip(report._fields, report):
+        if w is not None:
+            assert oracle_violates(ps, name, w), (ps, name, w)
+    return report, got
+
+
 class TestValidatorAgainstOracle:
     def test_small_box_sets_match_all_chords_oracle(self):
         # pass/fail of every condition equals the all-chords, all-triples
         # oracle, and every failure witness is a real violation
         seen = Counter()
         for ps in small_box_corpus():
-            report = validate_double_chain(ps)
-            got = tuple(w is None for w in report)
-            assert got == oracle_validate_double_chain(ps), ps
+            report, got = oracle_checked_report(ps)
             for name, w in zip(report._fields, report):
                 seen[name, w is None] += 1
-                if w is not None:
-                    assert oracle_violates(ps, name, w), (ps, name, w)
             seen["valid"] += report.ok
             for label, side, convex in (("cup", ps.partition.upper, got[0]),
                                         ("cap", ps.partition.lower, got[1])):
@@ -518,12 +593,7 @@ class TestValidatorAgainstOracle:
         # of the two outer chords
         seen = Counter()
         for ps in nudged_canonical_chains():
-            report = validate_double_chain(ps)
-            got = tuple(w is None for w in report)
-            assert got == oracle_validate_double_chain(ps), ps
-            for name, w in zip(report._fields, report):
-                if w is not None:
-                    assert oracle_violates(ps, name, w), (ps, name, w)
+            report, got = oracle_checked_report(ps)
             seen["valid"] += report.ok
             pts = [(p.x, p.y) for p in ps.points]
             for below, chain, others, convex, passed in (
@@ -543,6 +613,79 @@ class TestValidatorAgainstOracle:
         for case in ("valid", "fails the first outer chord only",
                      "fails the last outer chord only", "fails only on outer chord lines"):
             assert seen[case] >= 10, (case, seen)
+
+    def test_extreme_point_corpus_matches_all_chords_oracle(self):
+        # pass/fail equals the oracle and every witness is real. Against
+        # each outer chord of a convex chain with no equal x values, the
+        # other chain's extreme point (its first farthest point toward the
+        # chord's wrong side) falls at its first point, its last and inside,
+        # and some step of it is parallel to the chord; and some sets pass
+        # both outer chords while the other chain fails its turn test
+        seen = Counter()
+        for ps in extreme_point_corpus():
+            _, got = oracle_checked_report(ps)
+            pts = [(p.x, p.y) for p in ps.points]
+            up = sorted(ps.partition.upper, key=lambda i: pts[i])
+            low = sorted(ps.partition.lower, key=lambda i: pts[i])
+            for below, chain, others, convex, others_convex in (
+                    (True, up, low, got[0], got[1]), (False, low, up, got[1], got[0])):
+                if not convex or len(chain) < 2 or len({pts[i][0] for i in chain}) < len(chain):
+                    continue
+                chords = ((chain[0], chain[1]), (chain[-2], chain[-1]))
+                if not others_convex:
+                    seen["other chain fails its turn test, outer chords pass"] += all(
+                        strictly_beyond(pts, a, b, p, below) for a, b in chords for p in others)
+                    continue
+                if len(others) < 3:
+                    continue
+                for a, b in chords:
+                    reach = [turn(pts, a, b, p) * (1 if below else -1) for p in others]
+                    top = reach.index(max(reach))
+                    seen["peak at the first point" if top == 0 else
+                         "peak at the last point" if top == len(others) - 1 else
+                         "peak inside"] += 1
+                    seen["step parallel to the chord"] += any(
+                        r == q for r, q in zip(reach, reach[1:]))
+        for case in ("peak at the first point", "peak at the last point", "peak inside",
+                     "step parallel to the chord",
+                     "other chain fails its turn test, outer chords pass"):
+            assert seen[case] >= 10, (case, seen)
+
+    def test_long_canonical_chains_match_outer_chord_scan(self):
+        # every canonical chain with k <= l <= 40 and two seeded nudges of
+        # it: where a chain passes its turn test with no equal x values, (c)
+        # or (d) passes exactly when every point of the other chain is
+        # strictly beyond both of its outer chords
+        rng = random.Random(4040)
+        seen = Counter()
+        for k in range(1, 41):
+            for l in range(k, 41):
+                base = gen_double_chain(k, l)
+                for ps in (base, nudged_long_chain(base, rng, False),
+                           nudged_long_chain(base, rng, True)):
+                    if ps is None:
+                        continue
+                    report = validate_double_chain(ps)
+                    pts = [(p.x, p.y) for p in ps.points]
+                    up = sorted(ps.partition.upper, key=lambda i: pts[i])
+                    low = sorted(ps.partition.lower, key=lambda i: pts[i])
+                    for below, chain, others, witness in (
+                            (True, up, low, report.lower_below_upper_lines),
+                            (False, low, up, report.upper_above_lower_lines)):
+                        sign = 1 if below else -1
+                        if len(chain) < 2 or len({pts[i][0] for i in chain}) < len(chain) \
+                                or any(turn(pts, *t) * sign <= 0
+                                       for t in zip(chain, chain[1:], chain[2:])):
+                            continue
+                        chords = ((chain[0], chain[1]), (chain[-2], chain[-1]))
+                        passed = all(strictly_beyond(pts, a, b, p, below)
+                                     for a, b in chords for p in others)
+                        assert (witness is None) == passed, (k, l, ps, below)
+                        if witness is not None:
+                            name = "lower_below_upper_lines" if below else "upper_above_lower_lines"
+                            assert oracle_violates(ps, name, witness), (ps, witness)
+                        seen[passed, len(chain) >= 30] += 1
+        assert all(seen[passed, True] >= 10 for passed in (True, False)), seen
 
 
 class TestReportPins:
