@@ -32,7 +32,6 @@ from .experiments import (
 from .formulas import double_chain_chi, f_of, formula_table, g_of
 from .geometry import (
     Partition,
-    Point,
     PointSet,
     find_collinear_triple,
     gen_convex,

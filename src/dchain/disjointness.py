@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from math import comb
 from typing import Iterator
@@ -98,6 +98,32 @@ class DisjointnessGraph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
+
+    @cached_property
+    def _relabel(self) -> tuple[list[int], tuple[int, ...], list[int]]:
+        """(order, rows, new_id): the vertex ids by (-degree, id), the rows
+        relabelled so that vertex i is vertex `order[i]`, and the new label
+        `new_id[v]` of each vertex v. The solver's entry points all run on
+        these rows, so they are built once per graph and kept as long as it
+        is; `==`, `hash` and `repr` read only the two fields. As
+        `__post_init__` checks, the rows are symmetric: new bit j of row i is
+        bit order[j] of row order[i], so bit order[i] of row order[j], and
+        new row i is column order[i] read in reverse new order. One string
+        holds the rows in that order (bit b of a row is character V - 1 -
+        b), and each new row is one strided slice of it. The rows go
+        straight to the search, not through a DisjointnessGraph, which checks
+        the endpoint rule in segment-rank order."""
+        adj = self.adj
+        v_count = len(adj)
+        negdeg = [-row.bit_count() for row in adj]
+        # sorted() is stable, so equal degrees stay in id order
+        order = sorted(range(v_count), key=negdeg.__getitem__)
+        new_id = [0] * v_count
+        for i, v in enumerate(order):
+            new_id[v] = i
+        width = f"0{v_count}b"
+        cells = "".join([format(adj[v], width) for v in reversed(order)])
+        return order, tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1

@@ -17,27 +17,20 @@ from typing import NamedTuple
 
 from .formulas import _check_chain, _check_int
 
-
-class Point(NamedTuple):
-    """A plane point (x, y), ordered as (x, y). Unchecked until it enters a
-    PointSet, which checks that both coordinates are integers."""
-
-    x: int
-    y: int
+# the item types accepted in bulk: `tuple` of an exact tuple is the item
+# itself, and of a list a new tuple of the same values
+_PAIR_TYPES = {tuple, list}
 
 
-# the item types whose unpacking into x, y is their plain iteration
-_PAIR_TYPES = {tuple, list, Point}
-
-
-def _point(t: int, item) -> Point:
-    """Item t of a point set as a checked Point: a ValueError naming the item
-    unless it unpacks into two values, then one naming the coordinate."""
+def _point(t: int, item) -> tuple[int, int]:
+    """Item t of a point set as a checked (x, y) pair: a ValueError naming
+    the item unless it unpacks into two values, then one naming the
+    coordinate."""
     try:
         x, y = item
     except (TypeError, ValueError):
         raise ValueError(f"point set item {t} must be a pair of integers, got {item!r}") from None
-    return Point(_check_int(x, "point x", None), _check_int(y, "point y", None))
+    return _check_int(x, "point x", None), _check_int(y, "point y", None)
 
 
 class Partition(NamedTuple):
@@ -51,25 +44,27 @@ class Partition(NamedTuple):
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered set of distinct points, optionally split into chains U and L."""
+    """An ordered set of distinct points, optionally split into chains U and L.
 
-    points: tuple[Point, ...]
+    Each point is stored as a plain `(x, y)` tuple of ints, whatever pair
+    type it arrived as."""
+
+    points: tuple[tuple[int, int], ...]
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
         # The one check of a point set, whatever built it. Builtins decide
-        # the whole set at once: items that are all tuples, lists or Points
-        # of length 2 holding plain ints are accepted in bulk. Any other
-        # input takes the per-element walk, which raises at the first
-        # offender, and accepts int subclasses, kept as given. Both paths
-        # build from a list: a tuple built from an iterator is resized to
-        # fit, then sits in CPython's tuple free lists until a full
-        # garbage collection.
+        # the whole set at once: items that are all exact tuples or lists of
+        # length 2 holding plain ints are accepted in bulk, a tuple item as
+        # it is. Any other input, a NamedTuple included, takes the
+        # per-element walk, which raises at the first offender, and accepts
+        # int subclasses, kept as given. Both paths build from a list: a
+        # tuple built from an iterator is resized to fit, then sits in
+        # CPython's tuple free lists until a full garbage collection.
         items = list(self.points)
         if (set(map(type, items)) <= _PAIR_TYPES and set(map(len, items)) <= {2}
                 and set(map(type, itertools.chain.from_iterable(items))) <= {int}):
-            # tuple.__new__(Point, item) is Point(x, y) without a Python frame
-            pts = tuple(list(map(tuple.__new__, itertools.repeat(Point), items)))
+            pts = tuple(list(map(tuple, items)))
         else:
             pts = tuple([_point(t, item) for t, item in enumerate(items)])
         object.__setattr__(self, "points", pts)
@@ -132,18 +127,20 @@ def gen_convex(n: int) -> PointSet:
 def gen_double_chain(k: int, l: int) -> PointSet:
     """Canonical (k, l) double chain: a k-point cup strictly above an l-point cap.
 
-    The cap sits on y = -x^2 at even x values roughly centered at 0, the cup
-    on y = x^2 + m at odd x values, with m a strict chord-height bound. So
-    within-chain collinearity is impossible by construction, and every chord
-    of either chain clears every point of the other. Deterministic for fixed
-    (k, l); point order is cup left-to-right, then cap left-to-right.
+    The cap sits on y = -x^2 at the even x values 2(i - l // 2), i < l, the
+    cup on y = x^2 + m at the odd x values 2(j - k // 2) + 1, j < k (each a
+    `range`, so roughly centered at 0), with m a strict chord-height bound.
+    So within-chain collinearity is impossible by construction, and every
+    chord of either chain clears every point of the other. Deterministic for
+    fixed (k, l); each point is a plain (x, y) int tuple, in the order cup
+    left-to-right, then cap left-to-right.
     validate_double_chain checks the result, and a failure raises
     RuntimeError.
     """
     _check_chain(k, l)
-    xs_up = [2 * (j - k // 2) + 1 for j in range(k)]
-    xs_low = [2 * (i - l // 2) for i in range(l)]
-    # both lists ascend, so the largest |x| is at an end
+    xs_up = range(1 - 2 * (k // 2), 2 * k - 2 * (k // 2), 2)
+    xs_low = range(-2 * (l // 2), 2 * l - 2 * (l // 2), 2)
+    # both ranges ascend, so the largest |x| is at an end
     a = max(-xs_up[0], xs_up[-1])
     b = max(-xs_low[0], xs_low[-1])
     # strict chord-height bound. The cup chord through x = p, q is the line
@@ -342,7 +339,7 @@ def pointset_to_json(ps: PointSet) -> dict:
     """Interchange form: {"n":, "points": [[x,y],...], "partition": {"U":,"L":}|null}."""
     data: dict = {
         "n": ps.n,
-        "points": [[p.x, p.y] for p in ps.points],
+        "points": [[x, y] for x, y in ps.points],
         "partition": None,
     }
     if ps.partition is not None:

@@ -3,10 +3,13 @@
 The workhorse is one DSATUR-ordered branch and bound over big-int vertex
 masks (per-color forbidden sets and saturation levels) on an explicit stack,
 with saturation ties to the smallest label. Every entry point runs it on the
-vertices relabelled by (-degree, id) (`_relabel`), as in Brelaz's DSATUR. Its
-first dive is the greedy DSATUR coloring, the upper bound; the exact solve
-searches again from a greedy clique grown in label order and precolored
-(sound symmetry breaking), and maps the witness back to segment ranks.
+vertices relabelled by (-degree, id), as in Brelaz's DSATUR. The relabelled
+rows are a cached view of the graph (`DisjointnessGraph._relabel`), built
+once per graph object, so `clique_lower`, `dsatur_upper` and the exact
+solve of one graph share them. The search's first dive is the greedy
+DSATUR coloring, the upper bound; the exact solve searches again from a
+greedy clique grown in label order and precolored (sound symmetry
+breaking), and maps the witness back to segment ranks.
 `_search` is the one search loop of the package: the single-segment-class
 check in `experiments` decides its property with exact solves too. The
 engine knows nothing of the closed forms or the point-set generators; the
@@ -54,10 +57,10 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
     to the smallest id), and it may take any feasible used color or open
     exactly one new color. Any vertex order gives a complete search, so a
     caller picks the tie order by how it labels `adj`: every caller in the
-    package passes the rows of `_relabel`. The state is a handful of vertex
-    masks: `forb[c]` holds the neighbors of the vertices colored c, `unc` the
-    uncolored vertices, and `lev[s]` the uncolored vertices whose neighbors
-    carry exactly s colors. The search runs on an explicit stack, so its
+    package passes the rows of `DisjointnessGraph._relabel`. The state is a
+    handful of vertex masks: `forb[c]` holds the neighbors of the vertices
+    colored c, `unc` the uncolored vertices, and `lev[s]` the uncolored
+    vertices whose neighbors carry exactly s colors. The search runs on an explicit stack, so its
     depth is not bounded by Python's recursion limit. With no incumbent
     (`best_colors` None) it is the greedy dive: it stops at its first leaf
     and pushes no frame, since nothing will backtrack.
@@ -178,31 +181,8 @@ def _search(adj: tuple[int, ...], clique: list[int], best_k: int, best_colors: l
     return best_k, best_colors, nodes, aborted
 
 
-def _relabel(g: DisjointnessGraph) -> tuple[list[int], tuple[int, ...], list[int]]:
-    """(order, rows, new_id): the vertex ids by (-degree, id), the rows
-    relabelled so that vertex i is vertex `order[i]`, and the new label
-    `new_id[v]` of each vertex v. As a `DisjointnessGraph` checks, the rows
-    are symmetric: new bit j of row i is bit order[j] of row order[i], so
-    bit order[i] of row order[j], and new row i is column order[i] read in
-    reverse new order. One string holds the rows in that order (bit b of a
-    row is character V - 1 - b), and each new row is one strided slice of
-    it. The rows go straight to `_search`, not through a DisjointnessGraph,
-    which checks the endpoint rule in segment-rank order."""
-    adj = g.adj
-    v_count = len(adj)
-    negdeg = [-row.bit_count() for row in adj]
-    # sorted() is stable, so equal degrees stay in id order
-    order = sorted(range(v_count), key=negdeg.__getitem__)
-    new_id = [0] * v_count
-    for i, v in enumerate(order):
-        new_id[v] = i
-    width = f"0{v_count}b"
-    cells = "".join([format(adj[v], width) for v in reversed(order)])
-    return order, tuple([int(cells[v_count - 1 - v::v_count], 2) for v in order]), new_id
-
-
 def _clique(g: DisjointnessGraph, order: list[int], rows: tuple[int, ...]) -> list[int]:
-    """The greedy clique on the rows of `_relabel(g)`, as sorted new labels:
+    """The greedy clique on the rows of `g._relabel`, as sorted new labels:
     each label seeds a growth that adds the lowest label joined to every
     member so far, and the first largest clique is kept. Any clique is sound
     to precolor 0, 1, ...: its members need distinct colors and every color
@@ -249,7 +229,7 @@ def dsatur_upper(g: DisjointnessGraph) -> Coloring:
     first child takes the lowest free used color, or the new color when none
     is free: the greedy rule. The first leaf, node V + 1, is the greedy
     coloring."""
-    _, rows, new_id = _relabel(g)
+    _, rows, new_id = g._relabel
     _, colors, _, _ = _search(rows, [], len(rows) + 1, None, None)
     return Coloring(g.n_points, [colors[i] for i in new_id])
 
@@ -259,7 +239,7 @@ def clique_lower(g: DisjointnessGraph) -> tuple[int, frozenset[int]]:
     segments as segment ranks: each vertex, by (-degree, id), seeds a growth
     that adds the first common neighbor in that same order, and the first
     largest clique is kept. It is the clique the exact solve precolors."""
-    order, rows, _ = _relabel(g)
+    order, rows, _ = g._relabel
     clique = _clique(g, order, rows)
     return len(clique), frozenset([order[i] for i in clique])
 
@@ -268,7 +248,7 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     """Exact chromatic number with an optimal-coloring witness.
 
     Branch and bound in DSATUR order (see `_search`) on the rows of
-    `_relabel`, so that saturation ties go to the highest degree, then the
+    `g._relabel`, so that saturation ties go to the highest degree, then the
     smallest segment rank, as in Brelaz's DSATUR. The coloring of
     `dsatur_upper` is the incumbent, and the clique of `clique_lower` is
     precolored with distinct colors in new-label order. The witness is mapped
@@ -282,7 +262,7 @@ def chromatic_number_exact(g: DisjointnessGraph, *, max_nodes: int | None = None
     if max_nodes is not None:
         _check_int(max_nodes, "max_nodes")
     t0 = perf_counter()
-    order, rows, new_id = _relabel(g)
+    order, rows, new_id = g._relabel
     clique = _clique(g, order, rows)
     # the incumbent: dsatur_upper's first dive
     best_k, best_colors, _, _ = _search(rows, [], len(rows) + 1, None, None)

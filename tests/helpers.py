@@ -234,7 +234,7 @@ def oracle_collinear(coords) -> tuple[int, int, int] | None:
 
 def oracle_disjoint(ps: PointSet, a, b) -> bool:
     """Fraction-oracle version of segment disjointness (index pairs)."""
-    pts = [(p.x, p.y) for p in ps.points]
+    pts = ps.points
     i, j = a
     k, l = b
     return not segments_share_point(pts[i], pts[j], pts[k], pts[l])
@@ -405,7 +405,7 @@ def strictly_beyond(pts, a: int, b: int, p: int, below: bool) -> bool:
 def oracle_violates(ps: PointSet, name: str, witness) -> bool:
     """True iff the index triple really violates the named double-chain
     condition, judged from the definition alone."""
-    pts = [(p.x, p.y) for p in ps.points]
+    pts = ps.points
     up, low = set(ps.partition.upper), set(ps.partition.lower)
     if len(witness) != 3 or len(set(witness)) != 3 or not all(0 <= i < ps.n for i in witness):
         return False
@@ -431,7 +431,7 @@ def oracle_validate_double_chain(ps: PointSet) -> tuple[bool, bool, bool, bool, 
     L strictly right, (c) every L point strictly below every U chord line,
     (d) every U point strictly above every L chord line, (e) no collinear
     triple. O(n^3); uses nothing from dchain.geometry beyond the point set."""
-    pts = [(p.x, p.y) for p in ps.points]
+    pts = ps.points
     up = sorted(ps.partition.upper, key=lambda i: pts[i])
     low = sorted(ps.partition.lower, key=lambda i: pts[i])
     return (

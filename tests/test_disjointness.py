@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from dchain import (
     DisjointnessGraph,
-    Point,
     PointSet,
     all_segments,
     build_graph,
@@ -69,17 +68,17 @@ class TestBuildGraph:
         assert all(row.bit_count() == 1 for row in g.adj)
 
     def test_two_points_single_isolated_vertex(self):
-        g = build_graph(PointSet((Point(0, 0), Point(1, 2))))
+        g = build_graph(PointSet(((0, 0), (1, 2))))
         assert g.n_vertices == 1
         assert g.edge_count == 0
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
-            build_graph(PointSet((Point(0, 0),)))
+            build_graph(PointSet(((0, 0),)))
 
     def test_rejects_collinear_input(self):
         with pytest.raises(ValueError):
-            build_graph(PointSet((Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5))))
+            build_graph(PointSet(((0, 0), (1, 1), (2, 2), (0, 5))))
 
     @pytest.mark.parametrize("ps", [
         gen_convex(5),
@@ -116,7 +115,7 @@ class TestBuildGraph:
             coords = list({(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(n)})
             if len(coords) < 3:
                 continue
-            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            ps = PointSet(tuple(coords))
             if oracle_collinear(coords) is not None:
                 with pytest.raises(ValueError):
                     build_graph(ps)
@@ -137,7 +136,7 @@ class TestBuildGraph:
         for trial in range(105):
             n = 10 + trial % 7
             coords = list({(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(n)})
-            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            ps = PointSet(tuple(coords))
             if oracle_collinear(coords) is not None:
                 with pytest.raises(ValueError, match="not in general position"):
                     build_graph(ps)
@@ -185,7 +184,7 @@ class TestBuildGraph:
                 coords.add((rng.randint(0, 40), rng.randint(0, 40)))
             coords = list(coords)
             rng.shuffle(coords)
-            ps = PointSet(tuple(Point(x, y) for x, y in coords))
+            ps = PointSet(tuple(coords))
             if oracle_collinear(coords) is not None:
                 with pytest.raises(ValueError, match="not in general position"):
                     build_graph(ps)
@@ -359,7 +358,7 @@ class TestExports:
         assert data == b"p edge 6 2\ne 1 6\ne 3 4\n"
 
     def test_dimacs_two_points(self):
-        g = build_graph(PointSet((Point(0, 0), Point(1, 2))))
+        g = build_graph(PointSet(((0, 0), (1, 2))))
         assert export_graph(g, "dimacs") == b"p edge 1 0\n"
 
     def test_dimacs_bytes_pinned(self):

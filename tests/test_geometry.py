@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from dchain import (
     Partition,
-    Point,
     PointSet,
     all_segments,
     build_graph,
@@ -36,7 +36,7 @@ from helpers import (chain_hull_edges, oracle_collinear, oracle_delete, oracle_d
 
 
 def parabola_set(xs):
-    return PointSet(tuple(Point(x, x * x) for x in xs))
+    return PointSet(tuple((x, x * x) for x in xs))
 
 
 class TestOrientation:
@@ -60,9 +60,9 @@ class TestOrientation:
                            (None, 1, "x")):
             with pytest.raises(ValueError, match=f"^point {name} must be an integer, got"):
                 PointSet([(x, y)])
-        # a bare Point is unchecked until it enters a PointSet
+        # a list pair is checked like a tuple, before the items after it
         with pytest.raises(ValueError, match="^point x must be an integer, got 0.5$"):
-            PointSet([Point(0.5, 1), (2, 3)])
+            PointSet([[0.5, 1], (2, 3)])
 
 
 PARABOLA_3 = [(0, 0), (1, 1), (2, 4)]
@@ -94,18 +94,22 @@ class TestPointSetGate:
     naming the first offender."""
 
     def test_points_as_generator_lists_or_points(self):
-        expected = (Point(0, 0), Point(1, 1), Point(2, 4))
+        class Pt(NamedTuple):
+            x: int
+            y: int
+
+        expected = ((0, 0), (1, 1), (2, 4))
         for points in ((p for p in PARABOLA_3), [list(p) for p in PARABOLA_3],
-                       [Point(*p) for p in PARABOLA_3]):
+                       [Pt(*p) for p in PARABOLA_3]):
             ps = PointSet(points)
             assert ps.points == expected
             assert type(ps.points) is tuple
-            assert [type(p) for p in ps.points] == [Point] * 3
+            assert [type(p) for p in ps.points] == [tuple] * 3
             assert {type(c) for p in ps.points for c in p} == {int}
 
     def test_any_two_value_item_is_a_pair(self):
         ps = PointSet([range(2), iter((3, 5))])
-        assert ps.points == (Point(0, 1), Point(3, 5))
+        assert ps.points == ((0, 1), (3, 5))
         assert {type(c) for p in ps.points for c in p} == {int}
 
     def test_int_subclass_coordinate_is_kept(self):
@@ -114,8 +118,8 @@ class TestPointSetGate:
 
         x = Coord(7)
         ps = PointSet([(x, 1), (2, 3)])
-        assert ps.points == (Point(7, 1), Point(2, 3))
-        assert ps.points[0].x is x
+        assert ps.points == ((7, 1), (2, 3))
+        assert ps.points[0][0] is x
 
     def test_partition_sides_as_range_or_generator(self):
         for upper, lower in ((range(2), range(2, 3)), ((i for i in (0, 1)), (i for i in (2,)))):
@@ -165,7 +169,7 @@ class TestSegmentsDisjoint:
         assert graph_disjoint((0, 1), (1, 2), ps) is False
 
     def test_crossing_diagonals_intersect(self):
-        ps = PointSet((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 3)))
+        ps = PointSet(((0, 0), (2, 0), (2, 2), (0, 3)))
         assert graph_disjoint((0, 2), (1, 3), ps) is False
         assert oracle_disjoint(ps, (0, 2), (1, 3)) is False
 
@@ -193,7 +197,7 @@ class TestSegmentsDisjoint:
     def test_collinear_touching_counts_as_intersecting(self):
         # not general position: the oracle still answers exactly, and the
         # build refuses the set rather than decide a collinear pair
-        ps = PointSet((Point(0, 0), Point(2, 0), Point(4, 0), Point(6, 0), Point(0, 5)))
+        ps = PointSet(((0, 0), (2, 0), (4, 0), (6, 0), (0, 5)))
         assert oracle_disjoint(ps, (0, 2), (1, 3)) is False  # overlap
         assert oracle_disjoint(ps, (0, 1), (2, 3)) is True   # gap on one line
         with pytest.raises(ValueError, match="^point set is not in general position$"):
@@ -210,7 +214,7 @@ class TestSegmentsDisjoint:
     def test_each_touching_endpoint_intersects(self, coords):
         # one collinear endpoint in each set: the oracle counts the touch as
         # meeting, and the build refuses the set at its collinear triple
-        ps = PointSet(tuple(Point(x, y) for x, y in coords))
+        ps = PointSet(tuple(coords))
         assert oracle_disjoint(ps, (0, 1), (2, 3)) is False
         assert find_collinear_triple(ps) is not None
         with pytest.raises(ValueError, match="^point set is not in general position$"):
@@ -260,12 +264,12 @@ class TestGeneralPosition:
             assert find_collinear_triple(PointSet(coords)) == first(coords), coords
 
     def test_tiny_sets_vacuous(self):
-        assert find_collinear_triple(PointSet((Point(0, 0),))) is None
-        assert find_collinear_triple(PointSet((Point(0, 0), Point(1, 5)))) is None
+        assert find_collinear_triple(PointSet(((0, 0),))) is None
+        assert find_collinear_triple(PointSet(((0, 0), (1, 5)))) is None
 
     def test_distinctness_enforced_at_construction(self):
         with pytest.raises(ValueError):
-            PointSet((Point(0, 0), Point(0, 0)))
+            PointSet(((0, 0), (0, 0)))
 
 
 class TestGenConvex:
@@ -274,7 +278,7 @@ class TestGenConvex:
         # triple put it in convex position, which chi = f(n) needs
         for n in range(3, 41):
             pts = gen_convex(n).points
-            assert all(pts[i].x < pts[i + 1].x for i in range(n - 1)), n
+            assert all(pts[i][0] < pts[i + 1][0] for i in range(n - 1)), n
             assert all(turn(pts, i, i + 1, i + 2) > 0 for i in range(n - 2)), n
 
     def test_general_position_up_to_40(self):
@@ -361,7 +365,7 @@ class TestValidateDoubleChain:
     def test_cup_violation_witnessed(self):
         good = gen_double_chain(3, 4)
         pts = list(good.points)
-        pts[1] = Point(pts[1].x, pts[1].y + 10 ** 6)  # middle cup point far above
+        pts[1] = (pts[1][0], pts[1][1] + 10 ** 6)  # middle cup point far above
         report = validate_double_chain(PointSet(tuple(pts), good.partition))
         assert report == ((0, 1, 2), None, (0, 1, 3), None, None)
         assert report.failed() == ["upper_is_cup", "lower_below_upper_lines"]
@@ -372,7 +376,7 @@ class TestValidateDoubleChain:
     def test_cup_point_dropped_below_cap_lines_witnessed(self):
         good = gen_double_chain(2, 3)
         pts = list(good.points)
-        pts[0] = Point(pts[0].x, -10 ** 6)
+        pts[0] = (pts[0][0], -10 ** 6)
         report = validate_double_chain(PointSet(tuple(pts), good.partition))
         bad = report.upper_above_lower_lines
         assert bad is not None and bad[2] == 0
@@ -396,7 +400,7 @@ class TestValidateDoubleChain:
 
     def test_collinear_triple_fails_general_position(self):
         # cap points (-2,-4), (0,0), (2,4) lie on one line
-        pts = (Point(-1, 6), Point(1, 6), Point(-2, -4), Point(0, 0), Point(2, 4))
+        pts = ((-1, 6), (1, 6), (-2, -4), (0, 0), (2, 4))
         report = validate_double_chain(PointSet(pts, Partition((0, 1), (2, 3, 4))))
         assert not report.ok
         assert report.general_position == (2, 3, 4)
@@ -410,12 +414,12 @@ def small_box_chain(rng: random.Random) -> PointSet | None:
     k, l = rng.randint(1, 5), rng.randint(1, 5)
     if rng.random() < 0.5:
         base = gen_double_chain(min(k, l), max(k, l))
-        pts = [Point(p.x + rng.randint(-2, 2) * (rng.random() < 0.4),
-                     p.y + rng.randint(-3, 3) * (rng.random() < 0.4)) for p in base.points]
+        pts = [(x + rng.randint(-2, 2) * (rng.random() < 0.4),
+                y + rng.randint(-3, 3) * (rng.random() < 0.4)) for x, y in base.points]
         up, low = base.partition.upper, base.partition.lower
     else:
-        pts = [Point(rng.randint(0, 6), rng.randint(4, 9)) for _ in range(k)] \
-            + [Point(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(l)]
+        pts = [(rng.randint(0, 6), rng.randint(4, 9)) for _ in range(k)] \
+            + [(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(l)]
         up, low = tuple(range(k)), tuple(range(k, len(pts)))
     if len(set(pts)) != len(pts):
         return None
@@ -451,7 +455,7 @@ def canonical_chain(k: int, l: int) -> PointSet:
     if k <= l:
         return gen_double_chain(k, l)
     base = gen_double_chain(l, k)
-    return PointSet(tuple(Point(p.x, -p.y) for p in base.points),
+    return PointSet(tuple((x, -y) for x, y in base.points),
                     Partition(base.partition.lower, base.partition.upper))
 
 
@@ -483,14 +487,14 @@ def nudged_canonical_chains() -> list[PointSet]:
                           for t, p in enumerate(chain)]
         moves = []
         for p, a, b in sorted(lines):
-            pa, pb, x = pts[a], pts[b], pts[p].x
-            rise, run = (pb.y - pa.y) * (x - pa.x), pb.x - pa.x
+            (ax, ay), (bx, by), x = pts[a], pts[b], pts[p][0]
+            rise, run = (by - ay) * (x - ax), bx - ax
             assert rise % run == 0
-            moves += [(p, Point(x, pa.y + rise // run + dy)) for dy in (-1, 0, 1)]
+            moves += [(p, (x, ay + rise // run + dy)) for dy in (-1, 0, 1)]
         for chain in (up, low):
             if len(chain) >= 2:
-                moves.append((chain[0], Point(pts[chain[1]].x, pts[chain[0]].y)))
-                moves.append((chain[-1], Point(pts[chain[-2]].x, pts[chain[-1]].y)))
+                moves.append((chain[0], (pts[chain[1]][0], pts[chain[0]][1])))
+                moves.append((chain[-1], (pts[chain[-2]][0], pts[chain[-1]][1])))
         for p, moved in moves:
             new = pts[:p] + (moved,) + pts[p + 1:]
             if len(set(new)) == len(new):
@@ -507,11 +511,11 @@ def extreme_point_chain(rng: random.Random) -> PointSet | None:
     chord are common. None when two points coincide."""
     k, l = rng.randint(1, 10), rng.randint(1, 10)
     t, s, c = rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-40, 160)
-    pts = [Point(x, x * x + t * x + c) for x in sorted(rng.sample(range(-12, 13), k))] \
-        + [Point(x, -x * x + s * x) for x in sorted(rng.sample(range(-12, 13), l))]
+    pts = [(x, x * x + t * x + c) for x in sorted(rng.sample(range(-12, 13), k))] \
+        + [(x, -x * x + s * x) for x in sorted(rng.sample(range(-12, 13), l))]
     if rng.random() < 0.3:
         i = rng.randrange(len(pts))
-        pts[i] = Point(pts[i].x, pts[i].y + rng.randint(-30, 30))
+        pts[i] = (pts[i][0], pts[i][1] + rng.randint(-30, 30))
     if len(set(pts)) != len(pts):
         return None
     return shuffled_labels(pts, range(k), range(k, k + l), rng)
@@ -530,7 +534,7 @@ def nudged_long_chain(ps: PointSet, rng: random.Random, whole_side: bool) -> Poi
     side is also sheared, y += t x with |t| <= 8, which keeps it convex.
     None when two points coincide."""
     pts = list(ps.points)
-    height = max(p.y for p in pts) - min(p.y for p in pts)
+    height = max(y for _, y in pts) - min(y for _, y in pts)
     reach = rng.choice((4, height // 16, height // 2))
     if whole_side:
         moved, t = rng.choice(ps.partition), rng.randint(-8, 8)
@@ -538,7 +542,8 @@ def nudged_long_chain(ps: PointSet, rng: random.Random, whole_side: bool) -> Poi
         moved, t = (rng.randrange(len(pts)),), 0
     dy = rng.randint(-reach, reach)
     for i in moved:
-        pts[i] = Point(pts[i].x, pts[i].y + t * pts[i].x + dy)
+        x, y = pts[i]
+        pts[i] = (x, y + t * x + dy)
     return PointSet(pts, ps.partition) if len(set(pts)) == len(pts) else None
 
 
@@ -575,7 +580,7 @@ class TestValidatorAgainstOracle:
             seen["valid"] += report.ok
             for label, side, convex in (("cup", ps.partition.upper, got[0]),
                                         ("cap", ps.partition.lower, got[1])):
-                xs = [ps.points[i].x for i in side]
+                xs = [ps.points[i][0] for i in side]
                 seen[f"{label} with equal x"] += convex and len(set(xs)) < len(xs)
             seen["cup, points above a chord"] += got[0] and not got[2]
             seen["cap, points below a chord"] += got[1] and not got[3]
@@ -595,7 +600,7 @@ class TestValidatorAgainstOracle:
         for ps in nudged_canonical_chains():
             report, got = oracle_checked_report(ps)
             seen["valid"] += report.ok
-            pts = [(p.x, p.y) for p in ps.points]
+            pts = ps.points
             for below, chain, others, convex, passed in (
                     (True, ps.partition.upper, ps.partition.lower, got[0], got[2]),
                     (False, ps.partition.lower, ps.partition.upper, got[1], got[3])):
@@ -624,7 +629,7 @@ class TestValidatorAgainstOracle:
         seen = Counter()
         for ps in extreme_point_corpus():
             _, got = oracle_checked_report(ps)
-            pts = [(p.x, p.y) for p in ps.points]
+            pts = ps.points
             up = sorted(ps.partition.upper, key=lambda i: pts[i])
             low = sorted(ps.partition.lower, key=lambda i: pts[i])
             for below, chain, others, convex, others_convex in (
@@ -666,7 +671,7 @@ class TestValidatorAgainstOracle:
                     if ps is None:
                         continue
                     report = validate_double_chain(ps)
-                    pts = [(p.x, p.y) for p in ps.points]
+                    pts = ps.points
                     up = sorted(ps.partition.upper, key=lambda i: pts[i])
                     low = sorted(ps.partition.lower, key=lambda i: pts[i])
                     for below, chain, others, witness in (

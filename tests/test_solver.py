@@ -230,7 +230,7 @@ class TestDegreeOrder:
         for ps in sets:
             g = build_graph(ps)
             v_count = g.n_vertices
-            order, rows, new_id = solver_mod._relabel(g)
+            order, rows, new_id = g._relabel
             assert order == tie_order(g, by_degree=True)
             assert len(rows) == v_count
             assert [new_id[v] for v in order] == list(range(v_count))
@@ -238,6 +238,29 @@ class TestDegreeOrder:
                 row = g.adj[order[i]]
                 assert [rows[i] >> j & 1 for j in range(v_count)] == \
                     [row >> order[j] & 1 for j in range(v_count)], (ps.n, i)
+
+    def test_one_relabel_per_graph(self, monkeypatch):
+        # the presolve calls and the exact solve of one graph share one view,
+        # and caching it leaves the graph's value, hash and repr alone
+        prop = DisjointnessGraph.__dict__["_relabel"]
+        relabel = prop.func
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return relabel(g)
+
+        monkeypatch.setattr(prop, "func", counted)
+        g = build_graph(gen_double_chain(4, 6))
+        fresh = DisjointnessGraph(g.n_points, g.adj)
+        clique_lower(g)
+        dsatur_upper(g)
+        res = chromatic_number_exact(g)
+        assert res.chi == double_chain_chi(4, 6)
+        assert len(calls) == 1 and calls[0] is g
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        chromatic_number_exact(fresh)
+        assert len(calls) == 2 and calls[1] is fresh
 
 
 class TestExactChi:
@@ -693,7 +716,7 @@ class TestConjectureScan:
         rng = random.Random(1234)
         ps, attempts = sample_general_position(rng, 6, box=50)
         assert ps is not None and attempts >= 1
-        assert all(0 <= p.x <= 50 and 0 <= p.y <= 50 for p in ps.points)
+        assert all(0 <= x <= 50 and 0 <= y <= 50 for x, y in ps.points)
         assert find_collinear_triple(ps) is None
 
     def test_sampler_reports_exhaustion(self):
