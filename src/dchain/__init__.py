@@ -17,7 +17,6 @@ from .disjointness import (
     all_segments,
     build_graph,
     export_graph,
-    graph_to_json,
 )
 from .experiments import (
     ScanReport,

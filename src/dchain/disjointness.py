@@ -200,22 +200,14 @@ def build_graph(ps: PointSet) -> DisjointnessGraph:
                                        for (i, j), near in zip(combinations(range(n), 2), touch)]))
 
 
-def graph_to_json(g: DisjointnessGraph) -> dict:
-    return {
-        "n_points": g.n_points,
-        "vertices": g.n_vertices,
-        "edges": [[u, v] for u, v in g.edges()],
-    }
-
-
 def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
-    """Serialize as DIMACS edge format or JSON; both byte-deterministic.
+    """Serialize as DIMACS edge format (fmt "dimacs") or JSON (fmt "json");
+    both byte-deterministic.
 
     DIMACS uses 1-based vertex ids in rank order: a "p edge V E" header then
     one "e u v" line per adjacency pair.
     """
-    kind = fmt.strip().lower() if isinstance(fmt, str) else fmt
-    if kind == "dimacs":
+    if fmt == "dimacs":
         # one bytes object per adjacency row, none per edge, so the transient
         # peak stays near twice the output size. Each row is read as its bit
         # string (cells[w] is bit w, as in the symmetry check), and the part
@@ -232,6 +224,8 @@ def export_graph(g: DisjointnessGraph, fmt: str) -> bytes:
                 head = b"e " + ids[u] + b" "
                 out += head + (b"\n" + head).join(above) + b"\n"
         return bytes(out)
-    if kind == "json":
-        return (json.dumps(graph_to_json(g)) + "\n").encode("ascii")
+    if fmt == "json":
+        edges = [[u, v] for u, v in g.edges()]
+        data = {"n_points": g.n_points, "vertices": g.n_vertices, "edges": edges}
+        return (json.dumps(data) + "\n").encode("ascii")
     raise ValueError(f"unknown graph format {fmt!r}; expected 'dimacs' or 'json'")

@@ -307,8 +307,9 @@ def oracle_apices(coloring: Coloring) -> dict[int, int | None]:
 
 
 def oracle_optimal_colorings(g: DisjointnessGraph, chi: int):
-    """Every proper coloring of g with exactly `chi` colors, one per orbit
-    under color permutations, in lexicographic order of the color tuples.
+    """Every proper coloring of g with exactly `chi` colors, as its color
+    tuple in rank order, one per orbit under color permutations, in
+    lexicographic order.
     A plain recursion colors the vertices in id order; a vertex may take a
     color only if no earlier neighbor has it, from the colors used so far
     and then the next new one while fewer than `chi` are used, so the
@@ -328,7 +329,7 @@ def oracle_optimal_colorings(g: DisjointnessGraph, chi: int):
     def rec(v: int, used: int):
         if v == v_count:
             if used == chi:
-                yield Coloring(g.n_points, colors)
+                yield tuple(colors)
             return
         if v_count - v < chi - used:
             return

@@ -8,6 +8,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from dchain import (
+    Coloring,
     build_graph,
     chromatic_number_exact,
     conjecture_scan,
@@ -110,7 +111,7 @@ def test_criterion_4_two_singleton_classes_break_the_check():
     # chi 3, and an optimal coloring gives (0, 1) and (2, 3) a class each,
     # so the rule behind singleton_class_check must answer False
     g = matching_clique(3)
-    seen = any(sum(c.colors.count(col) == 1 for col in range(3)) >= 2
+    seen = any(sum(c.count(col) == 1 for col in range(3)) >= 2
                for c in oracle_optimal_colorings(g, 3))
     holds = experiments_mod._at_most_one_single_class(g)
     report(4, "two single-segment classes are caught", seen and holds is False,
@@ -189,7 +190,7 @@ def test_criterion_7_thrackle_classes_fit_edge_budget():
         ps, g, res = convex_case(n)
         colorings = [dsatur_upper(g), res.witness]
         if n <= 6:
-            colorings.extend(oracle_optimal_colorings(g, res.chi))
+            colorings += [Coloring(g.n_points, c) for c in oracle_optimal_colorings(g, res.chi)]
         for coloring in colorings:
             apices = oracle_apices(coloring)
             sizes = [len(segs) for color, segs in oracle_classes(coloring).items()

@@ -9,8 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dchain import double_chain_chi, f_of, gen_double_chain, save_points
+from dchain import (build_graph, clique_lower, coloring_to_json, double_chain_chi, dsatur_upper,
+                    f_of, gen_double_chain, save_points)
 from dchain.cli import main
+
+
+# the points files that test_golden_outputs reads, as `dchain gen` arguments
+GEN_ARGS = {"c46.json": ["--k", "4", "--l", "6"], "convex40.json": ["--n", "40"]}
 
 
 def run(capsys, *argv):
@@ -124,13 +129,47 @@ class TestChiAndVerify:
             assert a == b
 
     def test_chi_budget_exhaustion_exits_3(self, tmp_path, capsys):
+        # a one-node budget stops the search at its root: the witness is
+        # dsatur_upper's coloring, and the bounds are clique_lower's size and
+        # that coloring's color count
+        for k, l in ((4, 5), (6, 7)):
+            pts = tmp_path / "pts.json"
+            save_points(gen_double_chain(k, l), pts)
+            code, out, _ = run(capsys, "chi", "--points", str(pts), "--max-nodes", "1")
+            assert code == 3
+            data = json.loads(out)
+            assert data["status"] == "indeterminate" and data["chi"] is None
+            assert data["lower_bound"] <= data["upper_bound"]
+            g = build_graph(gen_double_chain(k, l))
+            greedy = dsatur_upper(g)
+            assert data["witness"] == coloring_to_json(greedy)
+            assert (data["lower_bound"], data["upper_bound"]) == (clique_lower(g)[0], greedy.color_count)
+
+    @pytest.mark.parametrize("k, l, budget, code, fields, digest", [
+        (4, 6, [], 0, ("exact", 7, 7, 7, 517),
+         "f9d2fcea4544516a8571994cb2337e689184667faad006d4a6df004fbf89fa6e"),
+        # stops on entering node 256 with the incumbent's bound, below the
+        # greedy one of the one-node budget
+        (6, 7, ["--max-nodes", "255"], 3, ("indeterminate", None, 6, 10, 256),
+         "f49e0319c04366d3e4c13ed2dcc3e1ea0694732a8986e19591bbde5687093cfb"),
+        (6, 7, ["--max-nodes", "1"], 3, ("indeterminate", None, 6, 11, 2),
+         "bb2cb4a99704dba6abac17a22bd049ff12863a6b0b50867de361eb0518c1a2f1"),
+        # chi = k + f(l) = 7 + 4 on the largest chain pinned
+        (7, 7, [], 0, ("exact", 11, 11, 11, 25067), None),
+    ], ids=["4-6", "6-7-budget-255", "6-7-budget-1", "7-7"])
+    def test_chi_pins(self, tmp_path, capsys, k, l, budget, code, fields, digest):
+        # every field but ms, and the sha256 of the witness's JSON line
         pts = tmp_path / "pts.json"
-        save_points(gen_double_chain(4, 5), pts)
-        code, out, _ = run(capsys, "chi", "--points", str(pts), "--max-nodes", "1")
-        assert code == 3
+        save_points(gen_double_chain(k, l), pts)
+        got, out, _ = run(capsys, "chi", "--points", str(pts), *budget)
         data = json.loads(out)
-        assert data["status"] == "indeterminate" and data["chi"] is None
-        assert data["lower_bound"] <= data["upper_bound"]
+        assert got == code
+        assert list(data) == ["status", "chi", "lower_bound", "upper_bound", "witness", "nodes", "ms"]
+        witness = data.pop("witness")
+        del data["ms"]
+        assert tuple(data.values()) == fields
+        if digest:
+            assert hashlib.sha256((json.dumps(witness) + "\n").encode()).hexdigest() == digest
 
     def test_chi_json_has_one_shape(self, tmp_path, capsys):
         # exact and indeterminate solves write the same keys in the same order
@@ -190,13 +229,14 @@ class TestColor:
     def test_construct_and_verify(self, tmp_path, capsys):
         pts = tmp_path / "pts.json"
         col = tmp_path / "col.json"
-        run(capsys, "gen", "--k", "2", "--l", "4", "--out", str(pts))
-        code, _, err = run(capsys, "color", "--k", "2", "--l", "4", "--out", str(col))
-        assert code == 0
-        assert "4 colors" in err
-        code, out, _ = run(capsys, "verify", "--points", str(pts), "--coloring", str(col))
-        assert code == 0
-        assert json.loads(out)["proper"] is True
+        for k, l, colors in (("2", "4", 4), ("4", "6", 7)):
+            run(capsys, "gen", "--k", k, "--l", l, "--out", str(pts))
+            code, _, err = run(capsys, "color", "--k", k, "--l", l, "--out", str(col))
+            assert code == 0
+            assert f"{colors} colors" in err
+            code, out, _ = run(capsys, "verify", "--points", str(pts), "--coloring", str(col))
+            assert code == 0
+            assert json.loads(out)["proper"] is True
 
 
 class TestSweep:
@@ -236,18 +276,63 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_golden_outputs(self, capsys):
-        # sha256 of the sweep's stdout, recorded before the frame rewrite of
-        # the exact search (double chain) and from the convex sweep script
-        # that --convex replaced: any change to chi or to the CSV shows here
-        for flags, max_sum, digest in (
-                ((), 9, "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c"),
-                ((), 11, "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f"),
-                (("--convex",), 10, "858c815b19c2b88fea812d3387dc2516bd240407d411174216374ee4f796cfe8"),
-                (("--convex",), 13, "47a710cc706c132d5b6ba5651264142758489770ada5e57ceb06a653ff817cbb")):
-            code, out, _ = run(capsys, "sweep", *flags, "--max-sum", str(max_sum))
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == digest, max_sum
+    @pytest.mark.parametrize("argv, code, digest", [
+        # the sweeps' pins were recorded before the frame rewrite of the exact
+        # search (double chain) and from the convex sweep script that --convex
+        # replaced: any change to chi or to the CSV shows here. --max-sum 15
+        # (53 points) and --convex 16 are the widest grids pinned
+        pytest.param(["sweep", "--max-sum", "9"], 0,
+                     "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c", id="sweep-9"),
+        pytest.param(["sweep", "--max-sum", "11"], 0,
+                     "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f", id="sweep-11"),
+        pytest.param(["sweep", "--max-sum", "15"], 0,
+                     "a9c91e32b9cfc7d8a1d8221b4daff1bfa78efcbbf920854739fac1728c9e1731", id="sweep-15"),
+        pytest.param(["sweep", "--convex", "--max-sum", "10"], 0,
+                     "858c815b19c2b88fea812d3387dc2516bd240407d411174216374ee4f796cfe8", id="convex-10"),
+        pytest.param(["sweep", "--convex", "--max-sum", "13"], 0,
+                     "47a710cc706c132d5b6ba5651264142758489770ada5e57ceb06a653ff817cbb", id="convex-13"),
+        pytest.param(["sweep", "--convex", "--max-sum", "16"], 0,
+                     "8997e2587d841d31eca63a3a8de5f045499dafe9b763fad39000e19c7092c454", id="convex-16"),
+        # the generators, the constructive coloring (the (12, 12) one is the
+        # largest that certify_large builds) and the formula table
+        pytest.param(["gen", "--k", "40", "--l", "40"], 0,
+                     "8380d0cc79dafd7204f03fdfb95c161dc041f60f950644305a1b0a7e41aff200", id="gen-40-40"),
+        pytest.param(["gen", "--n", "40"], 0,
+                     "489cbc28fc0b1ebb3321565cf41aa576e453fac641117d51553655a79ca6edf1", id="gen-40"),
+        pytest.param(["color", "--k", "4", "--l", "6", "--out", "col.json"], 0,
+                     "0a7eafaa3b316567c3173b27177d677e52838c375981615b5f9e35c4faff94de", id="color-4-6"),
+        pytest.param(["color", "--k", "12", "--l", "12", "--out", "col.json"], 0,
+                     "fef35f14da61cd29e24b15ea1d37513331b235a1d5353d7fdb34f04049b7123b", id="color-12-12"),
+        pytest.param(["formulas", "--n", "1000"], 0,
+                     "7c90bc12a71ff22ef3f2737243086a174c0e7d0b55ab1c1771b2f5f13a177742", id="formulas-1000"),
+        # the randomized scan's report; n = 8 draws 500 sets
+        pytest.param(["conjecture", "--n", "6", "--trials", "20", "--seed", "1", "--out", "scan.json"],
+                     0, "bcbee46d000688c7dc57563f99f2020c90640677a0f772835513402875aa877a",
+                     id="conjecture-6"),
+        pytest.param(["conjecture", "--n", "8", "--trials", "500", "--seed", "0", "--out", "scan.json"],
+                     0, "eabe4e2950b547d1564a0d650516c544f048b0934254349920d9fd0bc95bf61a",
+                     id="conjecture-8"),
+        # the graph export past every workload's size (780 vertices, 182,780
+        # edges) and the JSON export; tests/export_pins.json pins the chains'
+        # DIMACS bytes
+        pytest.param(["graph", "--points", "convex40.json", "--format", "dimacs", "--out", "g.txt"],
+                     0, "5c0f1dec23081d92152dc81d74d3132f57bab67d3b9457a1852bd638876d22bc",
+                     id="graph-40-dimacs"),
+        pytest.param(["graph", "--points", "c46.json", "--format", "json", "--out", "g.txt"],
+                     0, "927c6caf6aaa1cc413eddc94a113bd2cd94de70c16b6fa1a2362a838908dbce9",
+                     id="graph-4-6-json"),
+    ])
+    def test_golden_outputs(self, tmp_path, capsys, monkeypatch, argv, code, digest):
+        # sha256 of the --out file, or of stdout where there is none; a
+        # points file that argv names is written by `dchain gen` first
+        monkeypatch.chdir(tmp_path)
+        for name, size in GEN_ARGS.items():
+            if name in argv:
+                assert run(capsys, "gen", *size, "--out", name)[0] == 0
+        got, out, _ = run(capsys, *argv)
+        data = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else out.encode()
+        assert got == code
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestMalformedJson:
@@ -293,7 +378,7 @@ class TestMalformedJson:
         self.check(tmp_path, capsys, points, self.COLORING,
                    "points JSON points[1] must be a list of 2 ints, got [4, 1, 7]")
         # coordinates are any ints, so there is no out-of-range case
-        for bad in (True, 1.0, "1", None):
+        for bad in (True, 1.0, 1.5, "1", None):
             points = dict(self.POINTS, points=[[0, 0], [4, bad], [3, 5], [-1, 3]])
             self.check(tmp_path, capsys, points, self.COLORING,
                        f"points JSON points[1][1] must be an integer, got {bad!r}")
@@ -351,17 +436,27 @@ class TestMalformedJson:
         coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[2, 4, 5]])
         self.check(tmp_path, capsys, self.POINTS, coloring,
                    "coloring JSON colors[5] endpoint must be an integer in 0..3, got 4")
+        # the same faults in row 1
+        for row, message in (([0, 2, True], "colors[1][2] must be an integer >= 0, got True"),
+                             ([0, 4, 1], "colors[1] endpoint must be an integer in 0..3, got 4")):
+            coloring = dict(self.COLORING, colors=[[0, 1, 0], row, *self.COLORING["colors"][2:]])
+            self.check(tmp_path, capsys, self.POINTS, coloring, f"coloring JSON {message}")
 
     def test_coloring_segment_assigned_twice(self, tmp_path, capsys):
-        coloring = dict(self.COLORING, colors=self.COLORING["colors"][:5] + [[1, 0, 5]])
-        self.check(tmp_path, capsys, self.POINTS, coloring, "segment (0, 1) assigned twice")
+        for row in (1, 5):
+            colors = list(self.COLORING["colors"])
+            colors[row] = [1, 0, row]
+            coloring = dict(self.COLORING, colors=colors)
+            self.check(tmp_path, capsys, self.POINTS, coloring, "segment (0, 1) assigned twice")
 
 
 class TestProp4:
-    def test_holds_for_four(self, capsys):
-        code, out, _ = run(capsys, "prop4", "--n", "4")
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_holds(self, capsys, n):
+        # one exact solve per pair of segments; n = 8 has 378 pairs
+        code, out, _ = run(capsys, "prop4", "--n", str(n))
         assert code == 0
-        assert json.loads(out) == {"n": 4, "holds": True}
+        assert json.loads(out) == {"n": n, "holds": True}
 
     def test_below_four_is_usage_error(self, capsys):
         code, out, err = run(capsys, "prop4", "--n", "3")
@@ -418,7 +513,8 @@ class TestUsage:
     @pytest.mark.parametrize("argv, work", [
         (["chi", "--points", "p.json"], "chromatic_number_exact"),
         (["conjecture", "--n", "6", "--trials", "20", "--seed", "1"], "conjecture_scan"),
-    ], ids=["chi", "conjecture"])
+        (["sweep", "--max-sum", "15"], "double_chain_sweep"),
+    ], ids=["chi", "conjecture", "sweep"])
     def test_unwritable_out_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     argv, work):
         import dchain.cli

@@ -410,7 +410,7 @@ class TestColoringPins:
     def test_enumerator_stream(self):
         pin = self.PINS["enumerator"]
         g = build_graph(gen_double_chain(*pin["chain"]))
-        text = "".join("".join(map(str, c.colors)) + "\n"
+        text = "".join("".join(map(str, c)) + "\n"
                        for c in oracle_optimal_colorings(g, pin["colors"]))
         assert text.count("\n") == pin["count"] == 64727
         assert _sha(text) == pin["sha256"]

@@ -293,13 +293,15 @@ class TestGenConvex:
 
 
 class TestGenDoubleChain:
-    @pytest.mark.parametrize("k,l", [(5, 7), (1, 3), (2, 2), (1, 1), (3, 8)])
+    @pytest.mark.parametrize("k,l", [(5, 7), (1, 3), (2, 2), (1, 1), (3, 8), (40, 40), (300, 400)])
     def test_generates_valid_chains(self, k, l):
         ps = gen_double_chain(k, l)
         assert ps.n == k + l
+        assert {type(p) for p in ps.points} == {tuple}
         assert len(ps.partition.upper) == k
         assert len(ps.partition.lower) == l
-        assert validate_double_chain(ps).ok
+        report = validate_double_chain(ps)
+        assert report == (None,) * 5 and report.ok and report.failed() == []
 
     def test_deterministic(self):
         assert gen_double_chain(3, 5) == gen_double_chain(3, 5)
@@ -380,6 +382,17 @@ class TestValidateDoubleChain:
         report = validate_double_chain(PointSet(tuple(pts), good.partition))
         bad = report.upper_above_lower_lines
         assert bad is not None and bad[2] == 0
+
+    def test_cap_point_above_last_cup_chord_witnessed(self):
+        # cap point 41, at x = -38, lifted to one unit above the line of the
+        # last cup chord (38, 39)
+        good = gen_double_chain(40, 40)
+        pts = list(good.points)
+        (ax, ay), (bx, by), (px, _) = pts[38], pts[39], pts[41]
+        pts[41] = (px, ay + (by - ay) * (px - ax) // (bx - ax) + 1)
+        assert pts[41] == (-38, 391)
+        report = validate_double_chain(PointSet(pts, good.partition))
+        assert report == (None, (41, 42, 43), (38, 39, 41), (40, 41, 4), None)
 
     def test_failing_long_cup_walks_its_chord_pairs_lazily(self):
         # a 1000-point cup that fails (a) at its first triple, so (c) walks
