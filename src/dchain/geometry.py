@@ -25,12 +25,16 @@ _PAIR_TYPES = {tuple, list}
 def _point(t: int, item) -> tuple[int, int]:
     """Item t of a point set as a checked (x, y) pair: a ValueError naming
     the item unless it unpacks into two values, then one naming the
-    coordinate."""
-    try:
-        x, y = item
-    except (TypeError, ValueError):
-        raise ValueError(f"point set item {t} must be a pair of integers, got {item!r}") from None
-    return _check_int(x, "point x", None), _check_int(y, "point y", None)
+    coordinate. A set, a frozenset or a dict is never a pair: it unpacks in
+    an order of its own, a dict into its keys."""
+    if not isinstance(item, (set, frozenset, dict)):
+        try:
+            x, y = item
+        except (TypeError, ValueError):
+            pass
+        else:
+            return _check_int(x, "point x", None), _check_int(y, "point y", None)
+    raise ValueError(f"point set item {t} must be a pair of integers, got {item!r}")
 
 
 class Partition(NamedTuple):

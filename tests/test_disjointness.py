@@ -200,7 +200,7 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=re.escape("not symmetric at (0, 5)")):
             DisjointnessGraph(4, (0, 0, 0, 0, 0, 1))
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(case=one_bit_flips())
     def test_graph_validation_refuses_any_one_bit_flip(self, case):
         g, u, w = case

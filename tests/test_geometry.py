@@ -66,8 +66,8 @@ class TestOrientation:
 
 
 PARABOLA_3 = [(0, 0), (1, 1), (2, 4)]
-# (points, partition sides or None, exception type, message), every entry a
-# literal so that the python -O run below can rebuild it
+# (points, partition sides or None, exception type, message), every entry
+# built from builtins whose repr the python -O run below evaluates back
 GATE_REFUSALS = [
     ([(0, 0), (True, 1)], None, ValueError, "point x must be an integer, got True"),
     ([(0, 0), (1, 1.5)], None, ValueError, "point y must be an integer, got 1.5"),
@@ -77,6 +77,13 @@ GATE_REFUSALS = [
     ([(0, 0), (1, 2, 3)], None, ValueError,
      "point set item 1 must be a pair of integers, got (1, 2, 3)"),
     ([(0, 0), 5], None, ValueError, "point set item 1 must be a pair of integers, got 5"),
+    # a two-value item that unpacks in an order of its own
+    ([{5, 2}, (0, 0), (1, 7)], None, ValueError,
+     "point set item 0 must be a pair of integers, got {2, 5}"),
+    ([(0, 0), frozenset({5, 2})], None, ValueError,
+     "point set item 1 must be a pair of integers, got frozenset({2, 5})"),
+    ([(0, 0), {9: "a", 4: "b"}], None, ValueError,
+     "point set item 1 must be a pair of integers, got {9: 'a', 4: 'b'}"),
     ([], None, ValueError, "a point set needs at least one point"),
     (PARABOLA_3, ((), (0, 1, 2)), ValueError, "both sides of a partition must be non-empty"),
     (PARABOLA_3, ((0, 1, 2), ()), ValueError, "both sides of a partition must be non-empty"),
@@ -85,7 +92,8 @@ GATE_REFUSALS = [
      "partition index must be an integer >= 0, got True"),
 ]
 GATE_REFUSAL_IDS = ["x-bool", "y-float", "first-offender", "str-item", "3-tuple", "non-iterable",
-                    "empty", "empty-upper", "empty-lower", "negative-index", "bool-index"]
+                    "set-item", "frozenset-item", "dict-item", "empty", "empty-upper",
+                    "empty-lower", "negative-index", "bool-index"]
 
 
 class TestPointSetGate:
@@ -135,10 +143,10 @@ class TestPointSetGate:
 
     def test_refusals_survive_python_O(self):
         script = """
-import ast, sys
+import sys
 from dchain import Partition, PointSet
 assert False, "asserts must be stripped for this check to mean anything"
-for points, sides in ast.literal_eval(sys.stdin.read()):
+for points, sides in eval(sys.stdin.read()):
     try:
         PointSet(points, None if sides is None else Partition(*sides))
     except Exception as exc:

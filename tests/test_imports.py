@@ -1,8 +1,9 @@
 """Every name a package module or a test module imports is used in that
 module, and every name a package module imports from a sibling is defined
 in that sibling, not re-exported by it. Every public name of the package
-has a caller outside the tests, and no check of the package is an
-`assert`, which `python -O` would strip."""
+has a caller outside the tests, no check of the package is an `assert`,
+which `python -O` would strip, and every JSON file beside the tests is
+named by a test module."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,11 @@ def test_no_check_is_an_assert():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert not found, f"assert or __debug__, gone under python -O (module, line): {sorted(found)}"
+
+
+def test_every_pin_file_is_named_by_a_test():
+    """A tests/*.json file must appear by name in the text of some
+    tests/*.py, so a pin file cannot outlive the test that reads it."""
+    text = "".join(path.read_text(encoding="utf-8") for path in TESTS)
+    orphans = [p.name for p in sorted(Path(__file__).parent.glob("*.json")) if p.name not in text]
+    assert not orphans, f"JSON files in tests/ that no test module names: {orphans}"

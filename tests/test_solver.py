@@ -111,22 +111,6 @@ def id_order_solve(g, max_nodes=None):
     return ["exact", best_k, best_k, nodes], colors
 
 
-def pin_cases(pins):
-    """(pin, graph) for the chain or convex set each solver pin names."""
-    for pin in pins:
-        ps = gen_double_chain(pin["k"], pin["l"]) if "k" in pin else gen_convex(pin["n"])
-        yield pin, build_graph(ps)
-
-
-def budget_pin_cases(pins):
-    """(pin, graph) for the 53 budget-pin cases, in the pin files' order."""
-    cases = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
-    cases += random_configs(8, 50, 2024)
-    assert len(pins) == len(cases) == 53
-    for pin, ps in zip(pins, cases):
-        yield pin, build_graph(ps)
-
-
 class TestDsatur:
     def test_edgeless_uses_one_color(self):
         g = build_graph(gen_convex(3))  # three segments, all pairwise incident
@@ -355,42 +339,6 @@ class TestExactChi:
         with pytest.raises(ValueError):
             chromatic_number_exact(build_graph(gen_convex(5)), **budget)
 
-    def test_pinned_nodes_and_witnesses(self):
-        # recorded from the recursive per-vertex-saturation solver with ties
-        # to the smallest id; the mask search must branch identically, node
-        # for node, on the rows in segment-rank order
-        pins = json.loads(Path(__file__).with_name("solver_pins.json").read_text())
-        assert len(pins) == 26
-        for pin, g in pin_cases(pins):
-            (_, chi, _, nodes), colors = id_order_solve(g)
-            assert (nodes, chi, colors) == (pin["nodes"], pin["chi"], pin["witness"]), pin
-
-    def test_degree_order_pins(self):
-        # the public solve on the same cases, with ties by degree, then id
-        pins = json.loads(Path(__file__).with_name("solver_pins_degree.json").read_text())
-        assert len(pins) == 26
-        for pin, g in pin_cases(pins):
-            res = chromatic_number_exact(g)
-            assert (res.nodes, res.chi, res.witness.colors) == \
-                (pin["nodes"], pin["chi"], tuple(pin["witness"])), pin
-
-    def test_budget_cutoffs_match_pins(self):
-        # [status, lower, upper, nodes] at each node budget of the id-order
-        # search, recorded before it stopped pushing frames it would pop at
-        # once: skipping them must leave every cutoff where it was
-        pins = json.loads(Path(__file__).with_name("budget_pins.json").read_text())
-        for pin, g in budget_pin_cases(pins):
-            for budget, expected in pin["budgets"].items():
-                assert id_order_solve(g, int(budget))[0] == expected, (pin["case"], budget)
-
-    def test_degree_order_budget_cutoffs(self):
-        pins = json.loads(Path(__file__).with_name("budget_pins_degree.json").read_text())
-        for pin, g in budget_pin_cases(pins):
-            for budget, expected in pin["budgets"].items():
-                r = chromatic_number_exact(g, max_nodes=int(budget))
-                assert [r.status, r.lower_bound, r.upper_bound, r.nodes] == expected, \
-                    (pin["case"], budget)
-
     def test_search_deeper_than_recursion_limit(self):
         g = build_graph(gen_double_chain(6, 7))  # 78 vertices, 72 of them left to the search
         depth = 0
@@ -460,12 +408,12 @@ except RuntimeError as exc:
 
 @pytest.fixture(scope="module")
 def oracle_cases():
-    """Every chain with k + l <= 9, convex 4..10, 300 seeded random
+    """Every chain with k + l <= 9, convex 4..12, 300 seeded random
     4..8-point sets and 200 hand-built graphs (hand_built_graphs), each with
     its greedy clique by oracle_clique; then the ten chains with
     k + l = 10..11, whose degree-order searches hold most of the nodes."""
     sets = [gen_double_chain(k, l) for k in range(1, 5) for l in range(k, 10 - k)]
-    sets += [gen_convex(n) for n in range(4, 11)]
+    sets += [gen_convex(n) for n in range(4, 13)]
     rng = random.Random(909)
     for _ in range(300):
         ps = None
@@ -481,7 +429,36 @@ def oracle_cases():
 # the oracle recounts saturation in Python at every node, and the chains with
 # k + l = 10..11 take 87,721 nodes by id against 5,228 by degree, so the id
 # order is checked on the cases before them
-ID_ORDER_CASES = 527
+ID_ORDER_CASES = 529
+
+
+@pytest.fixture(scope="module")
+def budget_cases():
+    """Convex 14 and the chains (6, 7) and (4, 9), whose exact id-order
+    solves take 22.1M, 4.2M and 1.7M nodes, out of the oracle's reach, then
+    50 seeded random 8-point sets, each with its greedy clique by
+    oracle_clique."""
+    sets = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
+    sets += random_configs(8, 50, 2024)
+    graphs = [build_graph(ps) for ps in sets]
+    return [(g, oracle_clique(g)[1]) for g in graphs]
+
+
+def cutoffs_match(g, clique, budget):
+    """Check the public solve and the id-order solve of g at a node budget
+    against the oracle in the same tie order: status, lower and upper bound,
+    nodes and witness. Returns how many of the two the budget cut."""
+    res = chromatic_number_exact(g, max_nodes=budget)
+    public = [res.status, res.lower_bound, res.upper_bound, res.nodes], list(res.witness.colors)
+    cut = 0
+    for by_degree, got in ((True, public), (False, id_order_solve(g, budget))):
+        exact, nodes, upper, colors = oracle_branch_and_bound(g, clique, max_nodes=budget,
+                                                              by_degree=by_degree)
+        status = "exact" if exact else "indeterminate"
+        assert got == ([status, upper if exact else len(clique), upper, nodes], colors), \
+            (g.adj, budget, by_degree)
+        cut += not exact
+    return cut
 
 
 class TestAgainstOracle:
@@ -495,7 +472,7 @@ class TestAgainstOracle:
             assert clique_lower(g) == (len(clique), clique), g.adj
 
     def test_exact_solves_match(self, oracle_cases):
-        assert len(oracle_cases) == 537
+        assert len(oracle_cases) == 539
         total = 0
         for g, clique in oracle_cases:
             res = chromatic_number_exact(g)
@@ -517,21 +494,13 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 17])
     def test_node_budget_cutoffs_match(self, oracle_cases, budget):
-        cut = 0
-        for g, clique in oracle_cases:
-            res = chromatic_number_exact(g, max_nodes=budget)
-            exact, nodes, upper, colors = oracle_branch_and_bound(g, clique, max_nodes=budget)
-            assert (res.is_exact, res.nodes, res.upper_bound, res.witness.colors) == \
-                (exact, nodes, upper, tuple(colors))
-            assert res.lower_bound == (upper if exact else len(clique))
-            cut += not exact
-            (status, lower, upper, nodes), colors = id_order_solve(g, budget)
-            exact, o_nodes, o_upper, o_colors = oracle_branch_and_bound(
-                g, clique, max_nodes=budget, by_degree=False)
-            assert (status == "exact", nodes, upper, colors) == (exact, o_nodes, o_upper, o_colors)
-            assert lower == (upper if exact else len(clique))
-            cut += not exact
-        assert cut > 0
+        assert sum(cutoffs_match(g, clique, budget) for g, clique in oracle_cases) > 0
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 17, 1000])
+    def test_long_search_cutoffs_match(self, budget_cases, budget):
+        # every budget cuts the first three in both orders
+        cuts = [cutoffs_match(g, clique, budget) for g, clique in budget_cases]
+        assert len(cuts) == 53 and cuts[:3] == [2, 2, 2]
 
 
 class TestEnumerateOptimal:
