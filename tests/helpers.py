@@ -144,14 +144,20 @@ def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None 
     - every node entered counts; entering node max_nodes + 1 ends the search
       with exact False and the incumbent of that moment;
     - a node with every vertex colored is a new incumbent. Otherwise it
-      branches on the uncolored vertex whose colored neighbors show the most
+      branches on an uncolored vertex whose colored neighbors show the most
       distinct colors, the first in that order among equals: each used
       color none of them has, in ascending order, while the used colors are
       fewer than the incumbent's, then one new color while used + 1 is
-      fewer.
+      fewer;
+    - on a graph of 45 or more vertices, a node that will try two or more
+      colors and has three or more such equals picks the one with the
+      largest PASS score, the first in that order among equal scores. A
+      vertex's score counts, for each used color none of its colored
+      neighbors has, the other equals whose colored neighbors lack it too.
 
-    Saturation is recounted from `colors` at every node: no masks, no
-    relabelling, and nothing from dchain.solver."""
+    Saturation and scores are recounted from `colors` at every node, one
+    vertex at a time: no masks, no relabelling, and nothing from
+    dchain.solver."""
     v_count = g.n_vertices
     nbrs = [[u for u in range(v_count) if g.adj[v] >> u & 1] for v in range(v_count)]
     ties = tie_order(g, by_degree)
@@ -167,15 +173,21 @@ def oracle_branch_and_bound(g: DisjointnessGraph, clique, max_nodes: int | None 
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise _OutOfNodes
-        pick, seen = -1, set()
-        for v in ties:
-            if colors[v] < 0:
-                around = {colors[u] for u in nbrs[v] if colors[u] >= 0}
-                if pick < 0 or len(around) > len(seen):
-                    pick, seen = v, around
-        if pick < 0:
+        around = {v: {colors[u] for u in nbrs[v] if colors[u] >= 0}
+                  for v in ties if colors[v] < 0}
+        if not around:
             best, best_k = colors[:], used
             return
+        top = max(len(seen) for seen in around.values())
+        equals = [v for v in around if len(around[v]) == top]
+        pick = equals[0]
+        moves = used - top + (used + 1 < best_k)
+        if v_count >= 45 and moves >= 2 and len(equals) > 2:
+            def score(v: int) -> int:
+                return sum(1 for c in range(used) if c not in around[v]
+                           for u in equals if u != v and c not in around[u])
+            pick = max(equals, key=score)  # the first of the largest
+        seen = around[pick]
         for c in range(used):
             if used >= best_k:
                 break

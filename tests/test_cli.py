@@ -146,16 +146,16 @@ class TestChiAndVerify:
             assert (data["lower_bound"], data["upper_bound"]) == (clique_lower(g)[0], greedy.color_count)
 
     @pytest.mark.parametrize("k, l, budget, code, fields, digest", [
-        (4, 6, [], 0, ("exact", 7, 7, 7, 517),
-         "f9d2fcea4544516a8571994cb2337e689184667faad006d4a6df004fbf89fa6e"),
+        (4, 6, [], 0, ("exact", 7, 7, 7, 375),
+         "df57b9f6de23838f640c5bfad7b4a1b135f383279712a96e19e8cf315a8d1ed5"),
         # stops on entering node 256 with the incumbent's bound, below the
         # greedy one of the one-node budget
         (6, 7, ["--max-nodes", "255"], 3, ("indeterminate", None, 6, 10, 256),
-         "f49e0319c04366d3e4c13ed2dcc3e1ea0694732a8986e19591bbde5687093cfb"),
+         "2cb1a02b8142a5f9cb934c7d4bec0d2421b6052490f3b61e49bc3875730d8ae9"),
         (6, 7, ["--max-nodes", "1"], 3, ("indeterminate", None, 6, 11, 2),
          "bb2cb4a99704dba6abac17a22bd049ff12863a6b0b50867de361eb0518c1a2f1"),
         # chi = k + f(l) = 7 + 4 on the largest chain pinned
-        (7, 7, [], 0, ("exact", 11, 11, 11, 25067), None),
+        (7, 7, [], 0, ("exact", 11, 11, 11, 6416), None),
     ], ids=["4-6", "6-7-budget-255", "6-7-budget-1", "7-7"])
     def test_chi_pins(self, tmp_path, capsys, k, l, budget, code, fields, digest):
         # every field but ms, and the sha256 of the witness's JSON line
@@ -279,20 +279,26 @@ class TestSweep:
     @pytest.mark.parametrize("argv, code, digest", [
         # the sweeps' pins were recorded before the frame rewrite of the exact
         # search (double chain) and from the convex sweep script that --convex
-        # replaced: any change to chi or to the CSV shows here. --max-sum 15
-        # (53 points) and --convex 16 are the widest grids pinned
+        # replaced: any change to chi or to the CSV shows here. --max-sum 17
+        # (69 points) and --convex 19 are the widest grids pinned. The CSVs
+        # hold no node counts, so a change of the search's pick rule keeps
+        # their bytes: --max-sum 17 gave the same sha256 with unscored ties
         pytest.param(["sweep", "--max-sum", "9"], 0,
                      "55f12dc4043182183c62bbc5796f16645683bc068eb0a20efb1e6ff0e7bef12c", id="sweep-9"),
         pytest.param(["sweep", "--max-sum", "11"], 0,
                      "90b21c0432f3d24173728b114ead1db20204f12a0cdbd9a8ea928e711fa0562f", id="sweep-11"),
         pytest.param(["sweep", "--max-sum", "15"], 0,
                      "a9c91e32b9cfc7d8a1d8221b4daff1bfa78efcbbf920854739fac1728c9e1731", id="sweep-15"),
+        pytest.param(["sweep", "--max-sum", "17"], 0,
+                     "ed6bf447833292afcb34139ab77aa91fbf378cb6d279c2713474afdb2e36ebb4", id="sweep-17"),
         pytest.param(["sweep", "--convex", "--max-sum", "10"], 0,
                      "858c815b19c2b88fea812d3387dc2516bd240407d411174216374ee4f796cfe8", id="convex-10"),
         pytest.param(["sweep", "--convex", "--max-sum", "13"], 0,
                      "47a710cc706c132d5b6ba5651264142758489770ada5e57ceb06a653ff817cbb", id="convex-13"),
         pytest.param(["sweep", "--convex", "--max-sum", "16"], 0,
                      "8997e2587d841d31eca63a3a8de5f045499dafe9b763fad39000e19c7092c454", id="convex-16"),
+        pytest.param(["sweep", "--convex", "--max-sum", "19"], 0,
+                     "269bd50af3d8e10fca39957e2bee485ea13b710cce5ac801c5038ad018c3aa77", id="convex-19"),
         # the generators, the constructive coloring (the (12, 12) one is the
         # largest that certify_large builds) and the formula table
         pytest.param(["gen", "--k", "40", "--l", "40"], 0,

@@ -300,6 +300,18 @@ class TestExactChi:
         assert digest.hexdigest() == \
             "a8a4d9f91496d9b1b11d0feceef22ace2f29dbee447552fa1aec970b369d73d8"
 
+    @pytest.mark.parametrize("make, size, chi, nodes", [
+        (gen_double_chain, (8, 8), 13, 106_822),
+        (gen_convex, (17,), 12, 2_118),
+    ], ids=["8-8", "convex-17"])
+    def test_scored_ties_pinned(self, make, size, chi, nodes):
+        # 120 and 136 vertices, so ties are scored; unscored ties took
+        # 1,514,259 and 3,726 nodes
+        g = build_graph(make(*size))
+        res = chromatic_number_exact(g)
+        assert (res.status, res.chi, res.nodes) == ("exact", chi, nodes)
+        assert verify_coloring(g, res.witness).proper
+
     def test_deterministic_nodes_and_witness(self):
         g = build_graph(gen_double_chain(2, 4))
         a = chromatic_number_exact(g)
@@ -349,11 +361,11 @@ class TestExactChi:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            res = chromatic_number_exact(g, max_nodes=2000)
+            res = chromatic_number_exact(g, max_nodes=1000)  # the exact solve takes 1,994
         finally:
             sys.setrecursionlimit(limit)
         assert res.status == "indeterminate"
-        assert res.nodes == 2001
+        assert res.nodes == 1001
         assert res.lower_bound <= res.upper_bound
         assert verify_coloring(g, res.witness).proper
 
@@ -423,24 +435,30 @@ def oracle_cases():
     graphs = [build_graph(ps) for ps in sets] + hand_built_graphs(910, 198)
     graphs += [build_graph(gen_double_chain(k, s - k)) for s in (10, 11)
                for k in range(1, s // 2 + 1)]
+    # the search scores ties from 45 vertices on: both orders meet both rules
+    assert {g.n_vertices >= 45 for g in graphs[:ID_ORDER_CASES]} == {False, True}
+    assert {g.n_vertices >= 45 for g in graphs[ID_ORDER_CASES:]} == {True}
     return [(g, oracle_clique(g)[1]) for g in graphs]
 
 
 # the oracle recounts saturation in Python at every node, and the chains with
-# k + l = 10..11 take 87,721 nodes by id against 5,228 by degree, so the id
-# order is checked on the cases before them
+# k + l = 10..11 take 7,817 nodes by id against 3,169 by degree (87,721 and
+# 5,228 with unscored ties), so the id order is checked on the cases before them
 ID_ORDER_CASES = 529
 
 
 @pytest.fixture(scope="module")
 def budget_cases():
-    """Convex 14 and the chains (6, 7) and (4, 9), whose exact id-order
-    solves take 22.1M, 4.2M and 1.7M nodes, out of the oracle's reach, then
-    50 seeded random 8-point sets, each with its greedy clique by
+    """Convex 14 and the chains (6, 7) and (4, 9), whose exact solves run
+    past every budget in both orders (1,451, 1,994 and 2,405 nodes by
+    degree, 48,934, 7,792 and 11,082 by id, with ties scored), then 50
+    seeded random 8-point sets, each with its greedy clique by
     oracle_clique."""
     sets = [gen_convex(14), gen_double_chain(6, 7), gen_double_chain(4, 9)]
     sets += random_configs(8, 50, 2024)
     graphs = [build_graph(ps) for ps in sets]
+    # scored ties on the first three (78 to 91 vertices), unscored on the rest (28)
+    assert [g.n_vertices >= 45 for g in graphs] == [True] * 3 + [False] * 50
     return [(g, oracle_clique(g)[1]) for g in graphs]
 
 
